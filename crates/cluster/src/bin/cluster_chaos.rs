@@ -25,16 +25,17 @@
 //! counters as a `cedar-bench-cluster/1` JSON report; `--track
 //! HISTORY` appends the same numbers to the cedar-track benchmark
 //! history. `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the
-//! coordinator's `ClusterObs` as a Prometheus `/metrics` endpoint for
-//! the duration of the run, mirroring the serving tier.
+//! coordinator's metrics as a Prometheus `/metrics` endpoint for the
+//! duration of the run, with the same HTTP reply as the serving tier.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterObs, MetricsServer};
+use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, MetricsServer, METRICS};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultPlan};
+use cedar_obs::SharedObs;
 use cedar_snap::{CacheDir, Snapshot};
 
 fn usage() -> ! {
@@ -116,7 +117,7 @@ fn main() -> ExitCode {
     };
     cfg.cache = cache.clone();
 
-    let obs = Arc::new(ClusterObs::new());
+    let obs = Arc::new(SharedObs::new(&METRICS));
     let metrics_server = match &metrics_addr {
         Some(addr) => match MetricsServer::start(addr, Arc::clone(&obs)) {
             Ok(s) => {
@@ -270,11 +271,7 @@ fn main() -> ExitCode {
 /// Renders the `cedar-bench-cluster/1` timing report: the chaos run's
 /// wall clock, throughput, supervision stats and the coordinator's
 /// observability counters.
-fn render_bench_json(
-    stats: &cedar_cluster::ClusterStats,
-    wall_ms: f64,
-    obs: &ClusterObs,
-) -> String {
+fn render_bench_json(stats: &cedar_cluster::ClusterStats, wall_ms: f64, obs: &SharedObs) -> String {
     use std::fmt::Write as _;
     let points_per_sec = if wall_ms > 0.0 {
         stats.jobs as f64 / (wall_ms / 1000.0)

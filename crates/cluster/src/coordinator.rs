@@ -25,11 +25,11 @@ use std::time::{Duration, Instant};
 
 use cedar_exec::sweep_keys;
 use cedar_faults::{RetryPolicy, WorkerFaultPlan};
+use cedar_obs::SharedObs;
 use cedar_sim::watchdog::Watchdog;
 use cedar_snap::{fnv1a, read_frame, unseal, write_frame, CacheDir, FrameError, Snapshot};
 
 use crate::journal::{JobJournal, JobRecord, JobState};
-use crate::obs::ClusterObs;
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
 use crate::registry::{CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 use crate::ring::HashRing;
@@ -277,6 +277,13 @@ impl Slot {
     }
 }
 
+/// Adds `n` to the counter `name` when the caller attached metrics.
+fn count(obs: Option<&SharedObs>, name: &str, n: u64) {
+    if let Some(obs) = obs {
+        obs.add(name, n);
+    }
+}
+
 /// Runs `inputs` through the worker fleet and returns results in input
 /// order, bit-identical to a serial sweep of the same family function.
 ///
@@ -294,7 +301,7 @@ pub fn run_cluster_sweep<I, T>(
     config: &ClusterConfig,
     family: &str,
     inputs: &[I],
-    obs: Option<&ClusterObs>,
+    obs: Option<&SharedObs>,
 ) -> Result<ClusterReport<T>, ClusterError>
 where
     I: Snapshot,
@@ -317,9 +324,7 @@ where
             }
         }
     }
-    if let Some(obs) = obs {
-        obs.add("cluster.jobs.cache_hits", cache_hits as u64);
-    }
+    count(obs, "cluster.jobs.cache_hits", cache_hits as u64);
 
     let mut stats = ClusterStats {
         workers: config.workers,
@@ -405,7 +410,7 @@ struct Supervisor<'a> {
     journal: &'a mut JobJournal,
     result_bytes: &'a mut Vec<Option<Vec<u8>>>,
     stats: &'a mut ClusterStats,
-    obs: Option<&'a ClusterObs>,
+    obs: Option<&'a SharedObs>,
     slots: Vec<Slot>,
     nonce_counter: u64,
     /// The listener address workers connect back to; set in
@@ -525,9 +530,7 @@ impl Supervisor<'_> {
             Event::Garbage { slot, incarnation } => {
                 if self.slot_is_current(slot, incarnation) {
                     self.stats.garbage_frames += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.garbage_frames");
-                    }
+                    count(self.obs, "cluster.worker.garbage_frames", 1);
                     self.fail_slot(slot, now_tick);
                 }
                 Ok(())
@@ -535,9 +538,7 @@ impl Supervisor<'_> {
             Event::Gone { slot, incarnation } => {
                 if self.slot_is_current(slot, incarnation) {
                     self.stats.worker_exits += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.exits");
-                    }
+                    count(self.obs, "cluster.worker.exits", 1);
                     self.fail_slot(slot, now_tick);
                 }
                 Ok(())
@@ -563,9 +564,7 @@ impl Supervisor<'_> {
             // interesting case: count it as refused.
             if matches!(msg, FromWorker::Done { .. }) {
                 self.journal.stale_results += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.results.stale");
-                }
+                count(self.obs, "cluster.results.stale", 1);
             }
             return Ok(());
         }
@@ -618,13 +617,14 @@ impl Supervisor<'_> {
                         self.stats.committed += 1;
                         if let Some(obs) = self.obs {
                             obs.inc("cluster.jobs.committed");
-                            obs.commit_latency(now_tick.saturating_sub(first_issue_tick));
+                            obs.record(
+                                "cluster.commit.latency_ticks",
+                                now_tick.saturating_sub(first_issue_tick),
+                            );
                         }
                     }
                     None => {
-                        if let Some(obs) = self.obs {
-                            obs.inc("cluster.results.stale");
-                        }
+                        count(self.obs, "cluster.results.stale", 1);
                     }
                 }
                 Ok(())
@@ -654,9 +654,7 @@ impl Supervisor<'_> {
                     s.child = Some(child);
                     s.watchdog.rearm(now_tick);
                     self.stats.restarts += 1;
-                    if let Some(obs) = self.obs {
-                        obs.inc("cluster.worker.restarts");
-                    }
+                    count(self.obs, "cluster.worker.restarts", 1);
                     self.publish_health(w as u32);
                 }
                 Err(_) => {
@@ -680,9 +678,7 @@ impl Supervisor<'_> {
             let frames = self.slots[w].frames_seen;
             if self.slots[w].watchdog.observe(now_tick, frames).is_err() {
                 self.stats.hangs_reaped += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.worker.hangs_reaped");
-                }
+                count(self.obs, "cluster.worker.hangs_reaped", 1);
                 self.fail_slot(w as u32, now_tick);
             }
         }
@@ -698,9 +694,7 @@ impl Supervisor<'_> {
                 let s = &mut self.slots[worker as usize];
                 s.inflight = s.inflight.saturating_sub(1);
                 self.stats.reissues += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.jobs.reissued");
-                }
+                count(self.obs, "cluster.jobs.reissued", 1);
             }
         }
     }
@@ -752,9 +746,7 @@ impl Supervisor<'_> {
                 self.journal.issue(job, w, incarnation, now_tick);
                 self.slots[w as usize].inflight += 1;
                 self.stats.dispatched += 1;
-                if let Some(obs) = self.obs {
-                    obs.inc("cluster.jobs.dispatched");
-                }
+                count(self.obs, "cluster.jobs.dispatched", 1);
             } else {
                 self.fail_slot(w, now_tick);
             }
@@ -792,9 +784,7 @@ impl Supervisor<'_> {
         if s.restart_attempts > self.config.restart.max_retries {
             s.lost = true;
             self.stats.workers_lost += 1;
-            if let Some(obs) = self.obs {
-                obs.inc("cluster.worker.lost");
-            }
+            count(self.obs, "cluster.worker.lost", 1);
         } else {
             let delay = self
                 .config
@@ -802,16 +792,14 @@ impl Supervisor<'_> {
                 .jittered_delay(s.restart_attempts, self.config.seed ^ u64::from(w));
             s.restart_at = Some(now_tick + delay);
         }
-        if let Some(obs) = self.obs {
-            obs.add("cluster.jobs.reissued", released as u64);
-        }
+        count(self.obs, "cluster.jobs.reissued", released as u64);
         self.publish_health(w);
     }
 
     fn publish_health(&self, w: u32) {
         if let Some(obs) = self.obs {
             let s = &self.slots[w as usize];
-            obs.worker_health(w, s.alive, s.incarnation, s.restart_attempts);
+            crate::obs::worker_health(obs, w, s.alive, s.incarnation, s.restart_attempts);
             let alive = self.slots.iter().filter(|s| s.alive).count();
             obs.set_gauge("cluster.workers.alive", alive as f64);
         }

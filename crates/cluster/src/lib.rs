@@ -29,8 +29,8 @@
 //!   [`WorkerFaultPlan`](cedar_faults::WorkerFaultPlan) kills, stalls
 //!   or corrupts chosen workers at chosen points, so the whole
 //!   recovery story runs under test, repeatably.
-//! * [`ClusterObs`] — per-worker health, restart counts and commit
-//!   latency exported through `cedar-obs`.
+//! * [`obs`] — per-worker health, restart counts and commit latency in
+//!   one `cedar_obs::SharedObs`, scraped over HTTP by [`MetricsServer`].
 //!
 //! # Quick start
 //!
@@ -68,7 +68,7 @@ pub use coordinator::{
     run_cluster_sweep, ClusterConfig, ClusterError, ClusterReport, ClusterStats,
 };
 pub use journal::{CommitOrigin, JobJournal, JobRecord, JobState};
-pub use obs::{ClusterObs, MetricsServer};
+pub use obs::{MetricsServer, METRICS};
 pub use proto::{FromWorker, ToWorker};
 pub use registry::{maybe_worker, JobRegistry, CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 pub use ring::HashRing;

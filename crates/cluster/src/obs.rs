@@ -1,139 +1,66 @@
-//! Cluster observability: per-worker health and supervision counters.
+//! Cluster observability: the coordinator's supervision metrics and
+//! their HTTP scrape endpoint.
 //!
-//! Mirrors the serving tier's `ServeObs` shape — a thread-safe wrapper
-//! over [`MetricsRegistry`] with every supervision metric pre-interned
-//! so exports show zeros, not missing series, before anything fails.
-//! The coordinator feeds it during a run; `prometheus()` renders the
-//! standard exposition via `cedar-obs`, and [`MetricsServer`] exposes
-//! it over plain HTTP for scrapers, exactly like the serving tier's
-//! `/metrics` endpoint.
+//! A coordinator's metrics live in one [`SharedObs`] built from
+//! [`METRICS`], so exports show zeros, not missing series, before
+//! anything fails. The coordinator feeds it during a run and adds
+//! per-worker health gauges (`cluster.worker.<w>.alive`,
+//! `.incarnation`, `.restarts`) as slots come and go.
+//! [`MetricsServer`] answers scrapes of it with the same
+//! [`http_reply`] the serving tier uses.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use cedar_obs::export;
-use cedar_obs::metrics::MetricsRegistry;
+use cedar_obs::{http_reply, MetricSet, SharedObs};
 
-/// Re-issue latency histogram shape: ticks from a job's first issue to
-/// its commit. 64 bins of 8 ticks covers multi-restart recoveries;
-/// the overflow bin catches pathological tails.
-const HIST_BINS: usize = 64;
-const HIST_BIN_WIDTH_TICKS: u64 = 8;
+/// Every supervision metric. The one histogram counts ticks from a
+/// job's first issue to its commit: 64 bins of 8 ticks covers
+/// multi-restart recoveries, the overflow bin pathological tails.
+pub const METRICS: MetricSet = MetricSet {
+    counters: &[
+        "cluster.jobs.dispatched",
+        "cluster.jobs.committed",
+        "cluster.jobs.cache_hits",
+        "cluster.jobs.reissued",
+        "cluster.results.stale",
+        "cluster.worker.exits",
+        "cluster.worker.hangs_reaped",
+        "cluster.worker.garbage_frames",
+        "cluster.worker.restarts",
+        "cluster.worker.lost",
+    ],
+    gauges: &["cluster.workers.alive"],
+    histograms: &["cluster.commit.latency_ticks"],
+    bins: 64,
+    bin_width: 8,
+};
 
-/// Shared metrics for a cluster coordinator.
-#[derive(Debug)]
-pub struct ClusterObs {
-    metrics: Mutex<MetricsRegistry>,
-}
+/// How long a scrape connection may take to send its request. A client
+/// that connects and sends nothing is dropped after this, so it cannot
+/// wedge the one accept thread (or [`MetricsServer::stop`]).
+const SCRAPE_READ_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for ClusterObs {
-    fn default() -> Self {
-        ClusterObs::new()
+/// Publishes one worker slot's health as per-worker gauges:
+/// `cluster.worker.<w>.alive` (1 or 0), `.incarnation` and `.restarts`.
+pub(crate) fn worker_health(obs: &SharedObs, w: u32, alive: bool, incarnation: u32, restarts: u32) {
+    for (field, value) in [
+        ("alive", f64::from(u8::from(alive))),
+        ("incarnation", f64::from(incarnation)),
+        ("restarts", f64::from(restarts)),
+    ] {
+        obs.set_gauge(&format!("cluster.worker.{w}.{field}"), value);
     }
 }
 
-impl ClusterObs {
-    /// Creates the registry with every supervision metric
-    /// pre-interned.
-    #[must_use]
-    pub fn new() -> Self {
-        let mut m = MetricsRegistry::new();
-        for name in [
-            "cluster.jobs.dispatched",
-            "cluster.jobs.committed",
-            "cluster.jobs.cache_hits",
-            "cluster.jobs.reissued",
-            "cluster.results.stale",
-            "cluster.worker.exits",
-            "cluster.worker.hangs_reaped",
-            "cluster.worker.garbage_frames",
-            "cluster.worker.restarts",
-            "cluster.worker.lost",
-        ] {
-            let id = m.counter(name);
-            m.add(id, 0);
-        }
-        let _ = m.gauge("cluster.workers.alive");
-        let _ = m.histogram(
-            "cluster.commit.latency_ticks",
-            HIST_BINS,
-            HIST_BIN_WIDTH_TICKS,
-        );
-        ClusterObs {
-            metrics: Mutex::new(m),
-        }
-    }
-
-    /// Adds `n` to the counter named `name`.
-    pub fn add(&self, name: &str, n: u64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.counter(name);
-        m.add(id, n);
-    }
-
-    /// Adds one to the counter named `name`.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Sets the gauge named `name`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.gauge(name);
-        m.set(id, value);
-    }
-
-    /// Publishes one worker slot's health: liveness, incarnation and
-    /// restart count, as per-worker gauges.
-    pub fn worker_health(&self, worker: u32, alive: bool, incarnation: u32, restarts: u32) {
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.alive"),
-            if alive { 1.0 } else { 0.0 },
-        );
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.incarnation"),
-            f64::from(incarnation),
-        );
-        self.set_gauge(
-            &format!("cluster.worker.{worker}.restarts"),
-            f64::from(restarts),
-        );
-    }
-
-    /// Records one job's first-issue→commit latency in ticks.
-    pub fn commit_latency(&self, ticks: u64) {
-        let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        let id = m.histogram(
-            "cluster.commit.latency_ticks",
-            HIST_BINS,
-            HIST_BIN_WIDTH_TICKS,
-        );
-        m.record(id, ticks);
-    }
-
-    /// Current value of the counter named `name`.
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .expect("metrics lock poisoned")
-            .counter_value(name)
-    }
-
-    /// Renders the Prometheus exposition of every metric.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        export::prometheus(&self.metrics.lock().expect("metrics lock poisoned"))
-    }
-}
-
-/// A minimal HTTP scrape endpoint for a coordinator's [`ClusterObs`]:
-/// `GET /metrics` answers the Prometheus exposition and closes, any
-/// other path is a 404. One accept thread, one connection at a time —
-/// a scraper's cadence, not a serving tier's.
+/// A minimal HTTP scrape endpoint for a coordinator's [`SharedObs`]:
+/// each connection gets one [`http_reply`] and is closed. One accept
+/// thread, one connection at a time — a scraper's cadence, not a
+/// serving tier's.
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -148,7 +75,7 @@ impl MetricsServer {
     /// # Errors
     ///
     /// Returns the bind error as a description.
-    pub fn start(addr: &str, obs: Arc<ClusterObs>) -> Result<MetricsServer, String> {
+    pub fn start(addr: &str, obs: Arc<SharedObs>) -> Result<MetricsServer, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener
             .local_addr()
@@ -201,7 +128,10 @@ impl Drop for MetricsServer {
     }
 }
 
-fn serve_scrape(stream: TcpStream, obs: &ClusterObs) {
+fn serve_scrape(stream: TcpStream, obs: &SharedObs) {
+    if stream.set_read_timeout(Some(SCRAPE_READ_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -223,27 +153,18 @@ fn serve_scrape(stream: TcpStream, obs: &ClusterObs) {
         }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-    let (status, ctype, body) = if path == "/metrics" {
-        ("200 OK", "text/plain; version=0.0.4", obs.prometheus())
-    } else {
-        ("404 Not Found", "text/plain", "not found\n".to_owned())
-    };
-    let _ = write!(
-        writer,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
+    let _ = writer.write_all(&http_reply(obs, path));
     let _ = writer.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_obs::export;
 
     #[test]
     fn supervision_metrics_are_pre_interned() {
-        let obs = ClusterObs::new();
-        let text = obs.prometheus();
+        let text = SharedObs::new(&METRICS).prometheus();
         for series in [
             "cluster_jobs_dispatched",
             "cluster_worker_exits",
@@ -255,7 +176,7 @@ mod tests {
 
     #[test]
     fn metrics_server_answers_scrapes_with_help_and_type() {
-        let obs = Arc::new(ClusterObs::new());
+        let obs = Arc::new(SharedObs::new(&METRICS));
         obs.inc("cluster.jobs.committed");
         let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&obs)).unwrap();
         let addr = server.addr();
@@ -284,13 +205,54 @@ mod tests {
 
     #[test]
     fn worker_health_exports_per_worker_series() {
-        let obs = ClusterObs::new();
-        obs.worker_health(2, true, 3, 2);
+        let obs = SharedObs::new(&METRICS);
+        worker_health(&obs, 2, true, 3, 2);
+        worker_health(&obs, 5, false, 1, 4);
         obs.inc("cluster.worker.exits");
-        obs.commit_latency(17);
+        obs.record("cluster.commit.latency_ticks", 17);
         let text = obs.prometheus();
         assert!(text.contains("cluster_worker_2_alive 1"), "{text}");
         assert!(text.contains("cluster_worker_2_incarnation 3"), "{text}");
+        assert!(text.contains("cluster_worker_2_restarts 2"), "{text}");
+        assert!(text.contains("cluster_worker_5_alive 0"), "{text}");
+        assert!(text.contains("cluster_worker_5_incarnation 1"), "{text}");
+        assert!(text.contains("cluster_worker_5_restarts 4"), "{text}");
         assert_eq!(obs.counter_value("cluster.worker.exits"), 1);
+        let parsed = export::parse_prometheus(&text).unwrap();
+        assert_eq!(
+            parsed.get("cedar_cluster_commit_latency_ticks_count"),
+            Some(&1.0),
+            "{text}"
+        );
+        assert_eq!(
+            parsed.get("cedar_cluster_commit_latency_ticks_sum"),
+            Some(&17.0),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn silent_connection_does_not_wedge_scrapes_or_stop() {
+        use std::io::Read as _;
+        let obs = Arc::new(SharedObs::new(&METRICS));
+        let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&obs)).unwrap();
+        let addr = server.addr();
+        // Connects and never sends a request line.
+        let _silent = TcpStream::connect(addr).unwrap();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(SCRAPE_READ_TIMEOUT * 5)).unwrap();
+        write!(s, "GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+
+        let _silent_again = TcpStream::connect(addr).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(SCRAPE_READ_TIMEOUT * 5)
+            .expect("stop() did not return with a silent connection open");
     }
 }

@@ -12,9 +12,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterError, ClusterObs};
+use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterError, METRICS};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultKind, WorkerFaultPlan};
+use cedar_obs::SharedObs;
 use cedar_snap::{CacheDir, Snapshot};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_cluster_node");
@@ -87,7 +88,7 @@ fn chaos_fleet_recovers_bit_identical_with_exactly_once_journal() {
     c.chaos = Some(plan);
     c.cache = Some(cache.clone());
     c.cache_namespace = "cluster.e2e.chaos/1".to_owned();
-    let obs = ClusterObs::new();
+    let obs = SharedObs::new(&METRICS);
 
     let inputs: Vec<u64> = (0..24).collect();
     let serial = run_sweep_on(1, inputs.clone(), families::slow_mix);

@@ -13,7 +13,7 @@
 
 use cedar_snap::{CacheDir, Snapshot};
 
-use crate::pool::{run_sweep_cancellable_on, CancelToken, Cancelled};
+use crate::pool::run_sweep_on;
 
 /// Content-addressed cache keys for a sweep: each input's
 /// [`snapshot_key`](Snapshot::snapshot_key) under `namespace`, in input
@@ -83,68 +83,8 @@ where
     T: Send + Snapshot,
     F: Fn(I) -> T + Sync,
 {
-    match run_sweep_cached_cancellable_on(threads, cache, namespace, inputs, f, &CancelToken::new())
-    {
-        Ok(results) => results,
-        Err(Cancelled) => unreachable!("a fresh token never cancels"),
-    }
-}
-
-/// [`run_sweep_cached`] with a cooperative [`CancelToken`] consulted
-/// between points.
-///
-/// Cache hits are still served (they cost no simulation work), but a
-/// cancelled miss sub-sweep stores **nothing**: no partial entry from
-/// a cancelled run can ever poison a later one, mirroring the
-/// panicking-sweep guarantee.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before every miss ran.
-///
-/// # Panics
-///
-/// Re-raises the panic of the lowest-indexed failing point. No entry
-/// is stored for any point of a panicking or cancelled sweep.
-pub fn run_sweep_cached_cancellable<I, T, F>(
-    cache: Option<&CacheDir>,
-    namespace: &str,
-    inputs: Vec<I>,
-    f: F,
-    cancel: &CancelToken,
-) -> Result<Vec<T>, Cancelled>
-where
-    I: Send + Snapshot,
-    T: Send + Snapshot,
-    F: Fn(I) -> T + Sync,
-{
-    run_sweep_cached_cancellable_on(crate::threads(), cache, namespace, inputs, f, cancel)
-}
-
-/// [`run_sweep_cached_cancellable`] with an explicit thread count.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before every miss ran.
-///
-/// # Panics
-///
-/// Re-raises the panic of the lowest-indexed failing point.
-pub fn run_sweep_cached_cancellable_on<I, T, F>(
-    threads: usize,
-    cache: Option<&CacheDir>,
-    namespace: &str,
-    inputs: Vec<I>,
-    f: F,
-    cancel: &CancelToken,
-) -> Result<Vec<T>, Cancelled>
-where
-    I: Send + Snapshot,
-    T: Send + Snapshot,
-    F: Fn(I) -> T + Sync,
-{
     let Some(cache) = cache else {
-        return run_sweep_cancellable_on(threads, inputs, f, cancel);
+        return run_sweep_on(threads, inputs, f);
     };
 
     let keys = sweep_keys(namespace, &inputs);
@@ -154,22 +94,19 @@ where
         .enumerate()
         .filter(|(i, _)| slots[*i].is_none())
         .collect();
-    if misses.is_empty() {
-        return Ok(slots.into_iter().map(|s| s.expect("all hits")).collect());
-    }
 
-    // Misses run as their own ordered sub-sweep; a panic or a
-    // cancellation anywhere in it propagates before any store happens.
+    // Misses run as their own ordered sub-sweep; a panic anywhere in
+    // it propagates before any store happens.
     let indices: Vec<usize> = misses.iter().map(|(i, _)| *i).collect();
-    let computed = run_sweep_cancellable_on(threads, misses, |(_, input)| f(input), cancel)?;
+    let computed = run_sweep_on(threads, misses, |(_, input)| f(input));
     for (i, result) in indices.into_iter().zip(computed) {
         let _ = cache.store(&keys[i], &result);
         slots[i] = Some(result);
     }
-    Ok(slots
+    slots
         .into_iter()
-        .map(|s| s.expect("every miss was computed"))
-        .collect())
+        .map(|s| s.expect("every point is a hit or was computed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -271,71 +208,6 @@ mod tests {
         assert!(
             stored.is_empty(),
             "poisoned sweep left entries behind: {stored:?}"
-        );
-        cleanup(&cache);
-    }
-
-    #[test]
-    fn cancelled_sweep_persists_no_partial_entries() {
-        // Serve's deadline/shutdown path cancels batches mid-flight;
-        // a cancelled batch must leave the cache exactly as cold as it
-        // found it — not even the points that completed may be stored.
-        let cache = scratch("cancel");
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let ran = AtomicU64::new(0);
-            let result = run_sweep_cached_cancellable_on(
-                threads,
-                Some(&cache),
-                "c",
-                (0u64..32).collect(),
-                |x| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if x == 2 {
-                        token.cancel();
-                    }
-                    x * 3
-                },
-                &token,
-            );
-            assert_eq!(result, Err(Cancelled), "{threads} threads");
-            assert!(ran.load(Ordering::Relaxed) < 32, "{threads} threads");
-            let stored: Vec<PathBuf> = std::fs::read_dir(cache.root())
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .collect();
-            assert!(
-                stored.is_empty(),
-                "cancelled sweep ({threads} threads) left entries behind: {stored:?}"
-            );
-        }
-        cleanup(&cache);
-    }
-
-    #[test]
-    fn cancelled_sweep_still_serves_existing_hits_nothing_new() {
-        // Pre-warm half the points, then cancel a full sweep: the
-        // cache must still hold exactly the pre-warmed entries.
-        let cache = scratch("cancel-warm");
-        let evens: Vec<u64> = (0..16).filter(|x| x % 2 == 0).collect();
-        let _ = run_sweep_cached_on(2, Some(&cache), "cw", evens, |x| x + 1);
-        let warmed = std::fs::read_dir(cache.root()).unwrap().count();
-        assert_eq!(warmed, 8);
-        let token = CancelToken::new();
-        token.cancel();
-        let result = run_sweep_cached_cancellable_on(
-            2,
-            Some(&cache),
-            "cw",
-            (0u64..16).collect(),
-            |x| x + 1,
-            &token,
-        );
-        assert_eq!(result, Err(Cancelled));
-        assert_eq!(
-            std::fs::read_dir(cache.root()).unwrap().count(),
-            warmed,
-            "a cancelled sweep must not grow the cache"
         );
         cleanup(&cache);
     }

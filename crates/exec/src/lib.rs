@@ -47,13 +47,8 @@
 mod cached;
 mod pool;
 
-pub use cached::{
-    run_sweep_cached, run_sweep_cached_cancellable, run_sweep_cached_cancellable_on,
-    run_sweep_cached_on, sweep_keys,
-};
-pub use pool::{
-    run_sweep_cancellable_on, run_sweep_on, run_sweep_streaming_on, CancelToken, Cancelled,
-};
+pub use cached::{run_sweep_cached, run_sweep_cached_on, sweep_keys};
+pub use pool::{run_sweep_on, run_sweep_streaming_on, CancelToken, Cancelled};
 
 /// The environment variable that pins the sweep pool size.
 pub const THREADS_ENV: &str = "CEDAR_THREADS";
@@ -96,33 +91,6 @@ where
     F: Fn(I) -> T + Sync,
 {
     run_sweep_on(threads(), inputs, f)
-}
-
-/// [`run_sweep`] with a cooperative [`CancelToken`] checked between
-/// points: a fired token stops the sweep at the next point boundary
-/// and discards every completed result, so callers never observe a
-/// partial output. This is the primitive behind the serving tier's
-/// deadline and shutdown aborts.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before every point ran.
-///
-/// # Panics
-///
-/// Re-raises the panic of the lowest-indexed failing point (panics
-/// take precedence over cancellation).
-pub fn run_sweep_cancellable<I, T, F>(
-    inputs: Vec<I>,
-    f: F,
-    cancel: &CancelToken,
-) -> Result<Vec<T>, Cancelled>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    run_sweep_cancellable_on(threads(), inputs, f, cancel)
 }
 
 #[cfg(test)]

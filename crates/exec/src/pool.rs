@@ -63,8 +63,8 @@ impl CancelToken {
     }
 }
 
-/// Error returned by the cancellable sweep entry points when their
-/// token fired before every point completed.
+/// Error returned by [`run_sweep_streaming_on`] when its token fired
+/// before every point completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
@@ -93,47 +93,23 @@ where
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    match run_sweep_cancellable_on(threads, inputs, f, &CancelToken::new()) {
+    match run_sweep_streaming_on(threads, inputs, f, &CancelToken::new(), |_, _| {}) {
         Ok(results) => results,
         Err(Cancelled) => unreachable!("a fresh token never cancels"),
     }
 }
 
 /// [`run_sweep_on`] with a cooperative [`CancelToken`] consulted
-/// between points.
+/// between points, calling `notify(index, &result)` as each point
+/// completes, on whatever thread ran it, *before* the sweep as a whole
+/// finishes.
 ///
 /// On `Ok` the output is bit-identical to the serial map, whatever
 /// the thread count. On `Err(Cancelled)` at least one point never
-/// ran; completed results are discarded so callers can never observe
-/// a partial sweep. A token that fires only after every point has
+/// ran and no result `Vec` is returned, so callers never observe a
+/// partial sweep. A token that fires only after every point has
 /// already finished still returns `Ok` — cancellation is a request,
 /// not a post-hoc invalidation.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before every point ran.
-///
-/// # Panics
-///
-/// A panicking point takes precedence over cancellation: the
-/// lowest-indexed panic among the points that ran is re-raised.
-pub fn run_sweep_cancellable_on<I, T, F>(
-    threads: usize,
-    inputs: Vec<I>,
-    f: F,
-    cancel: &CancelToken,
-) -> Result<Vec<T>, Cancelled>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    run_sweep_streaming_on(threads, inputs, f, cancel, |_, _| {})
-}
-
-/// [`run_sweep_cancellable_on`] that additionally calls
-/// `notify(index, &result)` as each point completes, on whatever
-/// thread ran it, *before* the sweep as a whole finishes.
 ///
 /// This is the streaming primitive behind the serving tier's
 /// dispatcher: per-job replies leave for the wire the moment their
@@ -356,7 +332,7 @@ mod tests {
         token.cancel();
         let ran = AtomicUsize::new(0);
         for threads in [1, 4] {
-            let result = run_sweep_cancellable_on(
+            let result = run_sweep_streaming_on(
                 threads,
                 (0u64..32).collect(),
                 |x| {
@@ -364,6 +340,7 @@ mod tests {
                     x
                 },
                 &token,
+                |_, _| {},
             );
             assert_eq!(result, Err(Cancelled), "{threads} threads");
         }
@@ -378,7 +355,7 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
-            let result = run_sweep_cancellable_on(
+            let result = run_sweep_streaming_on(
                 threads,
                 (0u64..64).collect(),
                 |x| {
@@ -389,6 +366,7 @@ mod tests {
                     x
                 },
                 &token,
+                |_, _| {},
             );
             assert_eq!(result, Err(Cancelled), "{threads} threads");
             let ran = ran.load(Ordering::Relaxed);
@@ -399,7 +377,7 @@ mod tests {
     #[test]
     fn late_cancel_after_completion_still_ok() {
         let token = CancelToken::new();
-        let out = run_sweep_cancellable_on(4, (0u64..8).collect(), |x| x * 2, &token);
+        let out = run_sweep_streaming_on(4, (0u64..8).collect(), |x| x * 2, &token, |_, _| {});
         token.cancel();
         assert_eq!(out, Ok((0..8).map(|x| x * 2).collect()));
     }
@@ -410,7 +388,7 @@ mod tests {
         // Point 0 both cancels the sweep and panics: the panic must be
         // re-raised, not swallowed into Err(Cancelled).
         let token = CancelToken::new();
-        let _ = run_sweep_cancellable_on(
+        let _ = run_sweep_streaming_on(
             4,
             vec![0u64, 1, 2, 3],
             |x| {
@@ -421,6 +399,7 @@ mod tests {
                 x
             },
             &token,
+            |_, _| {},
         );
     }
 

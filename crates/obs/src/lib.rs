@@ -17,11 +17,14 @@
 //! - two deterministic exporters: Chrome trace-event JSON
 //!   ([`export::chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and Prometheus text exposition
-//!   ([`export::prometheus`]).
+//!   ([`export::prometheus`]);
+//! - [`SharedObs`], the thread-safe registry, bounded span ring and
+//!   HTTP scrape reply ([`http_reply`]) shared by the serving tier and
+//!   the cluster coordinator.
 //!
-//! Everything hangs off an [`Obs`] handle. A disabled handle is a
-//! `None` — each instrumentation point costs one branch and touches no
-//! shared state, so runs with [`ObsConfig::disabled`] reproduce
+//! Everything in the simulator hangs off an [`Obs`] handle. A disabled
+//! handle is a `None` — each instrumentation point costs one branch and
+//! touches no shared state, so runs with [`ObsConfig::disabled`] reproduce
 //! un-instrumented results bit for bit. The simulator is
 //! single-threaded, so enabled handles share one
 //! [`Rc<RefCell<ObsInner>>`].
@@ -45,6 +48,7 @@ pub mod config;
 pub mod export;
 pub mod json;
 pub mod metrics;
+pub mod shared;
 pub mod trace;
 
 use std::cell::RefCell;
@@ -52,6 +56,7 @@ use std::rc::Rc;
 
 pub use config::ObsConfig;
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+pub use shared::{http_reply, MetricSet, SharedObs};
 pub use trace::{SpanPhase, TraceEvent, TraceSink};
 
 /// The shared mutable telemetry state behind an enabled [`Obs`].

@@ -1,19 +1,12 @@
 //! The `b"CSRV"` length-prefixed binary wire protocol.
 //!
 //! Binary requests and responses travel inside the exact envelope
-//! `cedar-snap` uses for snapshots and cluster frames — magic, version
-//! byte, little-endian payload length, payload, FNV-1a checksum — with
-//! the magic swapped to `b"CSRV"` so a serving-tier frame can never be
-//! confused with a snapshot:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic      b"CSRV"
-//! 4       1     version    (cedar_snap::SNAP_VERSION)
-//! 5       8     payload length N, little-endian u64
-//! 13      N     payload    (SnapWriter encoding, see below)
-//! 13+N    8     checksum   FNV-1a of the payload, little-endian u64
-//! ```
+//! `cedar-snap` uses for snapshots and cluster frames (byte layout in
+//! [`cedar_snap::frame`]), with the magic swapped to `b"CSRV"` so a
+//! serving-tier frame can never be confused with a snapshot. This
+//! module holds only what is particular to the protocol: the magic,
+//! the payload caps and the message encodings. Framing, the header
+//! check and the checksum are `cedar-snap`'s.
 //!
 //! Payloads start with a client-chosen `u64` correlation id (echoed on
 //! the response, which is what lets one connection pipeline many
@@ -28,10 +21,7 @@
 //! hangs on garbage (a bad magic byte fails as soon as it arrives, a
 //! declared length past the cap fails before buffering the body).
 
-use cedar_snap::{
-    fnv1a, seal_as, unseal_as, SnapError, SnapReader, SnapWriter, Snapshot, ENVELOPE_HEADER_LEN,
-    ENVELOPE_OVERHEAD, SNAP_VERSION,
-};
+use cedar_snap::{frame, seal_as, FrameError, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::job::{JobError, JobSpec};
 
@@ -84,6 +74,16 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<FrameError> for ProtoError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Corrupt(e) => ProtoError::Corrupt(e),
+            FrameError::TooLarge { declared, cap } => ProtoError::Oversize { declared, cap },
+            FrameError::Eof | FrameError::Io(_) => ProtoError::Corrupt(SnapError::Truncated),
+        }
+    }
+}
 
 /// Wire `status` codes for [`Response::Error`], mirroring
 /// [`JobError::status`] plus the connection-reap timeout.
@@ -432,57 +432,38 @@ impl Response {
 /// [`ProtoError::Oversize`] when the declared length exceeds `cap`,
 /// [`ProtoError::Corrupt`] for every other malformation.
 pub fn decode_frame(bytes: &[u8], cap: u64) -> Result<&[u8], ProtoError> {
-    if bytes.len() >= ENVELOPE_HEADER_LEN && bytes[0..4] == PROTO_MAGIC && bytes[4] == SNAP_VERSION
-    {
-        let declared = u64::from_le_bytes(bytes[5..ENVELOPE_HEADER_LEN].try_into().unwrap());
-        if declared > cap {
-            return Err(ProtoError::Oversize { declared, cap });
-        }
-    }
-    unseal_as(PROTO_MAGIC, bytes).map_err(ProtoError::Corrupt)
+    Ok(frame::unseal_frame(PROTO_MAGIC, bytes, cap)?)
 }
 
-/// Incremental frame delimiter over an arbitrary byte stream.
-///
-/// Bytes are fed in whatever chunks the socket delivers;
-/// [`next_frame`](FrameScanner::next_frame) yields one validated
-/// payload per complete frame. Garbage fails *as early as it can be
-/// detected* — a wrong magic byte the moment it arrives, a version
-/// skew at byte 5, an over-cap length at byte 13 — so a hostile peer
-/// can never make the scanner buffer unbounded data or wait forever
-/// on a frame that cannot complete.
+/// The incremental `b"CSRV"` frame delimiter: a
+/// [`cedar_snap::FrameScanner`] for this protocol's magic, with its
+/// errors typed as [`ProtoError`].
 #[derive(Debug)]
-pub struct FrameScanner {
-    buf: Vec<u8>,
-    cap: u64,
-}
+pub struct FrameScanner(frame::FrameScanner);
 
 impl FrameScanner {
     /// A scanner enforcing `cap` on declared payload lengths.
     #[must_use]
     pub fn new(cap: u64) -> Self {
-        FrameScanner {
-            buf: Vec::new(),
-            cap,
-        }
+        FrameScanner(frame::FrameScanner::new(PROTO_MAGIC, cap))
     }
 
     /// Appends raw stream bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.0.extend(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.0.buffered()
     }
 
-    /// Whether a frame is in progress (some bytes buffered but no
-    /// complete frame yet) — the condition the reap clock runs on.
+    /// Whether a frame is in progress — the condition the reap clock
+    /// runs on.
     #[must_use]
     pub fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
+        self.0.mid_frame()
     }
 
     /// Yields the next complete validated payload, `Ok(None)` when
@@ -491,43 +472,10 @@ impl FrameScanner {
     /// # Errors
     ///
     /// A typed [`ProtoError`] as soon as the buffered prefix cannot be
-    /// the start of a valid frame. After an error the scanner's state
-    /// is unspecified; the connection must be closed.
+    /// the start of a valid frame. After an error the connection must
+    /// be closed.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        let have = self.buf.len();
-        // Magic and version are checked on whatever prefix has
-        // arrived, so garbage fails at its first wrong byte.
-        let prefix = have.min(4);
-        if self.buf[..prefix] != PROTO_MAGIC[..prefix] {
-            return Err(ProtoError::Corrupt(SnapError::BadMagic));
-        }
-        if have >= 5 && self.buf[4] != SNAP_VERSION {
-            return Err(ProtoError::Corrupt(SnapError::BadVersion {
-                found: self.buf[4],
-                expected: SNAP_VERSION,
-            }));
-        }
-        if have < ENVELOPE_HEADER_LEN {
-            return Ok(None);
-        }
-        let declared = u64::from_le_bytes(self.buf[5..ENVELOPE_HEADER_LEN].try_into().unwrap());
-        if declared > self.cap {
-            return Err(ProtoError::Oversize {
-                declared,
-                cap: self.cap,
-            });
-        }
-        let total = ENVELOPE_OVERHEAD + declared as usize;
-        if have < total {
-            return Ok(None);
-        }
-        let frame: Vec<u8> = self.buf.drain(..total).collect();
-        let payload = &frame[ENVELOPE_HEADER_LEN..ENVELOPE_HEADER_LEN + declared as usize];
-        let checksum = u64::from_le_bytes(frame[total - 8..].try_into().unwrap());
-        if fnv1a(payload) != checksum {
-            return Err(ProtoError::Corrupt(SnapError::BadChecksum));
-        }
-        Ok(Some(payload.to_vec()))
+        Ok(self.0.next_frame()?)
     }
 }
 
@@ -653,10 +601,12 @@ mod tests {
 
     #[test]
     fn scanner_rejects_oversize_before_buffering_the_body() {
-        let mut bad = Request::Ping { corr: 9 }.encode();
-        bad[5..13].copy_from_slice(&(MAX_REQUEST_PAYLOAD + 1).to_le_bytes());
+        // A bare header, no body: the length alone must fail it.
+        let mut bad = PROTO_MAGIC.to_vec();
+        bad.push(cedar_snap::SNAP_VERSION);
+        bad.extend_from_slice(&(MAX_REQUEST_PAYLOAD + 1).to_le_bytes());
         let mut s = FrameScanner::new(MAX_REQUEST_PAYLOAD);
-        s.extend(&bad[..ENVELOPE_HEADER_LEN]);
+        s.extend(&bad);
         assert!(matches!(
             s.next_frame(),
             Err(ProtoError::Oversize { cap, .. }) if cap == MAX_REQUEST_PAYLOAD

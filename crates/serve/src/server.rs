@@ -42,7 +42,6 @@
 //! cancellation and queued jobs answer `cancelled`.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use cedar_exec::{run_sweep_streaming_on, CancelToken};
 use cedar_obs::export::escape_json;
+use cedar_obs::{http_reply, MetricSet, SharedObs};
 use cedar_snap::{CacheDir, Snapshot};
 
 use crate::config::ServeConfig;
@@ -60,21 +60,44 @@ use crate::json::{self, Json};
 use crate::proto::{ErrStatus, Request, Response};
 use crate::queue::{JobQueue, JobTicket, PushError};
 use crate::reactor::{Reactor, ReactorLink, ReactorMsg};
-use crate::telemetry::ServeObs;
 
-/// The terminal state of one request.
-#[derive(Debug, Clone)]
-pub enum JobReply {
-    /// The job produced an outcome (`cached` marks a memoized hit).
-    Done {
-        /// The measurement.
-        outcome: JobOutcome,
-        /// Whether it came from the disk cache rather than execution.
-        cached: bool,
-    },
-    /// The job failed in a typed way.
-    Failed(JobError),
-}
+/// Every serve-path metric, pre-interned so exports show zeros
+/// instead of missing series before traffic arrives. Names follow the
+/// workspace's dot-path convention under `serve.`, so
+/// `rollup("serve.responses.")` totals every response, whatever its
+/// status. Histograms are 64 bins of 500 µs: 0–32 ms fine-grained, the
+/// overflow bin catching the saturated tail.
+const METRICS: MetricSet = MetricSet {
+    counters: &[
+        "serve.requests.received",
+        "serve.responses.ok",
+        "serve.responses.degraded",
+        "serve.responses.rejected",
+        "serve.responses.expired",
+        "serve.responses.cancelled",
+        "serve.responses.error",
+        "serve.responses.invalid",
+        "serve.jobs.executed",
+        "serve.jobs.expired",
+        "serve.dedup.coalesced",
+        "serve.cache.hits",
+        "serve.cache.stores",
+        "serve.queue.rejected",
+        "serve.conn.reaped_read",
+        "serve.conn.reaped_write",
+        "serve.conns.accepted",
+        "serve.reactor.wakeups",
+        "serve.proto.corrupt",
+    ],
+    gauges: &["serve.queue.depth", "serve.conns.open"],
+    histograms: &[
+        "serve.queue.wait_us",
+        "serve.job.service_us",
+        "serve.request.latency_us",
+    ],
+    bins: 64,
+    bin_width: 500,
+};
 
 /// Protocol context a waiter needs to render its reply later.
 #[derive(Debug, Clone)]
@@ -124,7 +147,7 @@ struct Lifecycle {
 
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
-    pub(crate) obs: ServeObs,
+    pub(crate) obs: SharedObs,
     queue: JobQueue,
     dedup: Mutex<HashMap<String, InFlight>>,
     shutdown_waiters: Mutex<Vec<Waiter>>,
@@ -349,9 +372,9 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// The server's observability surface.
+    /// The server's metrics and request-path spans.
     #[must_use]
-    pub fn obs(&self) -> &ServeObs {
+    pub fn obs(&self) -> &SharedObs {
         &self.shared.obs
     }
 
@@ -426,7 +449,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     }
     let shared = Arc::new(Shared {
         queue: JobQueue::new(cfg.queue_capacity),
-        obs: ServeObs::new(),
+        obs: SharedObs::new(&METRICS),
         dedup: Mutex::new(HashMap::new()),
         shutdown_waiters: Mutex::new(Vec::new()),
         draining: AtomicBool::new(false),
@@ -495,26 +518,10 @@ pub(crate) fn handle_wire_request(
     let now = Instant::now();
     match request {
         WireRequest::Http(path) => {
-            // A plain HTTP scraper is welcome: one exposition per
-            // connection, then close (Connection: close). Scrapes are
-            // not requests in the serving sense and stay out of
-            // `serve.requests.received`.
-            let (status, ctype, body) = match path.as_str() {
-                "/metrics" => (
-                    "200 OK",
-                    "text/plain; version=0.0.4",
-                    shared.obs.prometheus(),
-                ),
-                "/trace" => ("200 OK", "application/json", shared.obs.chrome_trace()),
-                _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
-            };
-            let mut reply = Vec::with_capacity(body.len() + 128);
-            let _ = write!(
-                reply,
-                "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            conn.respond(&reply, now);
+            // A plain HTTP scraper is welcome: one reply per
+            // connection, then close. Scrapes are not requests in the
+            // serving sense and stay out of `serve.requests.received`.
+            conn.respond(&http_reply(&shared.obs, &path), now);
             conn.mark_close_after_flush();
         }
         WireRequest::Line(line) => handle_line(shared, reactor_id, conn, &line, now),
@@ -765,7 +772,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
         for ticket in batch {
             let waited_us =
                 u64::try_from(ticket.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared.obs.observe_us("serve.queue.wait_us", waited_us);
+            shared.obs.record("serve.queue.wait_us", waited_us);
             shared.obs.span(
                 ticket.seq,
                 "queue",
@@ -856,7 +863,7 @@ fn finish_ticket(
     let res = match result {
         Ok(outcome) => {
             shared.obs.inc("serve.jobs.executed");
-            shared.obs.observe_us("serve.job.service_us", service_us);
+            shared.obs.record("serve.job.service_us", service_us);
             shared.obs.span(
                 ticket.seq,
                 "execute",
@@ -901,9 +908,7 @@ fn render_resolution_json(
     received_us: u64,
 ) -> String {
     let latency_us = shared.obs.now_us().saturating_sub(received_us);
-    shared
-        .obs
-        .observe_us("serve.request.latency_us", latency_us);
+    shared.obs.record("serve.request.latency_us", latency_us);
     match res {
         Resolution::Done {
             outcome, cached, ..
@@ -938,9 +943,7 @@ fn render_resolution_binary(
     received_us: u64,
 ) -> Vec<u8> {
     let latency_us = shared.obs.now_us().saturating_sub(received_us);
-    shared
-        .obs
-        .observe_us("serve.request.latency_us", latency_us);
+    shared.obs.record("serve.request.latency_us", latency_us);
     match res {
         Resolution::Done {
             outcome,

@@ -368,30 +368,18 @@ pub fn unseal_as(magic: [u8; 4], bytes: &[u8]) -> Result<&[u8], SnapError> {
     if bytes.len() < ENVELOPE_OVERHEAD {
         return Err(SnapError::Truncated);
     }
-    if bytes[0..4] != magic {
-        return Err(SnapError::BadMagic);
+    let total = match crate::frame::check_header(magic, bytes, u64::MAX) {
+        Ok(Some(total)) => total,
+        Err(crate::frame::FrameError::Corrupt(e)) => return Err(e),
+        _ => return Err(SnapError::Truncated),
+    };
+    match bytes.len().cmp(&total) {
+        std::cmp::Ordering::Less => return Err(SnapError::Truncated),
+        std::cmp::Ordering::Greater => return Err(SnapError::TrailingBytes),
+        std::cmp::Ordering::Equal => {}
     }
-    let version = bytes[4];
-    if version != SNAP_VERSION {
-        return Err(SnapError::BadVersion {
-            found: version,
-            expected: SNAP_VERSION,
-        });
-    }
-    let len = u64::from_le_bytes(bytes[5..ENVELOPE_HEADER_LEN].try_into().unwrap());
-    let len = usize::try_from(len).map_err(|_| SnapError::Truncated)?;
-    let end = ENVELOPE_HEADER_LEN
-        .checked_add(len)
-        .ok_or(SnapError::Truncated)?;
-    if bytes.len() < end + ENVELOPE_CHECKSUM_LEN {
-        return Err(SnapError::Truncated);
-    }
-    if bytes.len() > end + ENVELOPE_CHECKSUM_LEN {
-        return Err(SnapError::TrailingBytes);
-    }
-    let payload = &bytes[ENVELOPE_HEADER_LEN..end];
-    let checksum = u64::from_le_bytes(bytes[end..end + ENVELOPE_CHECKSUM_LEN].try_into().unwrap());
-    if fnv1a(payload) != checksum {
+    let (payload, checksum) = bytes[ENVELOPE_HEADER_LEN..].split_at(total - ENVELOPE_OVERHEAD);
+    if fnv1a(payload).to_le_bytes() != checksum {
         return Err(SnapError::BadChecksum);
     }
     Ok(payload)

@@ -1,13 +1,32 @@
-//! Length-prefixed framing of snapshot envelopes over byte streams.
+//! Framing of sealed envelopes over byte streams.
 //!
-//! The cluster's coordinator↔worker wire protocol (and any future
-//! binary transport) ships each message as one sealed envelope —
-//! exactly the bytes [`seal`](crate::seal) produces: magic, version,
-//! payload length, payload, FNV-1a checksum. The envelope already
-//! carries its own length, so a frame needs no extra prefix: a reader
-//! consumes the fixed 13-byte header, learns the payload length, reads
-//! the remainder, and validates the whole thing through
-//! [`unseal`](crate::unseal).
+//! Every binary wire format in the workspace ships each message as one
+//! sealed envelope — exactly the bytes [`seal_as`](crate::seal_as)
+//! produces — under a 4-byte magic naming the protocol: `b"CSNP"` for
+//! snapshots, cache entries and the cluster's coordinator↔worker
+//! messages, `b"CSRV"` for the serving tier's requests and replies.
+//!
+//! ```text
+//! offset  size  field
+//! 0       4     magic      (b"CSNP", b"CSRV", ...)
+//! 4       1     version    (SNAP_VERSION)
+//! 5       8     payload length N, little-endian u64
+//! 13      N     payload
+//! 13+N    8     checksum   FNV-1a of the payload, little-endian u64
+//! ```
+//!
+//! The envelope carries its own length, so a frame needs no extra
+//! prefix. This module owns the one check of that header,
+//! `check_header`, which fails at the first wrong byte and refuses a
+//! declared length past the caller's cap before anything of that size
+//! is buffered. Every reader sits on it:
+//!
+//! * [`read_frame`] / [`read_frame_as`] — blocking reads from a pipe
+//!   or socket, as the cluster coordinator and its workers do;
+//! * [`FrameScanner`] — incremental, fed whatever chunks a
+//!   nonblocking socket delivers, as the serving tier's reactors do;
+//! * [`unseal_frame`] — one already-delimited buffer;
+//! * [`unseal_as`] — the codec's envelope check.
 //!
 //! Corruption is first-class here, not an afterthought: a supervisor
 //! must distinguish *a peer that went away* (clean EOF at a frame
@@ -19,8 +38,8 @@
 use std::io::{Read, Write};
 
 use crate::codec::{
-    seal, unseal, SnapError, ENVELOPE_CHECKSUM_LEN as CHECKSUM_LEN,
-    ENVELOPE_HEADER_LEN as HEADER_LEN,
+    seal, unseal_as, SnapError, ENVELOPE_HEADER_LEN as HEADER_LEN, ENVELOPE_OVERHEAD, SNAP_MAGIC,
+    SNAP_VERSION,
 };
 
 /// Default sanity cap on a frame's payload length. A corrupt or
@@ -37,8 +56,8 @@ pub enum FrameError {
     /// The stream ended inside a frame, or an underlying read failed.
     Io(std::io::Error),
     /// The bytes did not form a valid envelope: bad magic, version
-    /// skew, checksum mismatch or an impossible length. A peer doing
-    /// this is writing garbage and cannot be trusted further.
+    /// skew or a checksum mismatch. A peer doing this is writing
+    /// garbage and cannot be trusted further.
     Corrupt(SnapError),
     /// The frame declared a payload longer than the sanity cap.
     TooLarge {
@@ -64,7 +83,65 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes `payload` as one sealed frame.
+/// Checks the envelope header at the front of `bytes`, which may hold
+/// only part of it, and returns the whole frame's length once the
+/// header is complete.
+///
+/// `Ok(None)` means every byte present is a valid start of a `magic`
+/// header and more are needed.
+///
+/// # Errors
+///
+/// At the first wrong byte: [`FrameError::Corrupt`] with
+/// [`SnapError::BadMagic`] or [`SnapError::BadVersion`], or
+/// [`FrameError::TooLarge`] when the complete length field declares
+/// more than `cap` payload bytes (or more than memory can address).
+pub(crate) fn check_header(
+    magic: [u8; 4],
+    bytes: &[u8],
+    cap: u64,
+) -> Result<Option<usize>, FrameError> {
+    let magic_len = bytes.len().min(4);
+    if bytes[..magic_len] != magic[..magic_len] {
+        return Err(FrameError::Corrupt(SnapError::BadMagic));
+    }
+    if let Some(&found) = bytes.get(4) {
+        if found != SNAP_VERSION {
+            return Err(FrameError::Corrupt(SnapError::BadVersion {
+                found,
+                expected: SNAP_VERSION,
+            }));
+        }
+    }
+    let Some(len) = bytes.get(5..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let declared = u64::from_le_bytes(len.try_into().expect("8 bytes"));
+    if declared > cap {
+        return Err(FrameError::TooLarge { declared, cap });
+    }
+    // A frame memory cannot address is too large whatever the cap.
+    usize::try_from(declared)
+        .ok()
+        .and_then(|n| n.checked_add(ENVELOPE_OVERHEAD))
+        .map(Some)
+        .ok_or(FrameError::TooLarge { declared, cap })
+}
+
+/// Validates one complete, already-delimited `magic` frame and returns
+/// its payload.
+///
+/// # Errors
+///
+/// [`FrameError::TooLarge`] when the header declares more than `cap`
+/// payload bytes; [`FrameError::Corrupt`] for every other
+/// malformation, truncation and trailing bytes included.
+pub fn unseal_frame(magic: [u8; 4], bytes: &[u8], cap: u64) -> Result<&[u8], FrameError> {
+    check_header(magic, bytes, cap)?;
+    unseal_as(magic, bytes).map_err(FrameError::Corrupt)
+}
+
+/// Writes `payload` as one sealed `b"CSNP"` frame.
 ///
 /// # Errors
 ///
@@ -74,17 +151,17 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one sealed frame and returns its validated payload, honouring
-/// [`MAX_FRAME_PAYLOAD`].
+/// Reads one sealed `b"CSNP"` frame and returns its validated payload,
+/// honouring [`MAX_FRAME_PAYLOAD`].
 ///
 /// # Errors
 ///
-/// See [`read_frame_limit`].
+/// See [`read_frame_as`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    read_frame_limit(r, MAX_FRAME_PAYLOAD)
+    read_frame_as(r, SNAP_MAGIC, MAX_FRAME_PAYLOAD)
 }
 
-/// Reads one sealed frame with an explicit payload-length cap.
+/// Reads one sealed `magic` frame with an explicit payload-length cap.
 ///
 /// # Errors
 ///
@@ -94,37 +171,94 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
 ///   mismatch; the stream position is now unreliable and the peer
 ///   should be treated as compromised.
 /// * [`FrameError::TooLarge`] — the declared length exceeds `cap`.
-pub fn read_frame_limit<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u8>, FrameError> {
+pub fn read_frame_as<R: Read>(r: &mut R, magic: [u8; 4], cap: u64) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     // The first byte decides Eof-at-boundary vs truncated-mid-frame.
-    let mut got = 0usize;
-    while got < 1 {
+    loop {
         match r.read(&mut header[..1]) {
             Ok(0) => return Err(FrameError::Eof),
-            Ok(n) => got += n,
+            Ok(_) => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
     r.read_exact(&mut header[1..]).map_err(FrameError::Io)?;
-    // Validate magic/version up front so garbage fails before the
-    // length field is trusted at all.
-    if header[0..4] != *b"CSNP" {
-        return Err(FrameError::Corrupt(SnapError::BadMagic));
+    let total = check_header(magic, &header, cap)?.expect("a complete header");
+    let mut frame = vec![0u8; total];
+    frame[..HEADER_LEN].copy_from_slice(&header);
+    r.read_exact(&mut frame[HEADER_LEN..])
+        .map_err(FrameError::Io)?;
+    let payload = unseal_as(magic, &frame).map_err(FrameError::Corrupt)?;
+    Ok(payload.to_vec())
+}
+
+/// Incremental frame delimiter over an arbitrary byte stream.
+///
+/// Bytes are fed in whatever chunks the socket delivers;
+/// [`next_frame`](FrameScanner::next_frame) yields one validated
+/// payload per complete frame. Garbage fails *as early as it can be
+/// detected* — a wrong magic byte the moment it arrives, a version
+/// skew at byte 5, an over-cap length at byte 13 — so a hostile peer
+/// can never make the scanner buffer unbounded data or wait forever
+/// on a frame that cannot complete.
+#[derive(Debug)]
+pub struct FrameScanner {
+    magic: [u8; 4],
+    cap: u64,
+    buf: Vec<u8>,
+}
+
+impl FrameScanner {
+    /// A scanner for `magic` frames enforcing `cap` on declared
+    /// payload lengths.
+    #[must_use]
+    pub fn new(magic: [u8; 4], cap: u64) -> Self {
+        FrameScanner {
+            magic,
+            cap,
+            buf: Vec::new(),
+        }
     }
-    let len = u64::from_le_bytes(header[5..HEADER_LEN].try_into().expect("8 bytes"));
-    if len > cap {
-        return Err(FrameError::TooLarge { declared: len, cap });
+
+    /// Appends raw stream bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
-    let len = usize::try_from(len).map_err(|_| FrameError::TooLarge { declared: len, cap })?;
-    let mut rest = vec![0u8; len + CHECKSUM_LEN];
-    r.read_exact(&mut rest).map_err(FrameError::Io)?;
-    let mut envelope = Vec::with_capacity(HEADER_LEN + rest.len());
-    envelope.extend_from_slice(&header);
-    envelope.extend_from_slice(&rest);
-    match unseal(&envelope) {
-        Ok(payload) => Ok(payload.to_vec()),
-        Err(e) => Err(FrameError::Corrupt(e)),
+
+    /// Bytes buffered but not yet consumed by a complete frame.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether a frame is in progress (some bytes buffered but no
+    /// complete frame yet).
+    #[must_use]
+    pub fn mid_frame(&self) -> bool {
+        !self.buf.is_empty()
+    }
+
+    /// Yields the next complete validated payload, `Ok(None)` when
+    /// more bytes are needed.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`FrameError`] (never `Eof` or `Io`) as soon as the
+    /// buffered prefix cannot be the start of a valid frame. After an
+    /// error the scanner's state is unspecified; the stream must be
+    /// closed.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        let Some(total) = check_header(self.magic, &self.buf, self.cap)? else {
+            return Ok(None);
+        };
+        let Some(frame) = self.buf.get(..total) else {
+            return Ok(None);
+        };
+        let payload = unseal_as(self.magic, frame)
+            .map_err(FrameError::Corrupt)?
+            .to_vec();
+        self.buf.drain(..total);
+        Ok(Some(payload))
     }
 }
 
@@ -201,13 +335,13 @@ mod tests {
         write_frame(&mut buf, &[1u8; 100]).unwrap();
         let mut r = Cursor::new(buf.clone());
         assert!(matches!(
-            read_frame_limit(&mut r, 10),
+            read_frame_as(&mut r, SNAP_MAGIC, 10),
             Err(FrameError::TooLarge {
                 declared: 100,
                 cap: 10
             })
         ));
         let mut r = Cursor::new(buf);
-        assert_eq!(read_frame_limit(&mut r, 100).unwrap().len(), 100);
+        assert_eq!(read_frame_as(&mut r, SNAP_MAGIC, 100).unwrap().len(), 100);
     }
 }

@@ -38,10 +38,12 @@
 //! run (a corrupt entry is additionally quarantined to a `*.corrupt`
 //! sibling so operators can inspect what went bad).
 //!
-//! The same envelope doubles as the workspace's wire format: the
-//! [`frame`] module streams sealed envelopes over pipes and sockets
-//! with typed corruption detection, which is what the cluster's
-//! coordinator↔worker protocol rides on.
+//! The same envelope doubles as the workspace's wire format, under a
+//! per-protocol magic: the [`frame`] module owns the one header check
+//! and streams sealed envelopes over pipes and sockets with typed
+//! corruption detection. The cluster's coordinator↔worker protocol
+//! (`b"CSNP"`) and the serving tier's binary protocol (`b"CSRV"`) both
+//! ride on it.
 //!
 //! The codec is std-only and fully deterministic: no host pointers,
 //! no hash-map iteration order, no timestamps ever reach the wire.
@@ -57,4 +59,7 @@ pub use codec::{
     fnv1a, seal, seal_as, unseal, unseal_as, SnapError, SnapReader, SnapWriter, Snapshot,
     ENVELOPE_CHECKSUM_LEN, ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD, SNAP_MAGIC, SNAP_VERSION,
 };
-pub use frame::{read_frame, read_frame_limit, write_frame, FrameError, MAX_FRAME_PAYLOAD};
+pub use frame::{
+    read_frame, read_frame_as, unseal_frame, write_frame, FrameError, FrameScanner,
+    MAX_FRAME_PAYLOAD,
+};

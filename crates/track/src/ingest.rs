@@ -8,8 +8,9 @@
 //! — and returns an [`Ingested`] bundle: the run mode, a source tag,
 //! and `metric → value` pairs under a stable dotted namespace
 //! (`perf.*`, `serve.*`, `cluster.*`, `zoo.*`,
-//! `cache.*`). The previous `/2` report schemas are still accepted;
-//! they simply carry no commit stamp of their own.
+//! `cache.*`). Each ingester accepts exactly its producer's current
+//! schema; history entries are stored flattened, so older report
+//! schemas never need re-reading.
 
 use std::collections::BTreeMap;
 
@@ -28,19 +29,18 @@ pub struct Ingested {
     pub metrics: BTreeMap<String, f64>,
 }
 
-fn parse_report(text: &str, kinds: &[&str]) -> Result<(Json, String), String> {
+fn parse_report(text: &str, schema: &str) -> Result<Json, String> {
     let v = json::parse(text)?;
-    let schema = v
+    let found = v
         .get("schema")
         .and_then(Json::as_str)
-        .ok_or("report has no schema field")?
-        .to_owned();
-    if !kinds.contains(&schema.as_str()) {
+        .ok_or("report has no schema field")?;
+    if found != schema {
         return Err(format!(
-            "unsupported report schema {schema:?} (want one of {kinds:?})"
+            "unsupported report schema {found:?} (want {schema:?})"
         ));
     }
-    Ok((v, schema))
+    Ok(v)
 }
 
 fn num(v: &Json, key: &str) -> Option<f64> {
@@ -74,18 +74,10 @@ fn put_obs(metrics: &mut BTreeMap<String, f64>, v: &Json, prefix: &str) {
 /// Returns a description when the text is not a well-formed perf
 /// report.
 pub fn perf_report(text: &str) -> Result<Ingested, String> {
-    let (v, _) = parse_report(
-        text,
-        &[
-            "cedar-bench-perf/4",
-            "cedar-bench-perf/3",
-            "cedar-bench-perf/2",
-        ],
-    )?;
+    let v = parse_report(text, "cedar-bench-perf/4")?;
     let mut metrics = BTreeMap::new();
     let smoke = v.get("smoke").and_then(Json::as_bool).unwrap_or(false);
-    // `/4` reports carry the specialized-vs-generic engine ratio on
-    // the reference run.
+    // The specialized-vs-generic engine ratio on the reference run.
     put(
         &mut metrics,
         "perf.engine_speedup",
@@ -140,14 +132,7 @@ pub fn perf_report(text: &str) -> Result<Ingested, String> {
 /// Returns a description when the text is not a well-formed serve
 /// report.
 pub fn serve_report(text: &str) -> Result<Ingested, String> {
-    let (v, _) = parse_report(
-        text,
-        &[
-            "cedar-bench-serve/4",
-            "cedar-bench-serve/3",
-            "cedar-bench-serve/2",
-        ],
-    )?;
+    let v = parse_report(text, "cedar-bench-serve/4")?;
     let mut metrics = BTreeMap::new();
     let mode = v
         .get("mode")
@@ -207,10 +192,10 @@ pub fn serve_report(text: &str) -> Result<Ingested, String> {
         put(&mut metrics, "serve.open.p50_us", num(open, "p50_us"));
         put(&mut metrics, "serve.open.p99_us", num(open, "p99_us"));
     }
-    // `/4` reports add the binary-protocol phase: a lockstep warm pass
-    // followed by a connections-vs-latency sweep on the `b"CSRV"` wire
-    // format. The curve flattens per level; the peak level (most
-    // connections) feeds the `serve.conn.peak_p99_us` gate.
+    // The binary-protocol phase: a lockstep warm pass followed by a
+    // connections-vs-latency sweep on the `b"CSRV"` wire format. The
+    // curve flattens per level; the peak level (most connections)
+    // feeds the `serve.conn.peak_p99_us` gate.
     if let Some(bin) = v.get("binary") {
         put(&mut metrics, "serve.binary.warm_rps", num(bin, "warm_rps"));
         put(&mut metrics, "serve.binary.peak_rps", num(bin, "peak_rps"));
@@ -279,7 +264,7 @@ pub fn serve_report(text: &str) -> Result<Ingested, String> {
 /// Returns a description when the text is not a well-formed cluster
 /// report.
 pub fn cluster_report(text: &str) -> Result<Ingested, String> {
-    let (v, _) = parse_report(text, &["cedar-bench-cluster/1"])?;
+    let v = parse_report(text, "cedar-bench-cluster/1")?;
     let mut metrics = BTreeMap::new();
     for key in [
         "workers",
@@ -321,7 +306,7 @@ pub fn cluster_report(text: &str) -> Result<Ingested, String> {
 /// Returns a description when the text is not a well-formed zoo
 /// report.
 pub fn zoo_report(text: &str) -> Result<Ingested, String> {
-    let (v, _) = parse_report(text, &["cedar-bench-zoo/1"])?;
+    let v = parse_report(text, "cedar-bench-zoo/1")?;
     let mut metrics = BTreeMap::new();
     let smoke = v.get("smoke").and_then(Json::as_bool).unwrap_or(false);
     put(&mut metrics, "zoo.cells", num(&v, "cells"));
@@ -370,7 +355,7 @@ pub fn zoo_report(text: &str) -> Result<Ingested, String> {
 /// Returns a description when the text is not a well-formed compare
 /// report.
 pub fn compare_report(text: &str) -> Result<Ingested, String> {
-    let (v, _) = parse_report(text, &["cedar-bench-compare/1"])?;
+    let v = parse_report(text, "cedar-bench-compare/1")?;
     let mut metrics = BTreeMap::new();
     put(&mut metrics, "cache.cold_ms", num(&v, "cold_ms"));
     put(&mut metrics, "cache.warm_ms", num(&v, "warm_ms"));
@@ -485,7 +470,7 @@ mod tests {
     #[test]
     fn serve_report_summarises_the_knee() {
         let text = r#"{
-  "schema": "cedar-bench-serve/3",
+  "schema": "cedar-bench-serve/4",
   "mode": "smoke",
   "dedup": {"burst": 8, "executed": 1, "cache_hits": 0, "coalesced": 7},
   "fault_mix": {"requests": 24, "ok": 23, "degraded": 1, "errors": 0, "healthy_dropped": 0},

@@ -10,9 +10,9 @@
 //!   ISO-8601 timestamp, host fingerprint, run mode, flat metric map),
 //!   with corrupt lines quarantined as warnings rather than crashes.
 //! - [`ingest`] — turns the benchmark bins' reports
-//!   (`cedar-bench-perf/3`, `cedar-bench-serve/4`,
-//!   `cedar-bench-cluster/1`, `cedar-bench-compare/1`) into one
-//!   stamped history entry.
+//!   (`cedar-bench-perf/4`, `cedar-bench-serve/4`,
+//!   `cedar-bench-cluster/1`, `cedar-bench-zoo/1`,
+//!   `cedar-bench-compare/1`) into one stamped history entry.
 //! - [`gate`] — compares the newest entry against a trailing median of
 //!   same-mode, same-host predecessors with direction-aware
 //!   thresholds; exactly-at-threshold passes, strictly-beyond fails.

@@ -149,7 +149,7 @@ fn append_stamps_and_round_trips() {
     std::fs::write(
         &report,
         r#"{
-  "schema": "cedar-bench-perf/3",
+  "schema": "cedar-bench-perf/4",
   "smoke": true,
   "threads": 4,
   "peak_rss_kb": 9000,
