@@ -238,8 +238,8 @@ fn main() {
     assert!(report.completed(), "faulted trace traffic must drain");
     runs.push(RefRun {
         name: "faulted_trace",
-        // Faults and telemetry are both outside the specialized
-        // family; this row pins the generic path's cost.
+        // Telemetry is outside the specialized family; this row pins
+        // the generic path's cost.
         engine: "generic",
         wall_ms: started.elapsed().as_secs_f64() * 1000.0,
         sim_cycles: Some(report.total_net_cycles),

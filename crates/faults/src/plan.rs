@@ -444,6 +444,35 @@ impl FaultPlan {
         })
     }
 
+    /// Every switch output of the `dir` network that a stuck window or
+    /// a slowdown names, as `(stage, switch, port)`.
+    /// [`output_blocked`](Self::output_blocked) is false at every
+    /// cycle for any output not listed, so a stepper can compile the
+    /// list into masks and query the plan only at these outputs.
+    pub fn faulted_outputs(
+        &self,
+        dir: NetDirection,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let stuck = self
+            .stuck
+            .iter()
+            .map(|s| (s.dir, s.stage, s.switch, s.port));
+        let slow = self.slow.iter().map(|s| (s.dir, s.stage, s.switch, s.port));
+        stuck
+            .chain(slow)
+            .filter(move |&(d, ..)| d == dir)
+            .map(|(_, stage, switch, port)| (stage, switch, port))
+    }
+
+    /// Every memory module that a stall window or a fail-stop names.
+    /// [`module_stalled`](Self::module_stalled) and
+    /// [`module_failed`](Self::module_failed) are false at every cycle
+    /// for any module not listed.
+    pub fn faulted_modules(&self) -> impl Iterator<Item = usize> + '_ {
+        let stalls = self.stalls.iter().map(|s| s.module);
+        stalls.chain(self.failed.iter().map(|&(m, _)| m))
+    }
+
     /// Whether the link traversal of a single-word packet identified by
     /// `packet_id` over output `(stage, switch, port)` at `cycle` loses
     /// the word. Pure hash of the event identity: retries at later
@@ -761,6 +790,40 @@ mod tests {
         let s = plan.stuck[0];
         assert!(plan.output_blocked(s.dir, s.stage, s.switch, s.port, s.from));
         assert!(!plan.output_blocked(s.dir, s.stage, s.switch, s.port, s.until));
+    }
+
+    /// The masks a stepper compiles from `faulted_outputs` and
+    /// `faulted_modules` are exact: every output or module that any
+    /// query ever blocks is listed.
+    #[test]
+    fn faulted_lists_cover_every_blocking_query() {
+        let cfg = FaultConfig {
+            failed_modules: 3,
+            fail_by_cycle: 50,
+            ..FaultConfig::degraded(0x5EED, 0.01)
+        };
+        let plan = FaultPlan::generate(&cfg, &shape()).unwrap();
+        let modules: Vec<usize> = plan.faulted_modules().collect();
+        for m in 0..shape().modules {
+            let hit = (0..WINDOW_HORIZON)
+                .step_by(7)
+                .any(|c| plan.module_stalled(m, c) || plan.module_failed(m, c));
+            assert_eq!(hit, modules.contains(&m), "module {m}");
+        }
+        for dir in [NetDirection::Forward, NetDirection::Reverse] {
+            let outputs: Vec<_> = plan.faulted_outputs(dir).collect();
+            for stage in 0..shape().stages {
+                for switch in 0..shape().switches_per_stage() {
+                    for port in 0..shape().radix {
+                        let hit = (0..WINDOW_HORIZON)
+                            .step_by(7)
+                            .any(|c| plan.output_blocked(dir, stage, switch, port, c));
+                        let listed = outputs.contains(&(stage, switch, port));
+                        assert_eq!(hit, listed, "{dir:?} output {stage}/{switch}/{port}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -478,6 +478,101 @@ impl FabricExperiment {
             .as_ref()
             .is_some_and(|r| !r.pending.is_empty())
     }
+
+    /// The first cycle after `now` at which an idle fabric can change
+    /// state: the earliest CE boundary a source may issue on, the
+    /// earliest armed retry timer, the cycle budget or the watchdog
+    /// `horizon`, whichever comes first. Both engines' idle
+    /// fast-forwards jump to the cycle before it.
+    ///
+    /// The timer heap is only peeked, never popped: it is checkpointed
+    /// state. A stale timer (its request already resolved) merely ends
+    /// the jump early and then fires as a no-op, as it would have
+    /// without the jump.
+    fn idle_wake_cycle(&self, now: u64, horizon: Option<u64>) -> u64 {
+        let ratio = self.ratio;
+        let next_boundary = (now / ratio + 1) * ratio;
+        let next_timer = self.recovery.as_ref().and_then(RecoveryState::next_due);
+        self.sources
+            .iter()
+            .filter(|s| !s.done_issuing)
+            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
+            .min()
+            .unwrap_or(self.max_net_cycles)
+            .min(self.max_net_cycles)
+            .min(next_timer.unwrap_or(u64::MAX))
+            .min(horizon.unwrap_or(u64::MAX))
+    }
+}
+
+/// How [`RecoveryState::fire_due`] resolved one due retry timer.
+#[derive(Debug, Clone, Copy)]
+enum Fired {
+    /// The request re-entered the forward network as attempt
+    /// `attempts`.
+    Retried { id: u64, attempts: u32 },
+    /// The request ran out of retries after `attempts` attempts; its
+    /// source `src` got its window slot back.
+    Abandoned { id: u64, src: usize, attempts: u32 },
+}
+
+impl RecoveryState {
+    /// The cycle the earliest armed retry timer falls due.
+    fn next_due(&self) -> Option<u64> {
+        self.timers.peek().map(|&Reverse((due, _))| due)
+    }
+
+    /// Fires the retry timers due at `now`, the recovery step both
+    /// engines share: a request still unresolved when its timer
+    /// expires is re-injected through `inject` (re-aimed at the
+    /// fallback module if its target fail-stopped) with exponential
+    /// backoff until the policy's attempt budget runs out, after which
+    /// it is abandoned and counted in `failed_requests`. `note` hears
+    /// every retry and abandonment in firing order.
+    fn fire_due(
+        &mut self,
+        now: u64,
+        policy: &RetryPolicy,
+        plan: Option<&FaultPlan>,
+        sources: &mut [CeSource],
+        mut inject: impl FnMut(Packet) -> bool,
+        mut note: impl FnMut(Fired),
+    ) {
+        while let Some(&Reverse((due, id))) = self.timers.peek() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            let Some(entry) = self.pending.get_mut(&id) else {
+                continue; // resolved while the timer was pending
+            };
+            if entry.attempts > policy.max_retries {
+                let (src, attempts) = (entry.packet.src, entry.attempts);
+                self.pending.remove(&id);
+                self.failed_requests += 1;
+                RoundTripFabric::abandon_request(&mut sources[src], id);
+                note(Fired::Abandoned { id, src, attempts });
+                continue;
+            }
+            if let Some(plan) = plan {
+                if plan.module_failed(entry.packet.dest, now) {
+                    entry.packet.dest = plan.fallback_module(entry.packet.dest);
+                }
+            }
+            if inject(entry.packet) {
+                self.retries += 1;
+                entry.attempts += 1;
+                let attempts = entry.attempts;
+                self.timers
+                    .push(Reverse((now + policy.delay(attempts), id)));
+                note(Fired::Retried { id, attempts });
+            } else {
+                // Injection FIFO full: retry next cycle without
+                // spending an attempt.
+                self.timers.push(Reverse((now + 1, id)));
+            }
+        }
+    }
 }
 
 impl RoundTripFabric {
@@ -749,6 +844,12 @@ impl RoundTripFabric {
         self.faults.as_ref()
     }
 
+    /// Current simulation time in network cycles.
+    #[must_use]
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
     /// The fabric configuration.
     #[must_use]
     pub fn config(&self) -> &FabricConfig {
@@ -866,30 +967,24 @@ impl RoundTripFabric {
 
     /// Jumps the clocks over a provably dead stretch: when no word is
     /// buffered in either network, no module holds queued, in-service
-    /// or blocked-outgoing work, no partially received packet exists
-    /// and no request awaits recovery, the only possible next event is
-    /// a source issuing on a CE boundary it is not gap-blocked for.
-    /// Every cycle before the earliest such boundary is a pure clock
-    /// tick (idle switches mutate nothing, not even arbitration
-    /// pointers), so the simulation lands on the same state serial
+    /// or blocked-outgoing work and no partially received packet
+    /// exists, nothing can happen before
+    /// [`FabricExperiment::idle_wake_cycle`]: a source issuing on a CE
+    /// boundary it is not gap-blocked for, or a retry timer falling
+    /// due. Every cycle before it is a pure clock tick (idle switches
+    /// mutate nothing, not even arbitration pointers, and an idle
+    /// network or module does nothing under any fault query, since
+    /// stuck, slowed, stalled and failed are pure functions of the
+    /// cycle), so the simulation lands on the same state serial
     /// stepping would reach — just without burning a loop iteration
     /// per empty cycle. Gap-heavy traffic (`gap_ce_cycles` of
-    /// non-overlapped computation between blocks) is where this pays.
+    /// non-overlapped computation between blocks) and the retry
+    /// timeouts of a faulted run are where this pays.
     ///
     /// `horizon` caps the jump at the cycle a cycle-by-cycle run's
     /// watchdog would have tripped, so stall reports keep identical
     /// timestamps.
-    fn idle_fast_forward(
-        &mut self,
-        sources: &[CeSource],
-        recovery: Option<&RecoveryState>,
-        ratio: u64,
-        max_net_cycles: u64,
-        horizon: Option<u64>,
-    ) {
-        if recovery.is_some_and(|rec| !rec.pending.is_empty()) {
-            return;
-        }
+    fn idle_fast_forward(&mut self, exp: &FabricExperiment, horizon: Option<u64>) {
         if !self.forward.is_idle() || !self.reverse.is_idle() {
             return;
         }
@@ -903,15 +998,7 @@ impl RoundTripFabric {
         if self.partial.iter().any(Option::is_some) {
             return;
         }
-        let next_boundary = (self.now / ratio + 1) * ratio;
-        let target = sources
-            .iter()
-            .filter(|s| !s.done_issuing)
-            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
-            .min()
-            .unwrap_or(max_net_cycles)
-            .min(max_net_cycles)
-            .min(horizon.unwrap_or(u64::MAX));
+        let target = exp.idle_wake_cycle(self.now, horizon);
         // The loop is about to simulate cycle `now + 1`; stop one
         // short so the first cycle anything can happen in runs live.
         if target <= self.now + 1 {
@@ -981,13 +1068,7 @@ impl RoundTripFabric {
             let horizon = watchdog
                 .as_deref()
                 .map(|dog| dog.progress_cycle() + dog.budget() + 1);
-            self.idle_fast_forward(
-                &exp.sources,
-                exp.recovery.as_ref(),
-                exp.ratio,
-                exp.max_net_cycles,
-                horizon,
-            );
+            self.idle_fast_forward(exp, horizon);
         }
         self.now += 1;
         let ce_boundary = self.now.is_multiple_of(exp.ratio);
@@ -1061,7 +1142,7 @@ impl RoundTripFabric {
         stop_at: Option<u64>,
     ) -> Result<(), CedarError> {
         if self.engine != EngineKind::Generic {
-            match self.specialization_blocker(exp) {
+            match self.specialization_blocker() {
                 None => {
                     self.last_run_engine = Some("specialized");
                     self.last_fallback = None;
@@ -1235,49 +1316,34 @@ impl RoundTripFabric {
         Ok(report)
     }
 
-    /// Fires due retry timers: a request still unresolved when its
-    /// timer expires is re-injected (re-aimed at the fallback module
-    /// if its target fail-stopped) with exponential backoff until the
-    /// policy's attempt budget runs out, after which it is abandoned
-    /// and counted in `failed_requests`.
+    /// Fires due retry timers ([`RecoveryState::fire_due`]) into the
+    /// forward network, then traces and counts what fired.
     fn fire_retries(&mut self, rec: &mut RecoveryState, sources: &mut [CeSource]) {
-        while let Some(&Reverse((due, id))) = rec.timers.peek() {
-            if due > self.now {
-                break;
-            }
-            rec.timers.pop();
-            let Some(entry) = rec.pending.get_mut(&id) else {
-                continue; // resolved while the timer was pending
-            };
-            if entry.attempts > self.retry.max_retries {
-                let packet = entry.packet;
-                let attempts = entry.attempts;
-                rec.pending.remove(&id);
-                rec.failed_requests += 1;
-                Self::abandon_request(&mut sources[packet.src], id);
-                self.trace_close(id, Some(("abandoned", u64::from(attempts))));
-                self.metric_add(|ids| ids.abandoned, 1);
-                continue;
-            }
-            let mut packet = entry.packet;
-            if let Some(plan) = &self.faults {
-                if plan.module_failed(packet.dest, self.now) {
-                    packet.dest = plan.fallback_module(packet.dest);
-                    entry.packet = packet;
+        let observed = self.obs.is_some();
+        let mut fired = Vec::new();
+        let forward = &mut self.forward;
+        rec.fire_due(
+            self.now,
+            &self.retry,
+            self.faults.as_ref(),
+            sources,
+            |packet| forward.try_inject(packet),
+            |event| {
+                if observed {
+                    fired.push(event);
                 }
-            }
-            if self.forward.try_inject(packet) {
-                rec.retries += 1;
-                entry.attempts += 1;
-                let attempts = entry.attempts;
-                rec.timers
-                    .push(Reverse((self.now + self.retry.delay(attempts), id)));
-                self.trace_retry(id, u64::from(attempts));
-                self.metric_add(|ids| ids.retries, 1);
-            } else {
-                // Injection FIFO full: retry next cycle without
-                // spending an attempt.
-                rec.timers.push(Reverse((self.now + 1, id)));
+            },
+        );
+        for event in fired {
+            match event {
+                Fired::Retried { id, attempts } => {
+                    self.trace_retry(id, u64::from(attempts));
+                    self.metric_add(|ids| ids.retries, 1);
+                }
+                Fired::Abandoned { id, attempts, .. } => {
+                    self.trace_close(id, Some(("abandoned", u64::from(attempts))));
+                    self.metric_add(|ids| ids.abandoned, 1);
+                }
             }
         }
     }
@@ -1927,35 +1993,117 @@ mod tests {
         assert_eq!(fast, slow, "fast-forward changed an observable");
     }
 
-    /// Same invariant on a degraded machine: recovery bookkeeping
-    /// (in-flight requests, retry timers) must veto or survive the
-    /// skip without shifting a single retry or abandonment.
+    /// Drives an experiment on 4 CEs and returns its outcome (the
+    /// report, or the watchdog's diagnostic) plus the cycles skipped
+    /// while a request awaited recovery. With the skip on, each drive
+    /// call runs one loop iteration, so every skip is attributed.
+    fn drive_stepwise(
+        fabric: &mut RoundTripFabric,
+        traffic: PrefetchTraffic,
+        watchdog_budget: Option<u64>,
+    ) -> (Result<FabricReport, String>, u64) {
+        let mut dog = watchdog_budget.map(|budget| Watchdog::new(budget, "stepwise run"));
+        let mut exp = fabric.begin_experiment(4, traffic, 64_000_000);
+        let mut recovery_skips = 0;
+        while fabric.experiment_running(&exp) {
+            let in_flight = exp.retry_in_flight();
+            let before = fabric.fast_forwarded_cycles();
+            let stop = fabric.fast_forward.then(|| fabric.now() + 1);
+            if let Err(err) = fabric.drive_experiment(&mut exp, dog.as_mut(), stop) {
+                return (Err(format!("{err:?}")), recovery_skips);
+            }
+            if in_flight {
+                recovery_skips += fabric.fast_forwarded_cycles() - before;
+            }
+        }
+        (Ok(fabric.finish_experiment(exp)), recovery_skips)
+    }
+
+    /// A fabric with `cfg`'s fault plan and `retry` on `engine`.
+    fn faulted(
+        cfg: &cedar_faults::FaultConfig,
+        retry: RetryPolicy,
+        engine: EngineKind,
+        fast_forward: bool,
+    ) -> RoundTripFabric {
+        let plan = FaultPlan::generate(cfg, &cedar_faults::MachineShape::cedar())
+            .expect("valid fault config");
+        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+        fabric.attach_faults(plan, retry);
+        fabric.set_engine(engine);
+        fabric.set_fast_forward(fast_forward);
+        fabric
+    }
+
+    /// Same invariant on a degraded machine, on both engines: the skip
+    /// runs while requests await their retry timers, and still shifts
+    /// no retry or abandonment — including on a machine that loses
+    /// every request.
     #[test]
     fn fast_forward_is_invisible_under_faults() {
-        use cedar_faults::{FaultConfig, MachineShape};
+        use cedar_faults::FaultConfig;
 
         let gapped = PrefetchTraffic {
             gap_ce_cycles: 64,
             ..small_traffic()
         };
-        let run = |fast_forward: bool| {
-            let plan =
-                FaultPlan::generate(&FaultConfig::degraded(0xCEDA, 0.02), &MachineShape::cedar())
-                    .expect("valid preset");
-            let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-            fabric.attach_faults(plan, RetryPolicy::fabric());
-            fabric.set_fast_forward(fast_forward);
-            let mut dog = Watchdog::new(4_000_000, "fast-forward equivalence");
-            let report = fabric
-                .run_watched_experiment(4, gapped, 64_000_000, &mut dog)
-                .expect("run completes");
-            (report, fabric.fast_forwarded_cycles())
+        let hopeless = RetryPolicy {
+            base_delay_cycles: 64,
+            max_retries: 2,
+            max_delay_cycles: 256,
         };
-        let (fast, skipped) = run(true);
-        let (slow, none_skipped) = run(false);
-        assert!(skipped > 0, "the skip never engaged under faults");
-        assert_eq!(none_skipped, 0);
-        assert_eq!(fast, slow, "fast-forward changed a degraded observable");
+        for (cfg, retry) in [
+            (FaultConfig::degraded(0xCEDA, 0.02), RetryPolicy::fabric()),
+            (FaultConfig::link_noise(3, 1.0), hopeless),
+        ] {
+            let mut reports = Vec::new();
+            for engine in [EngineKind::Generic, EngineKind::Specialized] {
+                for fast_forward in [true, false] {
+                    let mut fabric = faulted(&cfg, retry, engine, fast_forward);
+                    let (report, recovery_skips) = drive_stepwise(&mut fabric, gapped, None);
+                    if fast_forward {
+                        assert!(recovery_skips > 0, "{engine:?}: no skip during recovery");
+                    } else {
+                        assert_eq!(fabric.fast_forwarded_cycles(), 0);
+                    }
+                    reports.push(report.expect("no watchdog attached"));
+                }
+            }
+            assert!(reports[0].retries() > 0, "no retries; the test is vacuous");
+            if cfg.link_drop_prob == 1.0 {
+                assert_eq!(reports[0].failed_requests(), 4 * 4 * 32, "all abandoned");
+            }
+            for report in &reports[1..] {
+                assert_eq!(
+                    *report, reports[0],
+                    "fast-forward changed a degraded observable"
+                );
+            }
+        }
+    }
+
+    /// A watchdog budget shorter than the 4096-cycle retry delay trips
+    /// while a dropped request waits for its timer. The skip must stop
+    /// at the trip cycle, so the `Stalled` report is identical with the
+    /// skip on or off, on either engine.
+    #[test]
+    fn fast_forward_keeps_watchdog_stalls_under_faults() {
+        let cfg = cedar_faults::FaultConfig::link_noise(0xBAD, 0.05);
+        let mut stalls = Vec::new();
+        for engine in [EngineKind::Generic, EngineKind::Specialized] {
+            for fast_forward in [true, false] {
+                let mut fabric = faulted(&cfg, RetryPolicy::fabric(), engine, fast_forward);
+                let (outcome, recovery_skips) =
+                    drive_stepwise(&mut fabric, small_traffic(), Some(1_000));
+                assert_eq!(recovery_skips > 0, fast_forward, "{engine:?}");
+                let stall = outcome.expect_err("a 1000-cycle watchdog trips first");
+                assert!(stall.starts_with("Stalled"), "{stall}");
+                stalls.push(stall);
+            }
+        }
+        for stall in &stalls[1..] {
+            assert_eq!(*stall, stalls[0]);
+        }
     }
 
     /// Stepping an experiment manually is the same loop the packaged

@@ -86,7 +86,7 @@ pub struct OmegaNetwork {
     pub(crate) words_dropped: u64,
     /// Which direction this network plays in a fault plan; only
     /// consulted when `faults` is attached.
-    direction: NetDirection,
+    pub(crate) direction: NetDirection,
     /// Attached fault schedule. `None` (the default, and the result of
     /// attaching a benign plan) leaves every code path bit-identical
     /// to the healthy network.

@@ -1,18 +1,18 @@
 //! The specialized cycle engine: topology-monomorphized stepping for
-//! the healthy, un-instrumented fabric.
+//! the un-instrumented fabric, healthy or faulted.
 //!
 //! The generic engine in [`fabric`](super) and [`network`](crate::network)
 //! is an interpreter: every cycle walks `Vec<VecDeque<Word>>` queues,
 //! `Option` locks and fault/telemetry hooks scattered across hundreds
-//! of small heap allocations. That flexibility is what the fault,
-//! retry and observability studies need — but the Table 2 reference
-//! runs spend their whole budget in it with all of those hooks
-//! disabled. This module is the celox move (ROADMAP item 1): when the
-//! configuration matches the supported family, the two omega networks
-//! are compiled into flat structure-of-arrays state and stepped by a
-//! const-generic, branch-lean loop with the hooks compiled out
-//! entirely, replicating the generic engine *state for state* so
-//! reports and checkpoints stay bit-identical.
+//! of small heap allocations, and asks the fault plan about every
+//! output and module. That flexibility is what the observability
+//! studies need — but the Table 2 reference runs and the degraded
+//! sweeps spend their whole budget in it. This module is the celox
+//! move (ROADMAP item 1): when the configuration matches the supported
+//! family, the two omega networks are compiled into flat
+//! structure-of-arrays state and stepped by a const-generic,
+//! branch-lean loop, replicating the generic engine *state for state*
+//! so reports and checkpoints stay bit-identical.
 //!
 //! # Eligibility and fallback
 //!
@@ -23,13 +23,29 @@
 //!
 //! - no telemetry handle is attached (obs hooks are compiled out, so
 //!   an attached `Obs` would silently go blind), and
-//! - no fault schedule or recovery state is attached (fault hooks are
-//!   compiled out too), and
 //! - the network family fits the packed lanes: 1–4 stages, radix ≤ 64,
 //!   ≤ 4096 ports, switch queues ≤ 64 words, exit FIFOs ≤ 65536 words,
 //!   module buffers ≤ 64 requests,
-//! - and the networks' delivery logs are drained (the specialized
-//!   engine does not maintain them).
+//! - the networks' delivery logs are drained (the specialized engine
+//!   does not maintain them),
+//! - and an attached fault plan names no module beyond the network
+//!   (a retry re-aimed there would index the lanes out of bounds).
+//!
+//! # Faults and recovery
+//!
+//! A run with a fault plan or recovery state takes the `F = true`
+//! instantiation of the loop; without one, `F = false` compiles every
+//! fault hook out, so a healthy run steps exactly the hook-free loop.
+//! At import the plan is compiled into masks: per switch, the outputs
+//! any stuck window or slowdown names (`NetFaults`), and the modules
+//! any stall or fail-stop names (`SpecModules::fault_mask`). Only
+//! masked outputs ask `output_blocked` and only masked modules ask
+//! `module_stalled` / `module_failed`; masked modules are visited every
+//! cycle, as the generic engine visits every module. Every link hop of
+//! a single-word packet asks `drops_word`. Issue, reply ejection and
+//! the retry timers run the generic recovery code
+//! (`RecoveryState::fire_due`) at the same point of the cycle, so
+//! retries, dedup and abandonment happen in the same order.
 //!
 //! Anything else falls back to the generic engine, bumps the
 //! `engine.fallback` obs counter when metrics are live, and — under
@@ -388,6 +404,38 @@ struct SpecNet {
     /// wormhole lock can exist anywhere in the network and the
     /// monomorphic single-word transfer variant is exact.
     multiword_words: u64,
+    /// Words lost to link faults (exported back verbatim).
+    words_dropped: u64,
+    /// The network's fault plan, compiled at import; `None` without one.
+    faults: Option<NetFaults>,
+}
+
+/// A network's fault plan as the specialized stepper consults it: the
+/// plan plus, per global switch, the mask of outputs that any stuck
+/// window or slowdown names. Only masked outputs pay for the plan's
+/// linear `output_blocked` scan; every hop of a single-word packet asks
+/// `drops_word`, as the generic `link_eats` does.
+struct NetFaults {
+    dir: NetDirection,
+    plan: FaultPlan,
+    outputs: Vec<u64>,
+}
+
+impl NetFaults {
+    fn compile(net: &OmegaNetwork, plan: &FaultPlan, switches: usize) -> NetFaults {
+        let mut outputs = vec![0u64; net.cfg.stages * switches];
+        // Outputs outside this network's shape never match a query.
+        for (stage, switch, port) in plan.faulted_outputs(net.direction) {
+            if stage < net.cfg.stages && switch < switches && port < net.cfg.radix {
+                outputs[stage * switches + switch] |= 1u64 << port;
+            }
+        }
+        NetFaults {
+            dir: net.direction,
+            plan: plan.clone(),
+            outputs,
+        }
+    }
 }
 
 impl SpecNet {
@@ -457,6 +505,10 @@ impl SpecNet {
             words_exited: net.words_exited,
             buffered: 0,
             multiword_words: 0,
+            words_dropped: net.words_dropped,
+            faults: net
+                .faults()
+                .map(|plan| NetFaults::compile(net, plan, switches)),
         };
         for pos in 0..ports {
             let shuffled = net.topo.shuffle(pos);
@@ -634,6 +686,7 @@ impl SpecNet {
         net.now = self.now;
         net.words_injected = self.words_injected;
         net.words_exited = self.words_exited;
+        net.words_dropped = self.words_dropped;
         // `delivered` was empty at import (eligibility) and the
         // specialized engine never appends to it; nothing to write.
     }
@@ -690,8 +743,10 @@ impl SpecNet {
     }
 
     /// One network cycle, the monomorphized counterpart of
-    /// `OmegaNetwork::step` with obs/fault hooks compiled out. `S` is
-    /// the stage count.
+    /// `OmegaNetwork::step` with obs hooks compiled out. `S` is the
+    /// stage count; `F` compiles in the fault hooks (blocked outputs
+    /// and link drops), so a run without a fault plan steps exactly the
+    /// hook-free loop.
     ///
     /// The generic phase order is exits → links (per stage) →
     /// transfers (per stage) → injection. Exits and links drain
@@ -704,18 +759,18 @@ impl SpecNet {
     /// occupancy masks in registers across both halves of its cycle
     /// and walks the switch state once per cycle instead of once per
     /// phase.
-    fn step<const S: usize>(&mut self) {
+    fn step<const S: usize, const F: bool>(&mut self) {
         // One predictable branch per cycle: with no multi-word packet
         // buffered anywhere, wormhole locks cannot engage and the
         // lock-free monomorphic transfer is exact.
         if self.multiword_words == 0 {
-            self.step_inner::<S, false>();
+            self.step_inner::<S, false, F>();
         } else {
-            self.step_inner::<S, true>();
+            self.step_inner::<S, true, F>();
         }
     }
 
-    fn step_inner<const S: usize, const MULTI: bool>(&mut self) {
+    fn step_inner<const S: usize, const MULTI: bool, const F: bool>(&mut self) {
         self.now += 1;
         for s in 0..S {
             let last = s + 1 == S;
@@ -728,9 +783,9 @@ impl SpecNet {
                     continue; // nothing buffered, nothing grantable
                 }
                 if last {
-                    self.collect_exits_sw(gsw, sw, &mut ne, &mut fl);
+                    self.collect_exits_sw::<F>(s, gsw, sw, &mut ne, &mut fl);
                 } else {
-                    self.link_sw(s, gsw, sw, &mut ne, &mut fl);
+                    self.link_sw::<F>(s, gsw, sw, &mut ne, &mut fl);
                 }
                 if g & !fl != 0 {
                     self.transfer::<MULTI>(s, gsw, g, &mut ne, &mut fl);
@@ -743,13 +798,24 @@ impl SpecNet {
     }
 
     /// One last-stage switch → its exit FIFOs. Mirrors the generic
-    /// order: the exit capacity check happens before the pop, and at
-    /// most one word exits per position per cycle.
-    fn collect_exits_sw(&mut self, gsw: usize, sw: usize, ne: &mut u64, fl: &mut u64) {
+    /// order: a fault-blocked output holds its word, the exit capacity
+    /// check happens before the pop, a lossy link eats the popped word,
+    /// and at most one word exits per position per cycle.
+    fn collect_exits_sw<const F: bool>(
+        &mut self,
+        s: usize,
+        gsw: usize,
+        sw: usize,
+        ne: &mut u64,
+        fl: &mut u64,
+    ) {
         let mut m = *ne & !ld(&self.exit_blocked, gsw);
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
+            if F && self.output_faulted(s, gsw, sw, out) {
+                continue;
+            }
             let pos = (sw << self.rbits) + out;
             let elen = ld(&self.exit_len, pos) as usize;
             if elen >= self.exit_cap {
@@ -757,6 +823,9 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if F && self.link_drops(s, sw, out, id, meta) {
+                continue;
+            }
             let eslot =
                 (pos << self.eshift) + ((ld(&self.exit_head, pos) as usize + elen) & self.emask);
             *at(&mut self.exit_q, eslot) = ExitSlot {
@@ -772,12 +841,24 @@ impl SpecNet {
 
     /// One switch's inter-stage shuffle links into stage `s + 1`. The
     /// link stages drain mutually disjoint queues, so the per-stage
-    /// processing order is free.
-    fn link_sw(&mut self, s: usize, gsw: usize, sw: usize, ne: &mut u64, fl: &mut u64) {
+    /// processing order is free. Faults follow the generic order: a
+    /// blocked output holds its word, and a lossy link eats a word only
+    /// once the downstream queue could have taken it.
+    fn link_sw<const F: bool>(
+        &mut self,
+        s: usize,
+        gsw: usize,
+        sw: usize,
+        ne: &mut u64,
+        fl: &mut u64,
+    ) {
         let mut m = *ne & !ld(&self.link_blocked, gsw);
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
+            if F && self.output_faulted(s, gsw, sw, out) {
+                continue;
+            }
             let shuffled = ld(&self.shuffle, (sw << self.rbits) + out) as usize;
             let ngsw = (s + 1) * self.switches + (shuffled >> self.rbits);
             let nin = shuffled & self.rmask;
@@ -786,8 +867,37 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if F && self.link_drops(s, sw, out, id, meta) {
+                continue;
+            }
             self.push_switch_input(s + 1, ngsw, nin, id, meta);
         }
+    }
+
+    /// Whether the fault plan blocks output `out` of switch `sw` (global
+    /// `gsw`) at stage `s` this cycle. Unmasked outputs never query the
+    /// plan.
+    #[inline]
+    fn output_faulted(&self, s: usize, gsw: usize, sw: usize, out: usize) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
+            ld(&f.outputs, gsw) >> out & 1 != 0
+                && f.plan.output_blocked(f.dir, s, sw, out, self.now)
+        })
+    }
+
+    /// Whether the link out of `(s, sw, out)` loses the word just popped
+    /// from that output (single-word packets only, as in the generic
+    /// `link_eats`); a lost word leaves the network.
+    #[inline]
+    fn link_drops(&mut self, s: usize, sw: usize, out: usize, id: u64, meta: u32) -> bool {
+        let lost = self.faults.as_ref().is_some_and(|f| {
+            meta_words(meta) == 1 && f.plan.drops_word(f.dir, s, sw, out, id, self.now)
+        });
+        if lost {
+            self.words_dropped += 1;
+            self.buffered -= 1;
+        }
+        lost
     }
 
     /// One switch's internal transfer cycle: the exact generic
@@ -1062,12 +1172,13 @@ impl SpecNet {
 ///
 /// A module only does anything on a cycle where (a) a word is waiting
 /// at its forward exit, (b) it holds a reply awaiting reverse-network
-/// injection, or (c) its service timer expires with requests pending.
+/// injection, (c) its service timer expires with requests pending, or
+/// (d) the fault plan can stall or fail it.
 /// (a) is the network's `exit_mask`; (b) is the `out_mask` bitset; (c)
 /// is a timing wheel of wake masks indexed by cycle modulo the service
 /// time — so a module busy for its whole service window costs nothing
 /// until the cycle it can actually serve, instead of a visit per
-/// cycle.
+/// cycle; (d) is the `fault_mask` bitset.
 struct SpecModules {
     n: usize,
     words: usize,
@@ -1102,16 +1213,22 @@ struct SpecModules {
     busy: usize,
     /// Count of live partials (fast-forward eligibility in O(1)).
     partials: usize,
+    /// Bit `m`: the fault plan can stall or fail module `m`. Masked
+    /// modules are visited every cycle, as the generic engine visits
+    /// every module, so a stall or fail-stop takes effect on its exact
+    /// cycle; no other module queries the plan.
+    fault_mask: Vec<u64>,
+    /// Words and requests destroyed at fail-stopped modules (the
+    /// fabric's `module_discards`, exported back verbatim).
+    discards: u64,
 }
 
 impl SpecModules {
-    fn import(
-        modules: &[MemModule],
-        partial: &[Option<(Packet, u8)>],
-        buf_cap: usize,
-        service: u64,
-        now: u64,
-    ) -> SpecModules {
+    fn import(fabric: &RoundTripFabric) -> SpecModules {
+        let (modules, partial) = (&fabric.modules, &fabric.partial);
+        let buf_cap = fabric.cfg.module_buffer_requests;
+        let service = fabric.cfg.mem_service_net_cycles;
+        let now = fabric.now;
         let n = modules.len();
         let words = n.div_ceil(64).max(1);
         let pcap = buf_cap.next_power_of_two();
@@ -1140,7 +1257,14 @@ impl SpecModules {
             wheel: vec![0; wheel_len * words],
             busy: 0,
             partials: 0,
+            fault_mask: vec![0; words],
+            discards: fabric.module_discards,
         };
+        // Modules outside this fabric never match a query.
+        let faulted = fabric.faults.iter().flat_map(FaultPlan::faulted_modules);
+        for i in faulted.filter(|&i| i < n) {
+            spec.fault_mask[i >> 6] |= 1u64 << (i & 63);
+        }
         for (i, m) in modules.iter().enumerate() {
             debug_assert!(m.pending.len() <= buf_cap);
             for (j, p) in m.pending.iter().enumerate() {
@@ -1191,7 +1315,9 @@ impl SpecModules {
 
     /// Writes the lanes back into the fabric's canonical module and
     /// partial-slot representation.
-    fn export(&self, modules: &mut [MemModule], partial: &mut [Option<(Packet, u8)>]) {
+    fn export(&self, fabric: &mut RoundTripFabric) {
+        fabric.module_discards = self.discards;
+        let (modules, partial) = (&mut fabric.modules, &mut fabric.partial);
         for (i, m) in modules.iter_mut().enumerate() {
             m.pending.clear();
             for j in 0..self.pend_len[i] as usize {
@@ -1232,25 +1358,70 @@ impl SpecModules {
         *at(&mut self.pend_len, i) += 1;
     }
 
-    /// One cycle of `service_modules` (healthy path): accept at most
-    /// one forward word, retry a blocked reply, start one service.
-    /// Only modules with an arriving word, a live reply, or an expiring
-    /// service timer are visited; every skipped visit is provably a
-    /// no-op in the generic engine.
-    fn service(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64) {
+    /// One cycle of `service_modules`: accept at most one forward
+    /// word, retry a blocked reply, start one service. Only modules
+    /// with an arriving word, a live reply, an expiring service timer
+    /// or (`F`) a place in the fault mask are visited; every skipped
+    /// visit is provably a no-op in the generic engine.
+    fn service<const F: bool>(
+        &mut self,
+        fwd: &mut SpecNet,
+        rev: &mut SpecNet,
+        now: u64,
+        plan: Option<&FaultPlan>,
+    ) {
         let slot = (now % self.wheel_len as u64) as usize * self.words;
         for w in 0..self.words {
             let wake = std::mem::take(at(&mut self.wheel, slot + w));
             let mut m = wake | ld(&self.out_mask, w) | fwd.exit_mask.get(w).copied().unwrap_or(0);
+            if F {
+                m |= ld(&self.fault_mask, w);
+            }
             while m != 0 {
                 let i = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
                 if i >= self.n {
                     break;
                 }
+                if F && ld(&self.fault_mask, w) >> (i & 63) & 1 != 0 {
+                    if let Some(plan) = plan {
+                        if self.fault_visit(fwd, plan, i, now) {
+                            continue;
+                        }
+                    }
+                }
                 self.service_one(fwd, rev, now, i);
             }
         }
+    }
+
+    /// The fault half of a module visit, in the generic order: a
+    /// fail-stopped module discards every arriving word and all its
+    /// queued, outgoing and partial work; a stalled module neither
+    /// receives nor serves. Returns whether the visit ends here.
+    fn fault_visit(&mut self, fwd: &mut SpecNet, plan: &FaultPlan, i: usize, now: u64) -> bool {
+        if plan.module_failed(i, now) {
+            while fwd.pop_output(i).is_some() {
+                self.discards += 1;
+            }
+            let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
+            self.discards += u64::from(ld(&self.pend_len, i));
+            *at(&mut self.pend_len, i) = 0;
+            if ld(&self.out_live, i) {
+                *at(&mut self.out_live, i) = false;
+                *at(&mut self.out_mask, i >> 6) &= !(1u64 << (i & 63));
+                self.discards += 1;
+            }
+            if ld(&self.part_live, i) {
+                *at(&mut self.part_live, i) = false;
+                self.partials -= 1;
+            }
+            if was_busy {
+                self.busy -= 1;
+            }
+            return true;
+        }
+        plan.module_stalled(i, now)
     }
 
     #[inline]
@@ -1333,14 +1504,11 @@ impl SpecModules {
 // ---------------------------------------------------------------------------
 
 impl RoundTripFabric {
-    /// Why this fabric/experiment pair cannot run on the specialized
-    /// engine, or `None` when it can.
-    pub(crate) fn specialization_blocker(&self, exp: &FabricExperiment) -> Option<&'static str> {
+    /// Why this fabric cannot run on the specialized engine, or `None`
+    /// when it can.
+    pub(crate) fn specialization_blocker(&self) -> Option<&'static str> {
         if self.obs.is_some() {
             return Some("telemetry attached");
-        }
-        if self.faults.is_some() || exp.recovery.is_some() {
-            return Some("fault schedule attached");
         }
         let net = &self.cfg.net;
         if !(1..=4).contains(&net.stages) {
@@ -1364,6 +1532,15 @@ impl RoundTripFabric {
         if !self.forward.delivered.is_empty() || !self.reverse.delivered.is_empty() {
             return Some("undrained delivery log");
         }
+        // A retry re-aimed past the network would index the unchecked
+        // lanes out of bounds; the generic engine rejects it outright.
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.shape().modules > net.ports())
+        {
+            return Some("fault plan names modules beyond the network");
+        }
         None
     }
 
@@ -1380,13 +1557,7 @@ impl RoundTripFabric {
     ) -> Result<(), CedarError> {
         let mut fwd = SpecNet::import(&self.forward);
         let mut rev = SpecNet::import(&self.reverse);
-        let mut mods = SpecModules::import(
-            &self.modules,
-            &self.partial,
-            self.cfg.module_buffer_requests,
-            self.cfg.mem_service_net_cycles,
-            self.now,
-        );
+        let mut mods = SpecModules::import(self);
         // Pre-size the per-CE result vectors to their final lengths so
         // the hot loop never reallocates (capacity is not semantic).
         for src in exp.sources.iter_mut() {
@@ -1395,23 +1566,42 @@ impl RoundTripFabric {
             src.issued_at
                 .reserve(total.saturating_sub(src.issued_at.len()));
         }
-        let result = match self.cfg.net.stages {
-            1 => self.spec_loop::<1>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            2 => self.spec_loop::<2>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            3 => self.spec_loop::<3>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            4 => self.spec_loop::<4>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at),
-            _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
+        let result = if self.faults.is_some() || exp.recovery.is_some() {
+            self.spec_stages::<true>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at)
+        } else {
+            self.spec_stages::<false>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at)
         };
         fwd.export(&mut self.forward);
         rev.export(&mut self.reverse);
-        mods.export(&mut self.modules, &mut self.partial);
+        mods.export(self);
         result
     }
 
+    /// Picks the stage-count instantiation of [`spec_loop`](Self::spec_loop).
+    fn spec_stages<const F: bool>(
+        &mut self,
+        fwd: &mut SpecNet,
+        rev: &mut SpecNet,
+        mods: &mut SpecModules,
+        exp: &mut FabricExperiment,
+        watchdog: Option<&mut Watchdog>,
+        stop_at: Option<u64>,
+    ) -> Result<(), CedarError> {
+        match self.cfg.net.stages {
+            1 => self.spec_loop::<1, F>(fwd, rev, mods, exp, watchdog, stop_at),
+            2 => self.spec_loop::<2, F>(fwd, rev, mods, exp, watchdog, stop_at),
+            3 => self.spec_loop::<3, F>(fwd, rev, mods, exp, watchdog, stop_at),
+            4 => self.spec_loop::<4, F>(fwd, rev, mods, exp, watchdog, stop_at),
+            _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
+        }
+    }
+
     /// The monomorphized experiment loop: `step_experiment` with the
-    /// obs/fault/recovery branches compiled out and the networks and
-    /// modules in SoA form.
-    fn spec_loop<const S: usize>(
+    /// obs branches compiled out and the networks and modules in SoA
+    /// form. `F` compiles in the fault hooks and the recovery path
+    /// (retry timers, reply dedup, abandonment) in the generic order;
+    /// without it the loop is the healthy one, hook for hook.
+    fn spec_loop<const S: usize, const F: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
@@ -1421,9 +1611,9 @@ impl RoundTripFabric {
         stop_at: Option<u64>,
     ) -> Result<(), CedarError> {
         // Sources that might issue this boundary: a bit is cleared when
-        // only an ejected reply can unblock the source (window full,
-        // block flow-window closed, stream finished) and re-armed by
-        // the next reply that reaches it.
+        // only an ejected reply or an abandonment can unblock the
+        // source (window full, block flow-window closed, stream
+        // finished) and re-armed by the next one that reaches it.
         let mut issuable = vec![!0u64; exp.sources.len().div_ceil(64).max(1)];
         while self.experiment_running(exp) && stop_at.is_none_or(|c| self.now < c) {
             if self.fast_forward {
@@ -1435,13 +1625,37 @@ impl RoundTripFabric {
             self.now += 1;
             let ce_boundary = self.now.is_multiple_of(exp.ratio);
             let ce_now = self.now / exp.ratio;
-            fwd.step::<S>();
-            rev.step::<S>();
-            mods.service(fwd, rev, self.now);
-            exp.completed_requests +=
-                Self::spec_eject_replies(rev, &mut exp.sources, &mut issuable);
+            fwd.step::<S, F>();
+            rev.step::<S, F>();
+            mods.service::<F>(fwd, rev, self.now, self.faults.as_ref());
+            exp.completed_requests += Self::spec_eject_replies::<F>(
+                rev,
+                &mut exp.sources,
+                exp.recovery.as_mut(),
+                &mut issuable,
+            );
+            if let (true, Some(rec)) = (F, exp.recovery.as_mut()) {
+                rec.fire_due(
+                    self.now,
+                    &self.retry,
+                    self.faults.as_ref(),
+                    &mut exp.sources,
+                    |packet| fwd.try_inject(packet),
+                    |event| {
+                        if let Fired::Abandoned { src, .. } = event {
+                            issuable[src >> 6] |= 1u64 << (src & 63);
+                        }
+                    },
+                );
+            }
             if ce_boundary {
-                self.spec_issue_requests(fwd, &mut exp.sources, ce_now, &mut issuable);
+                self.spec_issue_requests::<F>(
+                    fwd,
+                    &mut exp.sources,
+                    exp.recovery.as_mut(),
+                    ce_now,
+                    &mut issuable,
+                );
             }
             if let Some(dog) = watchdog.as_deref_mut() {
                 if let Err(report) = dog.observe(self.now, exp.resolved_requests()) {
@@ -1453,8 +1667,8 @@ impl RoundTripFabric {
     }
 
     /// `idle_fast_forward` for SoA networks: identical preconditions
-    /// (`buffered == 0` is the generic `is_idle()`) and an identical
-    /// jump target, so timestamps match the generic engine exactly.
+    /// (`buffered == 0` is the generic `is_idle()`) and the same jump
+    /// target, so timestamps match the generic engine exactly.
     fn spec_fast_forward(
         &mut self,
         fwd: &mut SpecNet,
@@ -1466,17 +1680,7 @@ impl RoundTripFabric {
         if fwd.buffered != 0 || rev.buffered != 0 || mods.any_work() {
             return;
         }
-        let ratio = exp.ratio;
-        let next_boundary = (self.now / ratio + 1) * ratio;
-        let target = exp
-            .sources
-            .iter()
-            .filter(|s| !s.done_issuing)
-            .map(|s| next_boundary.max(s.blocked_until_ce * ratio))
-            .min()
-            .unwrap_or(exp.max_net_cycles)
-            .min(exp.max_net_cycles)
-            .min(horizon.unwrap_or(u64::MAX));
+        let target = exp.idle_wake_cycle(self.now, horizon);
         if target <= self.now + 1 {
             return;
         }
@@ -1487,11 +1691,13 @@ impl RoundTripFabric {
         self.ff_cycles += skipped;
     }
 
-    /// `eject_replies` against an SoA reverse network (no recovery),
-    /// visiting only the ports with buffered exit words.
-    fn spec_eject_replies(
+    /// `eject_replies` against an SoA reverse network, visiting only
+    /// the ports with buffered exit words. Under `F` the recovery
+    /// state's pending map dedups replies, as in the generic engine.
+    fn spec_eject_replies<const F: bool>(
         rev: &mut SpecNet,
         sources: &mut [CeSource],
+        mut rec: Option<&mut RecoveryState>,
         issuable: &mut [u64],
     ) -> u64 {
         let mut completed = 0;
@@ -1516,6 +1722,11 @@ impl RoundTripFabric {
                     .then(|| block_len.trailing_zeros());
                 while let Some((id, meta, arrived)) = rev.pop_output(pos) {
                     debug_assert_eq!(meta_kind(meta), kind_tag(PacketKind::Reply));
+                    if let (true, Some(rec)) = (F, rec.as_deref_mut()) {
+                        if rec.pending.remove(&id).is_none() {
+                            continue; // duplicate, or already abandoned
+                        }
+                    }
                     let local = Self::local_index(PacketId(id), src.port);
                     let (block, index_in_block) = match bl_shift {
                         Some(shift) => (local >> shift, local & (block_len - 1)),
@@ -1541,14 +1752,16 @@ impl RoundTripFabric {
         completed
     }
 
-    /// `issue_requests` against an SoA forward network (no recovery,
-    /// no obs). RNG draws happen in the same order as the generic
-    /// path, so addresses — and therefore everything downstream — are
-    /// identical.
-    fn spec_issue_requests(
+    /// `issue_requests` against an SoA forward network (no obs). RNG
+    /// draws happen in the same order as the generic path, so
+    /// addresses — and therefore everything downstream — are
+    /// identical. Under `F` every issued read is registered with the
+    /// recovery state and arms its first retry timer.
+    fn spec_issue_requests<const F: bool>(
         &mut self,
         fwd: &mut SpecNet,
         sources: &mut [CeSource],
+        mut rec: Option<&mut RecoveryState>,
         ce_now: u64,
         issuable: &mut [u64],
     ) {
@@ -1571,13 +1784,25 @@ impl RoundTripFabric {
                 if ce_now < src.blocked_until_ce {
                     continue; // time-based gap: stays armed
                 }
-                self.spec_issue_one(fwd, src, ce_now, n_mod, issuable, w, idx);
+                let issued = self.spec_issue_one(fwd, src, ce_now, n_mod, issuable, w, idx);
+                if let (true, Some(packet), Some(rec)) = (F, issued, rec.as_deref_mut()) {
+                    rec.pending.insert(
+                        packet.id.0,
+                        InFlight {
+                            packet,
+                            attempts: 1,
+                        },
+                    );
+                    let due = self.now + self.retry.base_delay_cycles;
+                    rec.timers.push(Reverse((due, packet.id.0)));
+                }
             }
         }
     }
 
     /// One source's issue attempt at a CE boundary (the loop body of
-    /// the generic `issue_requests`, minus recovery and obs).
+    /// the generic `issue_requests`, minus recovery and obs). Returns
+    /// the read request it injected, if any.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn spec_issue_one(
@@ -1589,67 +1814,67 @@ impl RoundTripFabric {
         issuable: &mut [u64],
         w: usize,
         idx: usize,
-    ) {
-        {
-            if src.next_index == 0 {
-                if src.next_block >= src.completed_blocks + src.traffic.blocks_in_flight {
-                    if src.write_debt >= 1.0 {
-                        let module =
-                            (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
-                        let write = Packet::write(
-                            src.port,
-                            module,
-                            ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
-                            1,
-                        );
-                        if fwd.try_inject(write) {
-                            src.write_debt -= 1.0;
-                            src.writes_issued += 1;
-                        }
-                    } else {
-                        // Block flow-window closed with no write owed:
-                        // nothing can happen before the next reply.
-                        issuable[w] &= !(1u64 << (idx & 63));
+    ) -> Option<Packet> {
+        if src.next_index == 0 {
+            if src.next_block >= src.completed_blocks + src.traffic.blocks_in_flight {
+                if src.write_debt >= 1.0 {
+                    let module =
+                        (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
+                    let write = Packet::write(
+                        src.port,
+                        module,
+                        ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
+                        1,
+                    );
+                    if fwd.try_inject(write) {
+                        src.write_debt -= 1.0;
+                        src.writes_issued += 1;
                     }
-                    return;
+                } else {
+                    // Block flow-window closed with no write owed:
+                    // nothing can happen before the next reply.
+                    issuable[w] &= !(1u64 << (idx & 63));
                 }
-                for base in &mut src.stream_bases {
-                    *base = src.rng.next_below(n_mod as u64) as usize;
-                }
+                return None;
             }
-            let local = u64::from(src.next_block) * u64::from(src.traffic.block_len)
-                + u64::from(src.next_index);
-            let n_streams = src.stream_bases.len();
-            let stream = src.next_index as usize % n_streams;
-            let module = match src.traffic.pattern {
-                AddressPattern::HotSpot { module, fraction } if src.rng.next_bool(fraction) => {
-                    module % n_mod
-                }
-                _ => (src.stream_bases[stream] + src.next_index as usize / n_streams) % n_mod,
-            };
-            let packet = Packet::new(
-                Self::packet_id(src.port, local),
-                src.port,
-                module,
-                1,
-                PacketKind::ReadRequest,
-            );
-            if fwd.try_inject(packet) {
-                debug_assert_eq!(src.issued_at.len() as u64, local);
-                src.issued_at.push(self.now);
-                src.outstanding += 1;
-                src.write_debt += src.traffic.writes_per_read;
-                src.next_index += 1;
-                if src.next_index == src.traffic.block_len {
-                    src.next_index = 0;
-                    src.next_block += 1;
-                    src.blocked_until_ce = ce_now + src.traffic.gap_ce_cycles;
-                    if src.next_block == src.traffic.blocks {
-                        src.done_issuing = true;
-                    }
-                }
+            for base in &mut src.stream_bases {
+                *base = src.rng.next_below(n_mod as u64) as usize;
             }
         }
+        let local = u64::from(src.next_block) * u64::from(src.traffic.block_len)
+            + u64::from(src.next_index);
+        let n_streams = src.stream_bases.len();
+        let stream = src.next_index as usize % n_streams;
+        let module = match src.traffic.pattern {
+            AddressPattern::HotSpot { module, fraction } if src.rng.next_bool(fraction) => {
+                module % n_mod
+            }
+            _ => (src.stream_bases[stream] + src.next_index as usize / n_streams) % n_mod,
+        };
+        let packet = Packet::new(
+            Self::packet_id(src.port, local),
+            src.port,
+            module,
+            1,
+            PacketKind::ReadRequest,
+        );
+        if fwd.try_inject(packet) {
+            debug_assert_eq!(src.issued_at.len() as u64, local);
+            src.issued_at.push(self.now);
+            src.outstanding += 1;
+            src.write_debt += src.traffic.writes_per_read;
+            src.next_index += 1;
+            if src.next_index == src.traffic.block_len {
+                src.next_index = 0;
+                src.next_block += 1;
+                src.blocked_until_ce = ce_now + src.traffic.gap_ce_cycles;
+                if src.next_block == src.traffic.blocks {
+                    src.done_issuing = true;
+                }
+            }
+            return Some(packet);
+        }
+        None
     }
 }
 

@@ -1,12 +1,13 @@
 //! Differential tests between the generic and specialized execution
 //! engines: across fixed reference shapes and randomized
 //! topology/traffic/fault cases, both engines must produce bit-identical
-//! reports, bit-identical mid-run checkpoints, and (for ineligible
-//! configurations) an explicit, obs-visible fallback. Randomness comes
+//! reports, bit-identical mid-run checkpoints (mid-recovery too, under
+//! every fault class), and (for ineligible configurations) an
+//! explicit, obs-visible fallback. Randomness comes
 //! from the simulator's deterministic SplitMix64, so every failure
 //! reproduces from the seed.
 
-use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
+use cedar_faults::{FaultConfig, FaultPlan, MachineShape, NetDirection, RetryPolicy};
 use cedar_net::fabric::{FabricConfig, FabricReport, PrefetchTraffic, RoundTripFabric};
 use cedar_net::{AddressPattern, EngineKind};
 use cedar_obs::{Obs, ObsConfig};
@@ -137,44 +138,185 @@ fn random_machines_match_across_engines() {
     }
 }
 
+/// The fault plan of a random machine: its geometry, so every faulted
+/// output and module exists in the fabric.
+fn shape_of(cfg: &FabricConfig) -> MachineShape {
+    MachineShape {
+        radix: cfg.net.radix,
+        stages: cfg.net.stages,
+        ports: cfg.net.ports(),
+        modules: cfg.mem_modules,
+    }
+}
+
+/// The fault classes the specialized engine must replay, by name.
+const FAULT_CLASSES: [&str; 6] = [
+    "stuck outputs",
+    "slow outputs",
+    "link drops",
+    "total link loss",
+    "module stalls",
+    "fail-stop",
+];
+
+/// A plan of fault class `class` for `shape`. Stuck and stall windows
+/// land anywhere in a 65536-cycle horizon, so those classes draw seeds
+/// until a window covers cycle 200, early in the run.
+fn class_plan(class: usize, shape: &MachineShape, rng: &mut SplitMix64) -> FaultPlan {
+    loop {
+        let seed = rng.next_u64();
+        let none = FaultConfig::none(seed);
+        let cfg = match class {
+            0 => FaultConfig {
+                stuck_outputs: 6,
+                stuck_window_cycles: 3_000,
+                ..none
+            },
+            1 => FaultConfig {
+                slow_outputs: 6,
+                slow_period: 3,
+                ..none
+            },
+            2 => FaultConfig::link_noise(seed, 0.03),
+            3 => FaultConfig::link_noise(seed, 1.0),
+            4 => FaultConfig {
+                module_stalls: 4,
+                stall_window_cycles: 3_000,
+                ..none
+            },
+            _ => FaultConfig {
+                failed_modules: (shape.modules / 2) as u32,
+                fail_by_cycle: 300,
+                ..none
+            },
+        };
+        let plan = FaultPlan::generate(&cfg, shape).expect("class configs are valid");
+        let engaged = match class {
+            0 => [NetDirection::Forward, NetDirection::Reverse]
+                .into_iter()
+                .any(|dir| {
+                    plan.faulted_outputs(dir)
+                        .any(|(st, sw, port)| plan.output_blocked(dir, st, sw, port, 200))
+                }),
+            4 => plan.faulted_modules().any(|m| plan.module_stalled(m, 200)),
+            _ => true,
+        };
+        if engaged {
+            return plan;
+        }
+    }
+}
+
+/// A retry schedule short enough that every class retries, some
+/// requests several times, and total loss abandons each read within
+/// 1792 cycles of its issue.
+const RETRY: RetryPolicy = RetryPolicy {
+    base_delay_cycles: 256,
+    max_retries: 3,
+    max_delay_cycles: 1_024,
+};
+
 #[test]
-fn faulted_runs_fall_back_and_still_match() {
-    // Fault schedules are outside the specialized family: requesting
-    // the specialized engine must fall back to generic — loudly via
-    // `last_fallback` — and produce the exact generic result.
+fn faulted_runs_specialize_and_match() {
+    // Every fault class on seeded random machines: the specialized
+    // engine must take the run (no fallback), produce the generic
+    // report exactly, write byte-identical checkpoints mid-recovery,
+    // and resume the other engine's checkpoint in both directions.
     let mut rng = SplitMix64::new(0xFA11_CEDA);
-    for case in 0..6 {
+    let mut fired = [false; FAULT_CLASSES.len()];
+    for case in 0..2 * FAULT_CLASSES.len() {
+        let class = case % FAULT_CLASSES.len();
+        let name = FAULT_CLASSES[class];
+        let cfg = random_config(&mut rng);
         let traffic = random_traffic(&mut rng);
-        let n_ces = 1 + rng.next_below(32) as usize;
-        let rate = [0.01, 0.02, 0.05][rng.next_below(3) as usize];
-        let seed = rng.next_below(u64::MAX);
+        // At most 16 CEs keeps the generic oracle quick in debug builds.
+        let n_ces = 1 + rng.next_below((cfg.net.ports() / 2).min(16) as u64) as usize;
+        let plan = class_plan(class, &shape_of(&cfg), &mut rng);
         let build = |engine: EngineKind| {
-            let plan =
-                FaultPlan::generate(&FaultConfig::degraded(seed, rate), &MachineShape::cedar())
-                    .expect("degraded config is valid");
-            let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-            fabric.attach_faults(plan, RetryPolicy::fabric());
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.attach_faults(plan.clone(), RETRY);
             fabric.set_engine(engine);
             fabric
         };
+
+        // The generic run checkpoints at its first step with a request
+        // awaiting recovery at or after cycle `aim` (or, in a run too
+        // short for that, at its first such step at all).
+        let aim = rng.next_below(1_024);
         let mut generic = build(EngineKind::Generic);
-        let expected = generic.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
-        let mut wanted_spec = build(EngineKind::Specialized);
-        let actual = wanted_spec.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        let mut exp = generic.begin_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        let mut cut: Option<(u64, Vec<u8>)> = None;
+        while generic.experiment_running(&exp) {
+            generic.step_experiment(&mut exp, None).unwrap();
+            let now = generic.now();
+            let take = cut.as_ref().is_none_or(|(at, _)| *at < aim && now >= aim);
+            if take && exp.retry_in_flight() {
+                cut = Some((now, generic.checkpoint_experiment(&exp)));
+            }
+        }
+        let expected = generic.finish_experiment(exp);
+        let (cut, gen_bytes) =
+            cut.unwrap_or_else(|| panic!("case {case} ({name}): nothing in flight"));
+
+        let mut fabric = build(EngineKind::Specialized);
+        let mut exp = fabric.begin_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        fabric.drive_experiment(&mut exp, None, Some(cut)).unwrap();
+        assert!(exp.retry_in_flight(), "case {case} ({name}): cut {cut}");
+        let spec_bytes = fabric.checkpoint_experiment(&exp);
+        fabric.drive_experiment(&mut exp, None, None).unwrap();
         assert_eq!(
-            wanted_spec.last_run_engine(),
-            Some("generic"),
-            "case {case}: faulted run must fall back"
+            fabric.last_run_engine(),
+            Some("specialized"),
+            "case {case} ({name}): faulted run fell back"
+        );
+        assert!(expected.resolved(), "case {case} ({name}) must resolve");
+        assert!(
+            gen_bytes == spec_bytes,
+            "case {case} ({name}): mid-recovery checkpoints diverged (cut {cut})"
         );
         assert_eq!(
-            wanted_spec.last_fallback(),
-            Some("fault schedule attached"),
-            "case {case}"
+            fabric.finish_experiment(exp),
+            expected,
+            "case {case} ({name}): reports diverged"
         );
-        assert_eq!(
-            expected, actual,
-            "case {case}: fallback diverged from generic (seed {seed:#x}, rate {rate})"
-        );
+
+        for (first, second) in [
+            (&gen_bytes, EngineKind::Specialized),
+            (&spec_bytes, EngineKind::Generic),
+        ] {
+            let (mut resumed, mut exp) =
+                RoundTripFabric::restore_experiment(first).expect("checkpoint decodes");
+            resumed.set_engine(second);
+            resumed.drive_experiment(&mut exp, None, None).unwrap();
+            if second == EngineKind::Specialized {
+                assert_eq!(resumed.last_run_engine(), Some("specialized"));
+            }
+            assert_eq!(
+                resumed.finish_experiment(exp),
+                expected,
+                "case {case} ({name}): resume on {second:?} diverged (cut {cut})"
+            );
+        }
+
+        // The class's own observable: what the fault did to the run.
+        let mut healthy = RoundTripFabric::new(cfg.clone());
+        let clean = healthy.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        fired[class] |= match class {
+            2 => expected.words_dropped() > 0 && expected.retries() > 0,
+            3 => expected.request_count() == 0 && expected.failed_requests() > 0,
+            5 => expected.module_discards() > 0 || expected.retries() > 0,
+            _ => expected != clean,
+        };
+        if class == 3 {
+            assert_eq!(
+                expected.failed_requests(),
+                clean.request_count(),
+                "case {case}: total loss abandons every read"
+            );
+        }
+    }
+    for (class, name) in FAULT_CLASSES.iter().enumerate() {
+        assert!(fired[class], "no {name} case changed its run: vacuous");
     }
 }
 

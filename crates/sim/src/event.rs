@@ -182,7 +182,7 @@ impl<T: cedar_snap::Snapshot> cedar_snap::Snapshot for EventQueue<T> {
         if len > r.remaining() {
             return Err(cedar_snap::SnapError::Truncated);
         }
-        let mut heap = BinaryHeap::with_capacity(len);
+        let mut heap = BinaryHeap::with_capacity(len.min(cedar_snap::MAX_PREALLOC));
         for _ in 0..len {
             let due = Cycle::restore(r)?;
             let seq = r.get_u64()?;

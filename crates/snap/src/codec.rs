@@ -254,6 +254,14 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// The most elements a collection decoder reserves room for before
+/// they decode. A length prefix is only checked against the bytes
+/// left, and an element can occupy far more memory than the one byte
+/// that is its least encoding, so a forged length must not size the
+/// allocation: past this many elements a collection grows as its
+/// elements actually decode.
+pub const MAX_PREALLOC: usize = 4096;
+
 /// Serializable simulator state.
 ///
 /// Implementations live beside the type they serialize (in the same
@@ -484,7 +492,7 @@ impl<T: Snapshot> Snapshot for Vec<T> {
         if len > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
         for _ in 0..len {
             out.push(T::restore(r)?);
         }

@@ -57,7 +57,8 @@ pub mod frame;
 pub use cache::{write_atomic, CacheDir};
 pub use codec::{
     fnv1a, seal, seal_as, unseal, unseal_as, SnapError, SnapReader, SnapWriter, Snapshot,
-    ENVELOPE_CHECKSUM_LEN, ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD, SNAP_MAGIC, SNAP_VERSION,
+    ENVELOPE_CHECKSUM_LEN, ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD, MAX_PREALLOC, SNAP_MAGIC,
+    SNAP_VERSION,
 };
 pub use frame::{
     read_frame, read_frame_as, unseal_frame, write_frame, FrameError, FrameScanner,
