@@ -1,26 +1,252 @@
-//! Quick engine comparison: table2 rk_prefetch reference shape.
-use cedar_net::fabric::{FabricConfig, RoundTripFabric};
-use cedar_net::{EngineKind, PrefetchTraffic};
+//! Engine measurements on the Table-2 suite: the 24 healthy cells
+//! (TM/CG/VF/RK × 8/16/32 CEs × 1/2 blocks) that the repository
+//! benchmark's `table2` workload runs.
+//!
+//! ```text
+//! cargo run --release -p cedar-net --example engine_bench            # full report
+//! cargo run --release -p cedar-net --example engine_bench -- --smoke # CI check
+//! ```
+//!
+//! The full report prints, in order:
+//! - generic against specialized on the RK 32-CE × 16-block reference;
+//! - the suite's production-loop time, best of 40 runs per cell, summed;
+//! - a specialized drive in 1-cycle chunks, which re-imports the lanes
+//!   every cycle;
+//! - the phase ledger over the suite, repeated, each share as median
+//!   and min–max over the repeats.
+//!
+//! `--smoke` runs the ledger twice and exits nonzero if the two
+//! censuses differ, if the sampled phase times do not add up to the
+//! sampled cycles' total (timed apart), if the phase shares do not add
+//! up to the live loop, or if a ledger-on run reports differently from
+//! a ledger-off run.
+
+use cedar_net::fabric::{FabricConfig, FabricReport, RoundTripFabric};
+use cedar_net::{EngineKind, Phase, PhaseLedger, PrefetchTraffic};
 use std::time::Instant;
 
+const MAX_NET_CYCLES: u64 = 64_000_000;
+
+/// The 24 Table-2 cells, as (name, CEs, traffic).
+fn cells() -> Vec<(String, usize, PrefetchTraffic)> {
+    type Kernel = fn(u32) -> PrefetchTraffic;
+    let kernels: [(&str, Kernel); 4] = [
+        ("TM", PrefetchTraffic::tridiagonal_matvec),
+        ("CG", PrefetchTraffic::conjugate_gradient),
+        ("VF", PrefetchTraffic::vector_load),
+        ("RK", PrefetchTraffic::rk_aggressive),
+    ];
+    let mut out = Vec::new();
+    for (name, traffic) in kernels {
+        for ces in [8, 16, 32] {
+            for blocks in [1, 2] {
+                out.push((format!("{name} {ces}x{blocks}"), ces, traffic(blocks)));
+            }
+        }
+    }
+    out
+}
+
+fn fabric(kind: EngineKind) -> RoundTripFabric {
+    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+    fabric.set_engine(kind);
+    fabric
+}
+
+/// One suite pass with the ledger on; also returns the reports.
+fn ledger_pass() -> (PhaseLedger, Vec<FabricReport>) {
+    let mut ledger = PhaseLedger::default();
+    let mut reports = Vec::new();
+    for (name, ces, traffic) in cells() {
+        let mut fabric = fabric(EngineKind::Specialized);
+        let mut exp = fabric.begin_experiment(ces, traffic, MAX_NET_CYCLES);
+        fabric
+            .drive_with_ledger(&mut exp, None, &mut ledger)
+            .expect("no watchdog attached");
+        assert_eq!(fabric.last_run_engine(), Some("specialized"), "{name}");
+        reports.push(fabric.finish_experiment(exp));
+    }
+    (ledger, reports)
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+fn spread(v: &[f64]) -> String {
+    let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    format!(
+        "{:5.1}% [{:.1}–{:.1}]",
+        100.0 * median(v.to_vec()),
+        100.0 * lo,
+        100.0 * hi
+    )
+}
+
+fn print_ledger(passes: &[PhaseLedger]) {
+    let first = &passes[0];
+    let cycles = first.live_cycles as f64;
+    println!(
+        "phase ledger: {} drives, {} live + {} skipped net cycles per pass, {} passes, 1 cycle in 31 timed",
+        first.drives,
+        first.live_cycles,
+        first.skipped_cycles,
+        passes.len()
+    );
+    println!(
+        "  phase      attempts/cycle  useful/cycle  share of live-loop time: median [min–max]"
+    );
+    for phase in Phase::ALL {
+        let p = phase as usize;
+        let shares: Vec<f64> = passes.iter().map(|l| l.phase_shares()[p]).collect();
+        println!(
+            "  {:9} {:15.2} {:13.2}  {}",
+            phase.name(),
+            first.attempts[p] as f64 / cycles,
+            first.useful[p] as f64 / cycles,
+            spread(&shares)
+        );
+    }
+    let import: Vec<f64> = passes.iter().map(PhaseLedger::import_share).collect();
+    let probe: Vec<f64> = passes.iter().map(PhaseLedger::probe_excess).collect();
+    println!(
+        "  import and export, share of drive time: {}",
+        spread(&import)
+    );
+    println!(
+        "  probe effect, sampled over mean live cycle: +{}",
+        spread(&probe)
+    );
+    let ns: Vec<f64> = passes
+        .iter()
+        .map(|l| l.drive_ns as f64 / l.live_cycles as f64)
+        .collect();
+    let lo = ns.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ns.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    println!(
+        "  drive time per live cycle: {:.0} ns [{lo:.0}–{hi:.0}]",
+        median(ns.clone())
+    );
+}
+
+/// Exits nonzero unless the ledger's books balance.
+fn check_books(ledger: &PhaseLedger) {
+    let phases: u64 = ledger.sampled_ns.iter().sum();
+    if phases != ledger.sampled_total_ns {
+        eprintln!(
+            "engine_bench: sampled phase times add to {phases} ns, the sampled cycles took {} ns",
+            ledger.sampled_total_ns
+        );
+        std::process::exit(1);
+    }
+    let shares = ledger.phase_shares().iter().sum::<f64>();
+    if (shares - 1.0).abs() > 1e-9 || !(0.0..1.0).contains(&ledger.import_share()) {
+        eprintln!(
+            "engine_bench: phase shares add to {shares}, import share {}",
+            ledger.import_share()
+        );
+        std::process::exit(1);
+    }
+}
+
+fn smoke() {
+    let (a, reports) = ledger_pass();
+    let (b, _) = ledger_pass();
+    print_ledger(&[a.clone(), b.clone()]);
+    if a.census() != b.census() {
+        eprintln!(
+            "engine_bench: the census differs between two runs of the same work:\n{:?}\n{:?}",
+            a.census(),
+            b.census()
+        );
+        std::process::exit(1);
+    }
+    check_books(&a);
+    check_books(&b);
+    for ((name, ces, traffic), ledgered) in cells().into_iter().zip(&reports) {
+        let plain =
+            fabric(EngineKind::Specialized).run_prefetch_experiment(ces, traffic, MAX_NET_CYCLES);
+        if &plain != ledgered {
+            eprintln!("engine_bench: {name}: the ledger changed the simulation");
+            std::process::exit(1);
+        }
+    }
+    println!("engine_bench smoke: census reproducible, books balance, ledger is a pure overlay");
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--smoke") {
+        smoke();
+        return;
+    }
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("nproc {nproc}");
+
     let traffic = PrefetchTraffic::rk_aggressive(16);
     for (name, kind) in [
         ("generic", EngineKind::Generic),
         ("specialized", EngineKind::Specialized),
     ] {
-        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-        fabric.set_engine(kind);
+        let mut fabric = fabric(kind);
         let start = Instant::now();
-        let report = fabric.run_prefetch_experiment(32, traffic, 64_000_000);
+        let report = fabric.run_prefetch_experiment(32, traffic, MAX_NET_CYCLES);
         let elapsed = start.elapsed();
         let cycles = report.total_net_cycles;
-        let requests: usize = report.per_ce.iter().map(Vec::len).sum();
         println!(
-            "{name:12} {:>8.1} ms  {cycles} cycles  {:.0} cycles/sec  {requests} reqs  engine={:?}",
+            "RK 32x16 {name:12} {:>8.1} ms  {cycles} cycles  {:.0} cycles/s",
             elapsed.as_secs_f64() * 1e3,
             cycles as f64 / elapsed.as_secs_f64(),
-            fabric.last_run_engine()
         );
+    }
+
+    // Production loop, ledger off: best of 40 per cell, summed.
+    let mut best_sum = 0.0;
+    for (_, ces, traffic) in cells() {
+        let mut best = f64::INFINITY;
+        for _ in 0..40 {
+            let mut fabric = fabric(EngineKind::Specialized);
+            let start = Instant::now();
+            std::hint::black_box(fabric.run_prefetch_experiment(ces, traffic, MAX_NET_CYCLES));
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best_sum += best;
+    }
+    println!(
+        "suite, best of 40 per cell, summed: {:.2} ms",
+        best_sum * 1e3
+    );
+
+    // Chunked drive: every call re-imports and re-exports the lanes.
+    let small = PrefetchTraffic::rk_aggressive(1);
+    let mut fabric = fabric(EngineKind::Specialized);
+    let mut exp = fabric.begin_experiment(32, small, MAX_NET_CYCLES);
+    let start = Instant::now();
+    let mut chunks = 0u64;
+    while fabric.experiment_running(&exp) {
+        let next = fabric.now() + 1;
+        fabric
+            .drive_experiment(&mut exp, None, Some(next))
+            .expect("no watchdog attached");
+        chunks += 1;
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    println!(
+        "RK 32x1 in 1-cycle chunks: {chunks} drives, {:.2} us per drive",
+        elapsed * 1e6 / chunks as f64
+    );
+
+    let repeats = 5;
+    let passes: Vec<PhaseLedger> = (0..repeats).map(|_| ledger_pass().0).collect();
+    print_ledger(&passes);
+    for pass in &passes {
+        check_books(pass);
     }
 }

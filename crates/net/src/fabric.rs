@@ -1716,17 +1716,18 @@ impl FabricReport {
         let ratio = self.net_cycles_per_ce_cycle as f64;
         let mut n = 0u64;
         let mut sum = 0.0;
+        // Completion order within one CE is return order. A stable sort
+        // by block groups each CE's returns into blocks ascending, each
+        // block keeping return order; consecutive returns of one block
+        // are differenced in that order. One buffer serves every CE.
+        let mut rets: Vec<(u32, u64)> = Vec::new();
         for records in &self.per_ce {
-            // Completion order within one CE is return order; group by
-            // block and difference consecutive returns.
-            let mut by_block: std::collections::BTreeMap<u32, Vec<u64>> =
-                std::collections::BTreeMap::new();
-            for r in records {
-                by_block.entry(r.block).or_default().push(r.ret);
-            }
-            for rets in by_block.values() {
-                for w in rets.windows(2) {
-                    sum += (w[1] - w[0]) as f64 / ratio;
+            rets.clear();
+            rets.extend(records.iter().map(|r| (r.block, r.ret)));
+            rets.sort_by_key(|&(block, _)| block);
+            for w in rets.windows(2) {
+                if w[0].0 == w[1].0 {
+                    sum += (w[1].1 - w[0].1) as f64 / ratio;
                     n += 1;
                 }
             }

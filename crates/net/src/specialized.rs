@@ -55,11 +55,20 @@
 //! # SoA layout and event masks
 //!
 //! Each network becomes a [`SpecNet`]: per-port switch queues as
-//! power-of-two ring buffers over flat `Vec<u64>` (packet id) and
-//! `Vec<u32>` (packed dest/src/words/index/kind meta) lanes, wormhole
-//! locks as `i8` lanes (−1 = unlocked), round-robin pointers as `u8`,
-//! and the inject/exit FIFOs and exit-progress trackers as parallel
-//! lanes. The memory modules likewise flatten into a [`SpecModules`].
+//! power-of-two ring buffers over flat slot lanes (packet id plus
+//! packed dest/src/words/index/kind meta), each queue's head, length
+//! and wormhole lock — and, for outputs, its round-robin pointer —
+//! packed into one `u32` state word, and the inject/exit FIFOs and
+//! exit-progress trackers as parallel lanes. The memory modules
+//! likewise flatten into a [`SpecModules`].
+//!
+//! Exit FIFOs are sized lazily. The reverse network's exit FIFOs hold
+//! 512 words, but the CE ports drain them every cycle, so a reply
+//! port never holds more than a word or two. Each import sizes the
+//! exit rings at the largest imported occupancy, at least four words,
+//! rounded up to a power of two, and a `#[cold]` path doubles every
+//! ring before a push would overflow one, up to the capacity. The
+//! capacity check that backpressures the last stage is unchanged.
 //!
 //! The throughput win over a straight SoA transcription comes from
 //! replacing every per-cycle scan with an incrementally maintained
@@ -78,14 +87,46 @@
 //! - `inj_mask` / `exit_mask` — ports with buffered inject/exit words,
 //!   so injection, module service and reply ejection touch only live
 //!   ports.
+//! - `pend_full` — modules whose pending buffer is full. An arriving
+//!   word alone does not bring such a module into the visit set: the
+//!   generic visit would refuse the word and, with no reply live and no
+//!   wake due, start nothing. Set by `push_pending`, cleared by a serve
+//!   and by a fail-stop.
+//! - `issuable` (in the experiment loop) — sources that might issue at
+//!   the next CE boundary. A source is parked while only a reply or an
+//!   abandonment can change its outcome (window full, block window
+//!   closed, stream done), and while its packet does not fit its
+//!   injection FIFO — but only when the failed attempt drew nothing
+//!   from its RNG: block starts redraw their stream bases and hot-spot
+//!   reads draw a coin on every attempt, so those repeat every
+//!   boundary. Ejection and abandonment re-arm a source, and so does
+//!   `inj_popped`, which injection sets whenever it pops a source's
+//!   FIFO.
+//!
+//! The per-cycle bookkeeping has no divisions when the ratios are
+//! powers of two: the module wake wheel is a power-of-two ring indexed
+//! by mask, and the CE boundary and CE cycle are a mask and a shift
+//! when the net-to-CE clock ratio is a power of two (`CeClock`).
 //!
 //! `import` copies a generic network in (building the masks once),
 //! `export` writes the exact generic representation back, so a
 //! checkpoint taken after a specialized run is byte-identical to one
 //! from a generic run.
+//!
+//! # Phase ledger
+//!
+//! [`RoundTripFabric::drive_with_ledger`] runs the `L = true`
+//! instantiation of the loop, a const generic like `F` and `MULTI`.
+//! It fills a [`PhaseLedger`]: per [`Phase`], how many work items the
+//! loop examined and how many did something, plus host time on one
+//! live cycle in 31 and the import/export cost. Every drive through
+//! [`drive_experiment`](super::RoundTripFabric::drive_experiment)
+//! takes `L = false`, where each ledger statement is dead code, so the
+//! production loop carries none of it.
 
 use super::*;
 use crate::network::INJECT_FIFO_WORDS;
+use std::time::Instant;
 
 /// Environment variable selecting the execution engine:
 /// `generic`, `specialized`, or `auto` (the default).
@@ -274,9 +315,10 @@ const ST_NO_LOCK: u32 = 0xFF;
 /// live length in bits 8..16, wormhole lock in bits 16..24
 /// ([`ST_NO_LOCK`] when unlocked, else the peer port number; radix is
 /// bounded at 64 by eligibility so a real port never collides with
-/// the sentinel). One load yields everything the grant path needs to
-/// know about a queue, and one store commits a pop/push plus a lock
-/// transition.
+/// the sentinel), and — output queues only — the round-robin pointer
+/// in bits 24..32 ([`ST_RR_SHIFT`]). One load yields everything the
+/// grant path needs to know about an output, and one store commits a
+/// push, a lock transition and the pointer's advance.
 #[inline]
 fn st_pack(head: usize, len: usize, lock: u32) -> u32 {
     (head | len << 8) as u32 | lock << 16
@@ -294,8 +336,13 @@ fn st_len(st: u32) -> usize {
 
 #[inline]
 fn st_lock(st: u32) -> u32 {
-    st >> 16
+    (st >> 16) & 0xFF
 }
+
+/// Position of an output queue's round-robin pointer in its state word.
+const ST_RR_SHIFT: u32 = 24;
+/// The round-robin pointer's bits in an output queue's state word.
+const ST_RR_BITS: u32 = 0xFF << ST_RR_SHIFT;
 
 /// Bounds-check-free lane read for the hot stepping paths. Every index
 /// is derived from dimensions validated by `specialization_blocker`
@@ -337,10 +384,13 @@ struct SpecNet {
     qcap: usize,
     qshift: u32,
     qmask: usize,
+    /// The exit FIFOs' word capacity (`exit_fifo_words`), which the
+    /// backpressure check enforces.
     exit_cap: usize,
+    /// Current exit-ring size `1 << eshift` (see `grow_exit_rings`).
     eshift: u32,
     emask: usize,
-    ratio: u64,
+    clock: CeClock,
     // Topology tables (`inv_shuffle` inverts `shuffle`, mapping a
     // stage input position back to the upstream output that feeds it).
     shuffle: Vec<u32>,
@@ -356,10 +406,8 @@ struct SpecNet {
     in_st: Vec<u32>,
     out_q: Vec<Slot>,
     out_st: Vec<u32>,
-    // Wormhole lock ids (valid while the output lock is held) and
-    // round-robin pointers.
+    // Wormhole lock ids (valid while the output lock is held).
     output_lock_id: Vec<u64>,
-    rr_next: Vec<u8>,
     // Event masks (see the module docs). `cand` is indexed by output
     // queue; the per-switch masks are indexed by global switch.
     cand: Vec<u64>,
@@ -381,8 +429,13 @@ struct SpecNet {
     inj_hl: Vec<u16>,
     inj_mask: Vec<u64>,
     inj_words: u64,
+    /// Bit `src`: `injection` popped a word out of the FIFO at `src`
+    /// since the issue loop last looked. The issue loop parks a source
+    /// whose packet did not fit its injection FIFO and re-arms it from
+    /// this mask.
+    inj_popped: Vec<u64>,
     // Exit FIFOs per output position (caps can exceed 255, so head and
-    // len stay unpacked).
+    // len stay unpacked). The rings start small and double on demand.
     exit_q: Vec<ExitSlot>,
     exit_head: Vec<u32>,
     exit_len: Vec<u32>,
@@ -408,6 +461,49 @@ struct SpecNet {
     words_dropped: u64,
     /// The network's fault plan, compiled at import; `None` without one.
     faults: Option<NetFaults>,
+    /// Phase-ledger counts (only the `L = true` loop writes them):
+    /// switch outputs examined and words they moved, then injection
+    /// FIFO heads examined and words injected.
+    census: [u64; 4],
+}
+
+/// The smallest exit ring an import allocates.
+const MIN_EXIT_RING: usize = 4;
+
+/// A net-to-CE clock ratio with division-free boundary tests when the
+/// ratio is a power of two (Cedar's is 2), and the plain division
+/// otherwise.
+#[derive(Clone, Copy)]
+struct CeClock {
+    ratio: u64,
+    shift: Option<u32>,
+}
+
+impl CeClock {
+    fn new(ratio: u64) -> CeClock {
+        CeClock {
+            ratio,
+            shift: ratio.is_power_of_two().then(|| ratio.trailing_zeros()),
+        }
+    }
+
+    /// Whether net cycle `now` ends a CE cycle.
+    #[inline]
+    fn boundary(self, now: u64) -> bool {
+        match self.shift {
+            Some(_) => now & (self.ratio - 1) == 0,
+            None => now.is_multiple_of(self.ratio),
+        }
+    }
+
+    /// The CE cycle net cycle `now` falls in.
+    #[inline]
+    fn ce_cycle(self, now: u64) -> u64 {
+        match self.shift {
+            Some(shift) => now >> shift,
+            None => now / self.ratio,
+        }
+    }
 }
 
 /// A network's fault plan as the specialized stepper consults it: the
@@ -451,7 +547,15 @@ impl SpecNet {
         let queue_words = cfg.queue_words;
         let qcap = queue_words.next_power_of_two();
         let exit_cap = cfg.exit_fifo_words;
-        let ecap = exit_cap.next_power_of_two();
+        // Exit rings start at the imported occupancy (at least
+        // MIN_EXIT_RING) and double on demand up to the capacity, so an
+        // import of the reverse network's 512-word FIFOs does not fill
+        // 512 slots per port that a drained reply port never uses.
+        let occupancy = net.exit_fifo.iter().map(VecDeque::len).max().unwrap_or(0);
+        let ecap = occupancy
+            .max(MIN_EXIT_RING)
+            .next_power_of_two()
+            .min(exit_cap.next_power_of_two());
         let nq = stages_n * switches * radix;
         let nsw = stages_n * switches;
         let pwords = ports.div_ceil(64);
@@ -468,7 +572,7 @@ impl SpecNet {
             exit_cap,
             eshift: ecap.trailing_zeros(),
             emask: ecap - 1,
-            ratio: cfg.net_cycles_per_ce_cycle,
+            clock: CeClock::new(cfg.net_cycles_per_ce_cycle),
             shuffle: vec![0; ports],
             inv_shuffle: vec![0; ports],
             dest_shift: [0; 4],
@@ -478,7 +582,6 @@ impl SpecNet {
             out_q: vec![Slot::default(); nq * qcap],
             out_st: vec![st_pack(0, 0, ST_NO_LOCK); nq],
             output_lock_id: vec![0; nq],
-            rr_next: vec![0; nq],
             cand: vec![0; nq],
             grantable: vec![0; nsw],
             out_nonempty: vec![0; nsw],
@@ -491,6 +594,7 @@ impl SpecNet {
             inj_hl: vec![0; ports],
             inj_mask: vec![0; pwords],
             inj_words: 0,
+            inj_popped: vec![0; pwords],
             exit_q: vec![ExitSlot::default(); ports * ecap],
             exit_head: vec![0; ports],
             exit_len: vec![0; ports],
@@ -509,6 +613,7 @@ impl SpecNet {
             faults: net
                 .faults()
                 .map(|plan| NetFaults::compile(net, plan, switches)),
+            census: [0; 4],
         };
         for pos in 0..ports {
             let shuffled = net.topo.shuffle(pos);
@@ -545,9 +650,9 @@ impl SpecNet {
                         }
                         None => ST_NO_LOCK,
                     };
-                    spec.out_st[q] = st_pack(0, cb.outputs[port].len(), out_lock);
+                    spec.out_st[q] = st_pack(0, cb.outputs[port].len(), out_lock)
+                        | (cb.rr_next[port] as u32) << ST_RR_SHIFT;
                     spec.buffered += (cb.inputs[port].len() + cb.outputs[port].len()) as u64;
-                    spec.rr_next[q] = cb.rr_next[port] as u8;
                     // Seed the event masks from this port's settled state.
                     if !cb.outputs[port].is_empty() {
                         spec.out_nonempty[gsw] |= 1u64 << port;
@@ -656,7 +761,7 @@ impl SpecNet {
                         (st_lock(ist) != ST_NO_LOCK).then(|| st_lock(ist) as usize);
                     cb.output_lock[port] = (st_lock(ost) != ST_NO_LOCK)
                         .then(|| (st_lock(ost) as usize, PacketId(self.output_lock_id[q])));
-                    cb.rr_next[port] = self.rr_next[q] as usize;
+                    cb.rr_next[port] = (ost >> ST_RR_SHIFT) as usize;
                 }
             }
         }
@@ -720,10 +825,12 @@ impl SpecNet {
         ) = Slot { id, meta };
         *at(&mut self.in_st, q) = st + 0x100;
         // A word landing in an empty unlocked queue is a header (the
-        // wormhole invariant) and becomes the queue's candidate.
-        if st_len(st) == 0 && st_lock(st) == ST_NO_LOCK {
-            self.add_candidate(s, gsw, input);
-        }
+        // wormhole invariant) and becomes the queue's candidate for
+        // the output it routes to: a masked store, not a branch.
+        let fresh = u64::from(st >> 8 == ST_NO_LOCK << 8);
+        let out = (meta_dest(meta) >> ld(&self.dest_shift, s)) as usize & self.rmask;
+        *at(&mut self.cand, (gsw << self.rbits) + out) |= fresh << input;
+        *at(&mut self.grantable, gsw) |= fresh << out;
     }
 
     /// Pops the head word of a switch output queue, maintaining the
@@ -736,7 +843,7 @@ impl SpecNet {
         debug_assert!(st_len(st) > 0);
         let s = ld(&self.out_q, (q << self.qshift) + st_head(st));
         *at(&mut self.out_st, q) =
-            st_pack((st_head(st) + 1) & self.qmask, st_len(st) - 1, st_lock(st));
+            st & ST_RR_BITS | st_pack((st_head(st) + 1) & self.qmask, st_len(st) - 1, st_lock(st));
         *ne &= !(u64::from(st_len(st) == 1) << out);
         *fl &= !(1u64 << out);
         (s.id, s.meta)
@@ -759,18 +866,22 @@ impl SpecNet {
     /// occupancy masks in registers across both halves of its cycle
     /// and walks the switch state once per cycle instead of once per
     /// phase.
-    fn step<const S: usize, const F: bool>(&mut self) {
+    ///
+    /// Injection, the last generic phase, is [`injection`](Self::injection):
+    /// it touches only this network, so the caller may run it after the
+    /// other network's switches.
+    fn step_switches<const S: usize, const F: bool, const L: bool>(&mut self) {
         // One predictable branch per cycle: with no multi-word packet
         // buffered anywhere, wormhole locks cannot engage and the
         // lock-free monomorphic transfer is exact.
         if self.multiword_words == 0 {
-            self.step_inner::<S, false, F>();
+            self.step_inner::<S, false, F, L>();
         } else {
-            self.step_inner::<S, true, F>();
+            self.step_inner::<S, true, F, L>();
         }
     }
 
-    fn step_inner<const S: usize, const MULTI: bool, const F: bool>(&mut self) {
+    fn step_inner<const S: usize, const MULTI: bool, const F: bool, const L: bool>(&mut self) {
         self.now += 1;
         for s in 0..S {
             let last = s + 1 == S;
@@ -783,25 +894,49 @@ impl SpecNet {
                     continue; // nothing buffered, nothing grantable
                 }
                 if last {
-                    self.collect_exits_sw::<F>(s, gsw, sw, &mut ne, &mut fl);
+                    self.collect_exits_sw::<F, L>(s, gsw, sw, &mut ne, &mut fl);
                 } else {
-                    self.link_sw::<F>(s, gsw, sw, &mut ne, &mut fl);
+                    self.link_sw::<F, L>(s, gsw, sw, &mut ne, &mut fl);
                 }
                 if g & !fl != 0 {
-                    self.transfer::<MULTI>(s, gsw, g, &mut ne, &mut fl);
+                    self.transfer::<MULTI, L>(s, gsw, g, &mut ne, &mut fl);
                 }
                 *at(&mut self.out_nonempty, gsw) = ne;
                 *at(&mut self.out_full, gsw) = fl;
             }
         }
-        self.injection();
+    }
+
+    /// Doubles every exit ring (up to the capacity rounded to a power
+    /// of two), unrolling each ring to start at slot 0. Called before a
+    /// push would overflow the current ring; the capacity check itself
+    /// is unchanged, so backpressure engages at the same occupancy.
+    #[cold]
+    #[inline(never)]
+    fn grow_exit_rings(&mut self) {
+        let old = 1usize << self.eshift;
+        debug_assert!(old < self.exit_cap, "grew a ring past the exit capacity");
+        let shift = self.eshift + 1;
+        let mut grown = vec![ExitSlot::default(); self.ports << shift];
+        for pos in 0..self.ports {
+            let head = self.exit_head[pos] as usize;
+            for i in 0..self.exit_len[pos] as usize {
+                grown[(pos << shift) + i] =
+                    self.exit_q[(pos << self.eshift) + ((head + i) & self.emask)];
+            }
+            self.exit_head[pos] = 0;
+        }
+        self.exit_q = grown;
+        self.eshift = shift;
+        self.emask = (1 << shift) - 1;
     }
 
     /// One last-stage switch → its exit FIFOs. Mirrors the generic
     /// order: a fault-blocked output holds its word, the exit capacity
     /// check happens before the pop, a lossy link eats the popped word,
     /// and at most one word exits per position per cycle.
-    fn collect_exits_sw<const F: bool>(
+    #[inline(always)]
+    fn collect_exits_sw<const F: bool, const L: bool>(
         &mut self,
         s: usize,
         gsw: usize,
@@ -810,6 +945,9 @@ impl SpecNet {
         fl: &mut u64,
     ) {
         let mut m = *ne & !ld(&self.exit_blocked, gsw);
+        if L {
+            self.census[0] += u64::from(m.count_ones());
+        }
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -823,8 +961,14 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if L {
+                self.census[1] += 1;
+            }
             if F && self.link_drops(s, sw, out, id, meta) {
                 continue;
+            }
+            if elen > self.emask {
+                self.grow_exit_rings();
             }
             let eslot =
                 (pos << self.eshift) + ((ld(&self.exit_head, pos) as usize + elen) & self.emask);
@@ -844,7 +988,8 @@ impl SpecNet {
     /// processing order is free. Faults follow the generic order: a
     /// blocked output holds its word, and a lossy link eats a word only
     /// once the downstream queue could have taken it.
-    fn link_sw<const F: bool>(
+    #[inline(always)]
+    fn link_sw<const F: bool, const L: bool>(
         &mut self,
         s: usize,
         gsw: usize,
@@ -853,6 +998,9 @@ impl SpecNet {
         fl: &mut u64,
     ) {
         let mut m = *ne & !ld(&self.link_blocked, gsw);
+        if L {
+            self.census[0] += u64::from(m.count_ones());
+        }
         while m != 0 {
             let out = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -867,6 +1015,9 @@ impl SpecNet {
                 continue;
             }
             let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            if L {
+                self.census[1] += 1;
+            }
             if F && self.link_drops(s, sw, out, id, meta) {
                 continue;
             }
@@ -907,9 +1058,11 @@ impl SpecNet {
     /// non-full outputs. The per-switch event masks live in registers
     /// for the whole call, and the grant body is written with
     /// arithmetic selects instead of data-dependent branches: the
-    /// moved-word path has exactly two unpredictable branches left
-    /// (the empty-locked-input skip and the next-header re-expose).
-    fn transfer<const MULTI: bool>(
+    /// round-robin pick is a rotate, and the next-header re-expose and
+    /// the upstream unblock are masked stores that write nothing when
+    /// they do not apply. The moved-word path keeps one unpredictable
+    /// branch, the empty-locked-input skip, and only under `MULTI`.
+    fn transfer<const MULTI: bool, const L: bool>(
         &mut self,
         s: usize,
         gsw: usize,
@@ -918,6 +1071,9 @@ impl SpecNet {
         fl: &mut u64,
     ) {
         let base = gsw << self.rbits;
+        let dest_shift = ld(&self.dest_shift, s);
+        // Inputs of this switch as stage positions, for `inv_shuffle`.
+        let stage_base = base - ((s * self.switches) << self.rbits);
         let mut switched = 0u64;
         let mut from = 0usize;
         while from < self.radix {
@@ -927,6 +1083,9 @@ impl SpecNet {
             }
             let out = active.trailing_zeros() as usize;
             from = out + 1;
+            if L {
+                self.census[0] += 1;
+            }
             let q_out = base + out;
             let ost = ld(&self.out_st, q_out);
             debug_assert!(
@@ -936,26 +1095,23 @@ impl SpecNet {
             let lock_in = if MULTI { st_lock(ost) } else { ST_NO_LOCK };
             let unlocked = lock_in == ST_NO_LOCK;
             // Round-robin: first candidate at or after rr_next,
-            // wrapping. Under a held lock the selection is ignored and
-            // the pointer written back unchanged — a select, not a
-            // branch.
+            // wrapping. Rotating the candidates right by rr_next puts
+            // that candidate at the lowest set bit; the radix divides
+            // 64, so the wrapped index reduces with `rmask`. Under a
+            // held lock the selection is ignored and the pointer
+            // written back unchanged — a select, not a branch.
             let m = ld(&self.cand, q_out);
             debug_assert!(
                 !unlocked || m != 0,
                 "grantable output with no lock and no candidates"
             );
-            let start = u32::from(ld(&self.rr_next, q_out));
-            let hi = m >> start;
-            let rr_pick = if hi != 0 {
-                (start + hi.trailing_zeros()) as usize
-            } else {
-                m.trailing_zeros() as usize
-            };
+            let start = ost >> ST_RR_SHIFT;
+            let rr_pick = (start + m.rotate_right(start).trailing_zeros()) as usize & self.rmask;
             let input = if unlocked { rr_pick } else { lock_in as usize };
-            *at(&mut self.rr_next, q_out) = if unlocked {
-                ((rr_pick + 1) & self.rmask) as u8
+            let rr_next = if unlocked {
+                ((rr_pick + 1) & self.rmask) as u32
             } else {
-                start as u8
+                start
             };
             let q_in = base + input;
             let ist = ld(&self.in_st, q_in);
@@ -964,7 +1120,8 @@ impl SpecNet {
             if MULTI && ilen == 0 {
                 continue; // locked input has no word buffered yet
             }
-            let Slot { id, meta } = ld(&self.in_q, (q_in << self.qshift) + st_head(ist));
+            let ihead = st_head(ist);
+            let Slot { id, meta } = ld(&self.in_q, (q_in << self.qshift) + ihead);
             debug_assert!(
                 unlocked || self.output_lock_id[q_out] == id,
                 "wormhole violation: interleaved packet on a locked output"
@@ -992,24 +1149,20 @@ impl SpecNet {
             } else {
                 lock_in
             };
-            *at(&mut self.in_st, q_in) =
-                st_pack((st_head(ist) + 1) & self.qmask, ilen - 1, new_ilock);
+            *at(&mut self.in_st, q_in) = st_pack((ihead + 1) & self.qmask, ilen - 1, new_ilock);
             // Popping a full input queue makes space for whatever was
             // backpressured behind it: the upstream link (s > 0) or
-            // the source injection FIFO (s == 0).
-            if ilen == self.queue_words {
-                let up = ld(
-                    &self.inv_shuffle,
-                    (gsw - s * self.switches) * self.radix + input,
-                ) as usize;
-                if s == 0 {
-                    *at(&mut self.inj_blocked, up >> 6) &= !(1u64 << (up & 63));
-                } else {
-                    *at(
-                        &mut self.link_blocked,
-                        (s - 1) * self.switches + (up >> self.rbits),
-                    ) &= !(1u64 << (up & self.rmask));
-                }
+            // the source injection FIFO (s == 0). The clear is masked
+            // to nothing when the queue was not full.
+            let freed = u64::from(ilen == self.queue_words);
+            let up = ld(&self.inv_shuffle, stage_base + input) as usize;
+            if s == 0 {
+                *at(&mut self.inj_blocked, up >> 6) &= !(freed << (up & 63));
+            } else {
+                *at(
+                    &mut self.link_blocked,
+                    (s - 1) * self.switches + (up >> self.rbits),
+                ) &= !(freed << (up & self.rmask));
             }
             // The lock id is only read while the lock is held, so the
             // store can be unconditional (a held lock's id already
@@ -1019,18 +1172,23 @@ impl SpecNet {
             }
             *at(&mut self.cand, q_out) = m & !(u64::from(unlocked) << input);
             // An input left unlocked with words buffered exposes its
-            // next header for arbitration.
-            if new_ilock == ST_NO_LOCK && ilen > 1 {
-                let meta2 = ld(
-                    &self.in_q,
-                    (q_in << self.qshift) + ((st_head(ist) + 1) & self.qmask),
-                )
-                .meta;
-                debug_assert_eq!(meta_index(meta2), 0, "continuation word on unlocked input");
-                let out2 = (meta_dest(meta2) >> self.dest_shift[s]) as usize & self.rmask;
-                *at(&mut self.cand, base + out2) |= 1u64 << input;
-                g |= 1u64 << out2;
-            }
+            // next header for arbitration. The slot behind the head is
+            // read either way (a stale slot still routes inside the
+            // switch) and the candidate bit masked in only when it
+            // applies.
+            let expose = u64::from((new_ilock == ST_NO_LOCK) & (ilen > 1));
+            let meta2 = ld(
+                &self.in_q,
+                (q_in << self.qshift) + ((ihead + 1) & self.qmask),
+            )
+            .meta;
+            debug_assert!(
+                expose == 0 || meta_index(meta2) == 0,
+                "continuation word on unlocked input"
+            );
+            let out2 = (meta_dest(meta2) >> dest_shift) as usize & self.rmask;
+            *at(&mut self.cand, base + out2) |= expose << input;
+            g |= expose << out2;
             let still = new_olock != ST_NO_LOCK || ld(&self.cand, q_out) != 0;
             g = (g & !(1u64 << out)) | u64::from(still) << out;
             let ohead = st_head(ost);
@@ -1039,22 +1197,30 @@ impl SpecNet {
                 &mut self.out_q,
                 (q_out << self.qshift) + ((ohead + olen) & self.qmask),
             ) = Slot { id, meta };
-            *at(&mut self.out_st, q_out) = st_pack(ohead, olen + 1, new_olock);
+            *at(&mut self.out_st, q_out) =
+                st_pack(ohead, olen + 1, new_olock) | rr_next << ST_RR_SHIFT;
             *ne |= 1u64 << out;
             *fl |= u64::from(olen + 1 == self.queue_words) << out;
             switched += 1;
         }
         *at(&mut self.grantable, gsw) = g;
         *at(&mut self.words_switched, gsw) += switched;
+        if L {
+            self.census[1] += switched;
+        }
     }
 
-    /// Injection FIFOs → stage 0, on CE-cycle boundaries only.
-    fn injection(&mut self) {
-        if !self.now.is_multiple_of(self.ratio) || self.inj_words == 0 {
+    /// Injection FIFOs → stage 0, on CE-cycle boundaries only (the
+    /// generic step's last phase).
+    fn injection<const L: bool>(&mut self) {
+        if !self.clock.boundary(self.now) || self.inj_words == 0 {
             return;
         }
         for w in 0..self.inj_mask.len() {
             let mut m = ld(&self.inj_mask, w) & !ld(&self.inj_blocked, w);
+            if L {
+                self.census[2] += u64::from(m.count_ones());
+            }
             while m != 0 {
                 let src = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
@@ -1073,8 +1239,12 @@ impl SpecNet {
                 if hl_len(hl) == 1 {
                     *at(&mut self.inj_mask, w) &= !(1u64 << (src & 63));
                 }
+                *at(&mut self.inj_popped, w) |= 1u64 << (src & 63);
                 self.push_switch_input(0, gsw, input, id, meta);
                 self.words_injected += 1;
+                if L {
+                    self.census[3] += 1;
+                }
             }
         }
     }
@@ -1116,6 +1286,7 @@ impl SpecNet {
     /// Pops an exit FIFO head, maintaining the exit-progress tracker
     /// exactly like `OmegaNetwork::pop_output` (minus the delivery
     /// log, which the fabric discards every cycle anyway).
+    #[inline(always)]
     fn pop_output(&mut self, pos: usize) -> Option<(u64, u32, u64)> {
         let len = ld(&self.exit_len, pos);
         if len == 0 {
@@ -1203,10 +1374,15 @@ struct SpecModules {
     part_seen: Vec<u8>,
     /// Bit `m`: module `m` holds a reply awaiting injection.
     out_mask: Vec<u64>,
-    /// Wake masks, `wheel[(cycle % wheel_len) * words + w]`. A module
+    /// Bit `m`: module `m`'s pending buffer is full, so an arriving
+    /// word cannot be accepted. Set by `push_pending`, cleared by a
+    /// serve or a fail-stop.
+    pend_full: Vec<u64>,
+    /// Wake masks, `wheel[(cycle & wheel_mask) * words + w]`, over a
+    /// power-of-two wheel longer than the service time. A module
     /// with pending requests always has a wake scheduled at its next
     /// possible serve cycle; stale wakes are harmless no-op visits.
-    wheel_len: usize,
+    wheel_mask: u64,
     wheel: Vec<u64>,
     /// Modules with pending requests or a live reply (fast-forward
     /// eligibility in O(1)).
@@ -1221,6 +1397,9 @@ struct SpecModules {
     /// Words and requests destroyed at fail-stopped modules (the
     /// fabric's `module_discards`, exported back verbatim).
     discards: u64,
+    /// Phase-ledger counts (`L = true` only): module visits, and the
+    /// visits that changed module state.
+    census: [u64; 2],
 }
 
 impl SpecModules {
@@ -1232,7 +1411,7 @@ impl SpecModules {
         let n = modules.len();
         let words = n.div_ceil(64).max(1);
         let pcap = buf_cap.next_power_of_two();
-        let wheel_len = service.max(1) as usize + 1;
+        let wheel_len = (service.max(1) as usize + 1).next_power_of_two();
         let mut spec = SpecModules {
             n,
             words,
@@ -1253,12 +1432,14 @@ impl SpecModules {
             part_meta: vec![0; n],
             part_seen: vec![0; n],
             out_mask: vec![0; words],
-            wheel_len,
+            pend_full: vec![0; words],
+            wheel_mask: wheel_len as u64 - 1,
             wheel: vec![0; wheel_len * words],
             busy: 0,
             partials: 0,
             fault_mask: vec![0; words],
             discards: fabric.module_discards,
+            census: [0; 2],
         };
         // Modules outside this fabric never match a query.
         let faulted = fabric.faults.iter().flat_map(FaultPlan::faulted_modules);
@@ -1274,6 +1455,9 @@ impl SpecModules {
                 };
             }
             spec.pend_len[i] = m.pending.len() as u8;
+            if m.pending.len() == buf_cap {
+                spec.pend_full[i >> 6] |= 1u64 << (i & 63);
+            }
             spec.busy_until[i] = m.busy_until;
             if let Some(p) = &m.outgoing {
                 spec.out_live[i] = true;
@@ -1308,14 +1492,21 @@ impl SpecModules {
     #[inline]
     fn schedule_wake(&mut self, i: usize, now: u64) {
         let wake = ld(&self.busy_until, i).max(now + 1);
-        debug_assert!(wake - now < self.wheel_len as u64);
-        let slot = (wake % self.wheel_len as u64) as usize;
+        debug_assert!(wake - now <= self.wheel_mask);
+        let slot = (wake & self.wheel_mask) as usize;
         *at(&mut self.wheel, slot * self.words + (i >> 6)) |= 1u64 << (i & 63);
     }
 
     /// Writes the lanes back into the fabric's canonical module and
     /// partial-slot representation.
     fn export(&self, fabric: &mut RoundTripFabric) {
+        for i in 0..self.n {
+            debug_assert_eq!(
+                self.pend_full[i >> 6] >> (i & 63) & 1 != 0,
+                self.pend_len[i] as usize == self.buf_cap,
+                "pend_full out of step with the buffer of module {i}"
+            );
+        }
         fabric.module_discards = self.discards;
         let (modules, partial) = (&mut fabric.modules, &mut fabric.partial);
         for (i, m) in modules.iter_mut().enumerate() {
@@ -1356,24 +1547,30 @@ impl SpecModules {
             meta: meta & !(7 << META_INDEX_SHIFT),
         };
         *at(&mut self.pend_len, i) += 1;
+        if ld(&self.pend_len, i) as usize == self.buf_cap {
+            *at(&mut self.pend_full, i >> 6) |= 1u64 << (i & 63);
+        }
     }
 
     /// One cycle of `service_modules`: accept at most one forward
     /// word, retry a blocked reply, start one service. Only modules
-    /// with an arriving word, a live reply, an expiring service timer
-    /// or (`F`) a place in the fault mask are visited; every skipped
-    /// visit is provably a no-op in the generic engine.
-    fn service<const F: bool>(
+    /// with a live reply, an expiring service timer, an arriving word
+    /// and room to take it, or (`F`) a place in the fault mask are
+    /// visited; every skipped visit is provably a no-op in the generic
+    /// engine (a full buffer refuses the word, and with no reply live
+    /// and no wake due, no service can start).
+    fn service<const F: bool, const L: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
         now: u64,
         plan: Option<&FaultPlan>,
     ) {
-        let slot = (now % self.wheel_len as u64) as usize * self.words;
+        let slot = (now & self.wheel_mask) as usize * self.words;
         for w in 0..self.words {
             let wake = std::mem::take(at(&mut self.wheel, slot + w));
-            let mut m = wake | ld(&self.out_mask, w) | fwd.exit_mask.get(w).copied().unwrap_or(0);
+            let arriving = fwd.exit_mask.get(w).copied().unwrap_or(0);
+            let mut m = wake | ld(&self.out_mask, w) | (arriving & !ld(&self.pend_full, w));
             if F {
                 m |= ld(&self.fault_mask, w);
             }
@@ -1383,14 +1580,24 @@ impl SpecModules {
                 if i >= self.n {
                     break;
                 }
+                if L {
+                    self.census[0] += 1;
+                }
                 if F && ld(&self.fault_mask, w) >> (i & 63) & 1 != 0 {
                     if let Some(plan) = plan {
+                        let discards = self.discards;
                         if self.fault_visit(fwd, plan, i, now) {
+                            if L {
+                                self.census[1] += u64::from(self.discards != discards);
+                            }
                             continue;
                         }
                     }
                 }
-                self.service_one(fwd, rev, now, i);
+                let changed = self.service_one(fwd, rev, now, i);
+                if L {
+                    self.census[1] += u64::from(changed);
+                }
             }
         }
     }
@@ -1407,6 +1614,7 @@ impl SpecModules {
             let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
             self.discards += u64::from(ld(&self.pend_len, i));
             *at(&mut self.pend_len, i) = 0;
+            *at(&mut self.pend_full, i >> 6) &= !(1u64 << (i & 63));
             if ld(&self.out_live, i) {
                 *at(&mut self.out_live, i) = false;
                 *at(&mut self.out_mask, i >> 6) &= !(1u64 << (i & 63));
@@ -1424,14 +1632,19 @@ impl SpecModules {
         plan.module_stalled(i, now)
     }
 
-    #[inline]
-    fn service_one(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64, i: usize) {
+    /// One module visit. Returns whether it changed module state
+    /// (accepted a word, injected a reply or started a service), which
+    /// only the phase ledger reads.
+    #[inline(always)]
+    fn service_one(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64, i: usize) -> bool {
         let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
+        let mut changed = false;
         // Accept one word into the reassembly slot / pending queue
         // (pop directly — the generic peek-then-pop pair reads the
         // same head slot twice).
         if (ld(&self.pend_len, i) as usize) < self.buf_cap {
             if let Some((id, meta, _)) = fwd.pop_output(i) {
+                changed = true;
                 let tail = meta_is_tail(meta);
                 if ld(&self.part_live, i) {
                     debug_assert_eq!(self.part_id[i], id, "interleaved request words");
@@ -1462,15 +1675,18 @@ impl SpecModules {
             let (oid, ometa) = (ld(&self.out_id, i), ld(&self.out_meta, i));
             if rev.try_inject_meta(meta_src(ometa) as usize, oid, ometa) {
                 *at(&mut self.out_live, i) = false;
+                changed = true;
             } else {
                 blocked = true;
             }
         }
         if !blocked && now >= ld(&self.busy_until, i) && ld(&self.pend_len, i) > 0 {
+            changed = true;
             let head = ld(&self.pend_head, i) as usize;
             let Slot { id, meta } = ld(&self.pend_q, (i << self.pshift) + head);
             *at(&mut self.pend_head, i) = ((head + 1) & self.pmask) as u8;
             *at(&mut self.pend_len, i) -= 1;
+            *at(&mut self.pend_full, i >> 6) &= !(1u64 << (i & 63));
             *at(&mut self.busy_until, i) = now + self.service;
             *at(&mut self.served, i) += 1;
             if let Some(rmeta) = reply_meta(meta) {
@@ -1496,6 +1712,7 @@ impl SpecModules {
                 self.busy -= 1;
             }
         }
+        changed
     }
 }
 
@@ -1555,6 +1772,47 @@ impl RoundTripFabric {
         watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
     ) -> Result<(), CedarError> {
+        self.drive_spec::<false>(exp, watchdog, stop_at, &mut PhaseLedger::default())
+    }
+
+    /// Like [`drive_experiment`](Self::drive_experiment) with no
+    /// watchdog, but an eligible run steps the ledger instantiation of
+    /// the specialized loop and adds its per-phase counts and sampled
+    /// host time to `ledger`. The simulation is the same as without
+    /// the ledger. An ineligible fabric (or one set to
+    /// [`EngineKind::Generic`]) runs generic and leaves `ledger`
+    /// untouched; [`last_run_engine`](Self::last_run_engine) says which
+    /// ran.
+    ///
+    /// # Errors
+    ///
+    /// Never fails without a watchdog; the `Result` mirrors
+    /// `drive_experiment`.
+    pub fn drive_with_ledger(
+        &mut self,
+        exp: &mut FabricExperiment,
+        stop_at: Option<u64>,
+        ledger: &mut PhaseLedger,
+    ) -> Result<(), CedarError> {
+        if self.engine == EngineKind::Generic || self.specialization_blocker().is_some() {
+            return self.drive_experiment(exp, None, stop_at);
+        }
+        self.last_run_engine = Some("specialized");
+        self.last_fallback = None;
+        self.drive_spec::<true>(exp, None, stop_at, ledger)
+    }
+
+    /// [`drive_specialized`](Self::drive_specialized), with the phase
+    /// ledger compiled in when `L` is set.
+    fn drive_spec<const L: bool>(
+        &mut self,
+        exp: &mut FabricExperiment,
+        watchdog: Option<&mut Watchdog>,
+        stop_at: Option<u64>,
+        ledger: &mut PhaseLedger,
+    ) -> Result<(), CedarError> {
+        let lap_cost = if L { timer_cost_ns() } else { 0 };
+        let started = L.then(Instant::now);
         let mut fwd = SpecNet::import(&self.forward);
         let mut rev = SpecNet::import(&self.reverse);
         let mut mods = SpecModules::import(self);
@@ -1566,19 +1824,44 @@ impl RoundTripFabric {
             src.issued_at
                 .reserve(total.saturating_sub(src.issued_at.len()));
         }
+        let sampled = ledger.sampled_cycles;
+        let imported = L.then(Instant::now);
+        let skipped = self.ff_cycles;
         let result = if self.faults.is_some() || exp.recovery.is_some() {
-            self.spec_stages::<true>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at)
+            self.spec_stages::<true, L>(
+                &mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at, ledger,
+            )
         } else {
-            self.spec_stages::<false>(&mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at)
+            self.spec_stages::<false, L>(
+                &mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at, ledger,
+            )
         };
+        let stepped = L.then(Instant::now);
         fwd.export(&mut self.forward);
         rev.export(&mut self.reverse);
         mods.export(self);
+        if let (Some(started), Some(imported), Some(stepped)) = (started, imported, stepped) {
+            let done = Instant::now();
+            ledger.drives += 1;
+            ledger.skipped_cycles += self.ff_cycles - skipped;
+            ledger.timer_ns += lap_cost * (ledger.sampled_cycles - sampled);
+            ledger.import_ns += nanos(imported - started) + nanos(done - stepped);
+            ledger.drive_ns += nanos(done - started);
+            for (phase, net) in [(Phase::Forward, &fwd), (Phase::Return, &rev)] {
+                ledger.attempts[phase as usize] += net.census[0];
+                ledger.useful[phase as usize] += net.census[1];
+                ledger.attempts[Phase::Inject as usize] += net.census[2];
+                ledger.useful[Phase::Inject as usize] += net.census[3];
+            }
+            ledger.attempts[Phase::Module as usize] += mods.census[0];
+            ledger.useful[Phase::Module as usize] += mods.census[1];
+        }
         result
     }
 
     /// Picks the stage-count instantiation of [`spec_loop`](Self::spec_loop).
-    fn spec_stages<const F: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn spec_stages<const F: bool, const L: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
@@ -1586,12 +1869,13 @@ impl RoundTripFabric {
         exp: &mut FabricExperiment,
         watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
+        ledger: &mut PhaseLedger,
     ) -> Result<(), CedarError> {
         match self.cfg.net.stages {
-            1 => self.spec_loop::<1, F>(fwd, rev, mods, exp, watchdog, stop_at),
-            2 => self.spec_loop::<2, F>(fwd, rev, mods, exp, watchdog, stop_at),
-            3 => self.spec_loop::<3, F>(fwd, rev, mods, exp, watchdog, stop_at),
-            4 => self.spec_loop::<4, F>(fwd, rev, mods, exp, watchdog, stop_at),
+            1 => self.spec_loop::<1, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
+            2 => self.spec_loop::<2, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
+            3 => self.spec_loop::<3, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
+            4 => self.spec_loop::<4, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
             _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
         }
     }
@@ -1600,8 +1884,17 @@ impl RoundTripFabric {
     /// obs branches compiled out and the networks and modules in SoA
     /// form. `F` compiles in the fault hooks and the recovery path
     /// (retry timers, reply dedup, abandonment) in the generic order;
-    /// without it the loop is the healthy one, hook for hook.
-    fn spec_loop<const S: usize, const F: bool>(
+    /// without it the loop is the healthy one, hook for hook. `L`
+    /// compiles in the phase ledger's counters and its sampled timers;
+    /// without it every ledger statement is dead code.
+    ///
+    /// The two networks' injection phases run after both networks'
+    /// switch phases. Each network's step touches only that network,
+    /// so this is the generic `forward.step(); reverse.step()` order
+    /// up to commuting independent work, and it lets the ledger time
+    /// injection apart from switching.
+    #[allow(clippy::too_many_arguments)]
+    fn spec_loop<const S: usize, const F: bool, const L: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
@@ -1609,12 +1902,16 @@ impl RoundTripFabric {
         exp: &mut FabricExperiment,
         mut watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
+        ledger: &mut PhaseLedger,
     ) -> Result<(), CedarError> {
         // Sources that might issue this boundary: a bit is cleared when
-        // only an ejected reply or an abandonment can unblock the
-        // source (window full, block flow-window closed, stream
-        // finished) and re-armed by the next one that reaches it.
+        // only an ejected reply, an abandonment or a pop from the
+        // source's injection FIFO can unblock the source (window full,
+        // block flow-window closed, stream finished, no room in the
+        // FIFO) and re-armed by the next one that reaches it.
         let mut issuable = vec![!0u64; exp.sources.len().div_ceil(64).max(1)];
+        let clock = CeClock::new(exp.ratio);
+        let mut sample_in = LEDGER_SAMPLE_PERIOD;
         while self.experiment_running(exp) && stop_at.is_none_or(|c| self.now < c) {
             if self.fast_forward {
                 let horizon = watchdog
@@ -1623,17 +1920,35 @@ impl RoundTripFabric {
                 self.spec_fast_forward(fwd, rev, mods, exp, horizon);
             }
             self.now += 1;
-            let ce_boundary = self.now.is_multiple_of(exp.ratio);
-            let ce_now = self.now / exp.ratio;
-            fwd.step::<S, F>();
-            rev.step::<S, F>();
-            mods.service::<F>(fwd, rev, self.now, self.faults.as_ref());
-            exp.completed_requests += Self::spec_eject_replies::<F>(
+            let ce_boundary = clock.boundary(self.now);
+            let mut timer: Option<Instant> = None;
+            if L {
+                ledger.live_cycles += 1;
+                sample_in -= 1;
+                if sample_in == 0 {
+                    sample_in = LEDGER_SAMPLE_PERIOD;
+                    ledger.sampled_cycles += 1;
+                    timer = Some(Instant::now());
+                }
+            }
+            let sample_start = timer;
+            fwd.step_switches::<S, F, L>();
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Forward as usize]);
+            rev.step_switches::<S, F, L>();
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Return as usize]);
+            fwd.injection::<L>();
+            rev.injection::<L>();
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Inject as usize]);
+            mods.service::<F, L>(fwd, rev, self.now, self.faults.as_ref());
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Module as usize]);
+            exp.completed_requests += Self::spec_eject_replies::<F, L>(
                 rev,
                 &mut exp.sources,
                 exp.recovery.as_mut(),
                 &mut issuable,
+                ledger,
             );
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Eject as usize]);
             if let (true, Some(rec)) = (F, exp.recovery.as_mut()) {
                 rec.fire_due(
                     self.now,
@@ -1649,18 +1964,28 @@ impl RoundTripFabric {
                 );
             }
             if ce_boundary {
-                self.spec_issue_requests::<F>(
+                // A pop out of a source's injection FIFO re-arms it, in
+                // case it was parked for want of room there.
+                for (armed, popped) in issuable.iter_mut().zip(fwd.inj_popped.iter_mut()) {
+                    *armed |= std::mem::take(popped);
+                }
+                self.spec_issue_requests::<F, L>(
                     fwd,
                     &mut exp.sources,
                     exp.recovery.as_mut(),
-                    ce_now,
+                    clock.ce_cycle(self.now),
                     &mut issuable,
+                    ledger,
                 );
             }
             if let Some(dog) = watchdog.as_deref_mut() {
                 if let Err(report) = dog.observe(self.now, exp.resolved_requests()) {
                     return Err(report.into());
                 }
+            }
+            lap(&mut timer, &mut ledger.sampled_ns[Phase::Issue as usize]);
+            if let (Some(start), Some(end)) = (sample_start, timer) {
+                ledger.sampled_total_ns += nanos(end - start);
             }
         }
         Ok(())
@@ -1694,11 +2019,12 @@ impl RoundTripFabric {
     /// `eject_replies` against an SoA reverse network, visiting only
     /// the ports with buffered exit words. Under `F` the recovery
     /// state's pending map dedups replies, as in the generic engine.
-    fn spec_eject_replies<const F: bool>(
+    fn spec_eject_replies<const F: bool, const L: bool>(
         rev: &mut SpecNet,
         sources: &mut [CeSource],
         mut rec: Option<&mut RecoveryState>,
         issuable: &mut [u64],
+        ledger: &mut PhaseLedger,
     ) -> u64 {
         let mut completed = 0;
         for w in 0..rev.exit_mask.len() {
@@ -1708,6 +2034,9 @@ impl RoundTripFabric {
                 m &= m - 1;
                 if pos >= sources.len() {
                     break;
+                }
+                if L {
+                    ledger.attempts[Phase::Eject as usize] += 1;
                 }
                 // A reply frees issue capacity; re-arm the source.
                 issuable[pos >> 6] |= 1u64 << (pos & 63);
@@ -1749,6 +2078,9 @@ impl RoundTripFabric {
                 }
             }
         }
+        if L {
+            ledger.useful[Phase::Eject as usize] += completed;
+        }
         completed
     }
 
@@ -1757,17 +2089,19 @@ impl RoundTripFabric {
     /// addresses — and therefore everything downstream — are
     /// identical. Under `F` every issued read is registered with the
     /// recovery state and arms its first retry timer.
-    fn spec_issue_requests<const F: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn spec_issue_requests<const F: bool, const L: bool>(
         &mut self,
         fwd: &mut SpecNet,
         sources: &mut [CeSource],
         mut rec: Option<&mut RecoveryState>,
         ce_now: u64,
         issuable: &mut [u64],
+        ledger: &mut PhaseLedger,
     ) {
         let n_mod = self.cfg.mem_modules;
-        for w in 0..issuable.len() {
-            let mut m = issuable[w];
+        for (w, armed) in issuable.iter_mut().enumerate() {
+            let mut m = *armed;
             while m != 0 {
                 let idx = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
@@ -1778,14 +2112,21 @@ impl RoundTripFabric {
                 if src.done_issuing || src.outstanding >= src.traffic.window {
                     // Only an ejected reply can unblock this source;
                     // park it until one arrives.
-                    issuable[w] &= !(1u64 << (idx & 63));
+                    *armed &= !(1u64 << (idx & 63));
                     continue;
                 }
                 if ce_now < src.blocked_until_ce {
                     continue; // time-based gap: stays armed
                 }
-                let issued = self.spec_issue_one(fwd, src, ce_now, n_mod, issuable, w, idx);
-                if let (true, Some(packet), Some(rec)) = (F, issued, rec.as_deref_mut()) {
+                let (issued, park) = self.spec_issue_one(fwd, src, ce_now, n_mod);
+                if park {
+                    *armed &= !(1u64 << (idx & 63));
+                }
+                if L {
+                    ledger.attempts[Phase::Issue as usize] += 1;
+                    ledger.useful[Phase::Issue as usize] += u64::from(issued != Issued::Nothing);
+                }
+                if let (true, Issued::Read(packet), Some(rec)) = (F, issued, rec.as_deref_mut()) {
                     rec.pending.insert(
                         packet.id.0,
                         InFlight {
@@ -1802,40 +2143,43 @@ impl RoundTripFabric {
 
     /// One source's issue attempt at a CE boundary (the loop body of
     /// the generic `issue_requests`, minus recovery and obs). Returns
-    /// the read request it injected, if any.
+    /// what it injected, and whether the source can be parked: nothing
+    /// can change for it before the next reply, abandonment or pop out
+    /// of its injection FIFO, each of which re-arms it.
+    ///
+    /// A failed injection parks the source only when the attempt drew
+    /// nothing from its RNG: a block start (`next_index == 0`) draws
+    /// fresh stream bases and a hot-spot read draws its coin on every
+    /// attempt, so those attempts must repeat each boundary to replay
+    /// the generic draw sequence.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn spec_issue_one(
         &mut self,
         fwd: &mut SpecNet,
         src: &mut CeSource,
         ce_now: u64,
         n_mod: usize,
-        issuable: &mut [u64],
-        w: usize,
-        idx: usize,
-    ) -> Option<Packet> {
+    ) -> (Issued, bool) {
         if src.next_index == 0 {
             if src.next_block >= src.completed_blocks + src.traffic.blocks_in_flight {
-                if src.write_debt >= 1.0 {
-                    let module =
-                        (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
-                    let write = Packet::write(
-                        src.port,
-                        module,
-                        ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
-                        1,
-                    );
-                    if fwd.try_inject(write) {
-                        src.write_debt -= 1.0;
-                        src.writes_issued += 1;
-                    }
-                } else {
+                if src.write_debt < 1.0 {
                     // Block flow-window closed with no write owed:
                     // nothing can happen before the next reply.
-                    issuable[w] &= !(1u64 << (idx & 63));
+                    return (Issued::Nothing, true);
                 }
-                return None;
+                let module = (src.stream_bases[0] + n_mod / 2 + src.writes_issued as usize) % n_mod;
+                let write = Packet::write(
+                    src.port,
+                    module,
+                    ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
+                    1,
+                );
+                if !fwd.try_inject(write) {
+                    return (Issued::Nothing, true); // no room, no draw
+                }
+                src.write_debt -= 1.0;
+                src.writes_issued += 1;
+                return (Issued::Write, false);
             }
             for base in &mut src.stream_bases {
                 *base = src.rng.next_below(n_mod as u64) as usize;
@@ -1858,24 +2202,211 @@ impl RoundTripFabric {
             1,
             PacketKind::ReadRequest,
         );
-        if fwd.try_inject(packet) {
-            debug_assert_eq!(src.issued_at.len() as u64, local);
-            src.issued_at.push(self.now);
-            src.outstanding += 1;
-            src.write_debt += src.traffic.writes_per_read;
-            src.next_index += 1;
-            if src.next_index == src.traffic.block_len {
-                src.next_index = 0;
-                src.next_block += 1;
-                src.blocked_until_ce = ce_now + src.traffic.gap_ce_cycles;
-                if src.next_block == src.traffic.blocks {
-                    src.done_issuing = true;
-                }
-            }
-            return Some(packet);
+        if !fwd.try_inject(packet) {
+            let drew = src.next_index == 0
+                || matches!(src.traffic.pattern, AddressPattern::HotSpot { .. });
+            return (Issued::Nothing, !drew);
         }
-        None
+        debug_assert_eq!(src.issued_at.len() as u64, local);
+        src.issued_at.push(self.now);
+        src.outstanding += 1;
+        src.write_debt += src.traffic.writes_per_read;
+        src.next_index += 1;
+        if src.next_index == src.traffic.block_len {
+            src.next_index = 0;
+            src.next_block += 1;
+            src.blocked_until_ce = ce_now + src.traffic.gap_ce_cycles;
+            if src.next_block == src.traffic.blocks {
+                src.done_issuing = true;
+            }
+        }
+        (Issued::Read(packet), false)
     }
+}
+
+/// What one issue attempt injected.
+#[derive(Clone, Copy, PartialEq)]
+enum Issued {
+    Nothing,
+    Write,
+    Read(Packet),
+}
+
+// ---------------------------------------------------------------------------
+// Phase ledger.
+// ---------------------------------------------------------------------------
+
+/// The phases of a live net cycle the [`PhaseLedger`] attributes, in
+/// the order the specialized loop runs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Forward-network switching: links, transfers and exits.
+    /// Attempts are switch outputs examined, useful are words moved.
+    Forward,
+    /// Reverse-network switching, counted like `Forward`.
+    Return,
+    /// Both networks' injection FIFOs into stage 0. Attempts are FIFO
+    /// heads examined, useful are words injected.
+    Inject,
+    /// Memory modules. Attempts are module visits, useful are visits
+    /// that changed module state.
+    Module,
+    /// Reply ejection at the CE ports. Attempts are ports visited,
+    /// useful are requests completed.
+    Eject,
+    /// Retry timers, request issue and the watchdog. Attempts are issue
+    /// attempts, useful are packets injected.
+    Issue,
+}
+
+impl Phase {
+    /// Every phase, in loop order.
+    pub const ALL: [Phase; 6] = [
+        Phase::Forward,
+        Phase::Return,
+        Phase::Inject,
+        Phase::Module,
+        Phase::Eject,
+        Phase::Issue,
+    ];
+
+    /// The phase's name in ledger tables.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Forward => "forward",
+            Phase::Return => "return",
+            Phase::Inject => "inject",
+            Phase::Module => "module",
+            Phase::Eject => "eject",
+            Phase::Issue => "issue",
+        }
+    }
+}
+
+/// Host time is sampled on one live cycle in this many. The period is
+/// odd so samples do not alias with the 2-cycle CE clock.
+const LEDGER_SAMPLE_PERIOD: u32 = 31;
+
+/// Where a specialized drive's live cycles go: per [`Phase`], a
+/// deterministic census (attempts against useful outcomes) and host
+/// time sampled on one live cycle in 31, plus the import/export cost
+/// and the whole drive's wall time. Filled by
+/// [`RoundTripFabric::drive_with_ledger`]; the census is a pure
+/// function of the run, the times are host measurements.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PhaseLedger {
+    /// Drives recorded.
+    pub drives: u64,
+    /// Net cycles stepped one by one.
+    pub live_cycles: u64,
+    /// Net cycles the idle fast-forward skipped.
+    pub skipped_cycles: u64,
+    /// Per phase (indexed by `Phase as usize`): work items examined.
+    pub attempts: [u64; 6],
+    /// Per phase: examined items that did something.
+    pub useful: [u64; 6],
+    /// Live cycles whose host time was sampled.
+    pub sampled_cycles: u64,
+    /// Per phase: host nanoseconds spent over the sampled cycles.
+    pub sampled_ns: [u64; 6],
+    /// Host nanoseconds of the sampled cycles, first phase to last,
+    /// timed apart from the phases: it equals the sum of `sampled_ns`
+    /// exactly when every phase is on the books.
+    pub sampled_total_ns: u64,
+    /// The clock reads' own cost inside each phase's `sampled_ns`: one
+    /// read per lap, calibrated at the start of each drive.
+    pub timer_ns: u64,
+    /// Host nanoseconds spent importing and exporting the lanes.
+    pub import_ns: u64,
+    /// Host nanoseconds of the whole drives, import and export
+    /// included.
+    pub drive_ns: u64,
+}
+
+impl PhaseLedger {
+    /// The deterministic part of the ledger: a copy with every host
+    /// time zeroed. Two runs of the same work have equal censuses.
+    #[must_use]
+    pub fn census(&self) -> PhaseLedger {
+        PhaseLedger {
+            sampled_ns: [0; 6],
+            sampled_total_ns: 0,
+            timer_ns: 0,
+            import_ns: 0,
+            drive_ns: 0,
+            ..self.clone()
+        }
+    }
+
+    /// Each phase's sampled time less its clock reads.
+    fn phase_ns(&self) -> [u64; 6] {
+        self.sampled_ns.map(|ns| ns.saturating_sub(self.timer_ns))
+    }
+
+    /// Each phase's share of the live-loop time: its sampled time less
+    /// the clock reads, over the same for all phases. The shares add
+    /// up to 1 (all zeros before any cycle was sampled).
+    #[must_use]
+    pub fn phase_shares(&self) -> [f64; 6] {
+        let total: u64 = self.phase_ns().iter().sum();
+        if total == 0 {
+            return [0.0; 6];
+        }
+        self.phase_ns().map(|ns| ns as f64 / total as f64)
+    }
+
+    /// The import-and-export share of the drive time; the live loop
+    /// takes the rest.
+    #[must_use]
+    pub fn import_share(&self) -> f64 {
+        if self.drive_ns == 0 {
+            0.0
+        } else {
+            self.import_ns as f64 / self.drive_ns as f64
+        }
+    }
+
+    /// How much longer a sampled cycle ran, clock reads excluded, than
+    /// the mean live cycle: the probe effect the phase shares carry,
+    /// as a fraction (0 when nothing was sampled).
+    #[must_use]
+    pub fn probe_excess(&self) -> f64 {
+        let live = self.drive_ns.saturating_sub(self.import_ns);
+        if self.sampled_cycles == 0 || live == 0 {
+            return 0.0;
+        }
+        let sampled: u64 = self.phase_ns().iter().sum();
+        let per_sampled = sampled as f64 / self.sampled_cycles as f64;
+        let per_live = live as f64 / self.live_cycles as f64;
+        per_sampled / per_live - 1.0
+    }
+}
+
+/// Adds the time since the last lap to `ns` on a sampled cycle; a
+/// no-op (and, with the ledger compiled out, no code) otherwise.
+#[inline(always)]
+fn lap(timer: &mut Option<Instant>, ns: &mut u64) {
+    if let Some(last) = timer {
+        let now = Instant::now();
+        *ns += nanos(now - *last);
+        *last = now;
+    }
+}
+
+/// The cost of one clock read: the least of 32 back-to-back pairs.
+fn timer_cost_ns() -> u64 {
+    (0..32)
+        .map(|_| {
+            let start = Instant::now();
+            nanos(Instant::now() - start)
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -1959,6 +2490,81 @@ mod tests {
             snap(&net),
             "import/export must be the identity"
         );
+    }
+
+    fn snap_bytes(net: &OmegaNetwork) -> Vec<u8> {
+        use cedar_snap::Snapshot;
+        let mut w = cedar_snap::SnapWriter::new();
+        net.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// A network like the fabric's reverse one: Cedar's shape with
+    /// 512-word exit FIFOs.
+    fn deep_exit_config() -> NetworkConfig {
+        NetworkConfig {
+            exit_fifo_words: 512,
+            ..NetworkConfig::cedar()
+        }
+    }
+
+    /// Offers the same packets to both networks for `cycles` cycles and
+    /// steps both, never draining an exit: every source aims at one of
+    /// two exits, single-word reads and two-word writes mixed.
+    fn step_undrained(net: &mut OmegaNetwork, spec: &mut SpecNet, cycles: u64, id: &mut u64) {
+        for _ in 0..cycles {
+            for src in 0..net.cfg.ports() {
+                *id += 1;
+                let dest = [5, 42][(*id % 2) as usize];
+                let packet = if id.is_multiple_of(3) {
+                    Packet::write(src, dest, *id, 1)
+                } else {
+                    Packet::new(PacketId(*id), src, dest, 1, PacketKind::ReadRequest)
+                };
+                assert_eq!(net.try_inject(packet), spec.try_inject(packet));
+            }
+            net.step();
+            spec.step_switches::<2, false, false>();
+            spec.injection::<false>();
+        }
+    }
+
+    /// Exit rings that are never drained double past their initial
+    /// size up to the 512-word capacity, and the grown rings export the
+    /// generic network's exact bytes, backpressure included.
+    #[test]
+    fn exit_rings_grow_to_capacity_and_export_exactly() {
+        let mut net = OmegaNetwork::new(deep_exit_config());
+        let mut spec = SpecNet::import(&net);
+        assert_eq!(1usize << spec.eshift, MIN_EXIT_RING, "rings start small");
+        let mut id = 0;
+        step_undrained(&mut net, &mut spec, 700, &mut id);
+        assert_eq!(net.exit_fifo[5].len(), 512, "the exit filled to capacity");
+        assert_eq!(1usize << spec.eshift, 512, "seven doublings");
+        let mut exported = OmegaNetwork::new(deep_exit_config());
+        spec.export(&mut exported);
+        assert_eq!(snap_bytes(&exported), snap_bytes(&net));
+    }
+
+    /// An import at an occupancy above the initial ring sizes the ring
+    /// to fit, round-trips exactly, and keeps growing from there.
+    #[test]
+    fn import_above_the_initial_ring_round_trips() {
+        let mut net = OmegaNetwork::new(deep_exit_config());
+        let mut shadow = SpecNet::import(&net);
+        let mut id = 0;
+        step_undrained(&mut net, &mut shadow, 40, &mut id);
+        let occupancy = net.exit_fifo.iter().map(VecDeque::len).max().unwrap();
+        assert!(occupancy > MIN_EXIT_RING, "occupancy {occupancy}");
+        let mut spec = SpecNet::import(&net);
+        assert_eq!(1usize << spec.eshift, occupancy.next_power_of_two());
+        let mut restored = OmegaNetwork::new(deep_exit_config());
+        spec.export(&mut restored);
+        assert_eq!(snap_bytes(&restored), snap_bytes(&net), "round trip");
+        step_undrained(&mut net, &mut spec, 300, &mut id);
+        assert!(1usize << spec.eshift > occupancy.next_power_of_two());
+        spec.export(&mut restored);
+        assert_eq!(snap_bytes(&restored), snap_bytes(&net), "after growth");
     }
 
     /// A full-size specialized run produces the exact report of the

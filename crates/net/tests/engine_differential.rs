@@ -424,3 +424,172 @@ fn checkpoints_resume_across_engines() {
         }
     }
 }
+
+/// Runs one experiment on both engines and holds them to each other:
+/// byte-equal checkpoints at every cut (`cuts` ascending), equal final
+/// reports, and a resume from each engine's checkpoint at every cut on
+/// the other engine, reaching the same report.
+fn assert_engines_agree(
+    case: &str,
+    build: impl Fn(EngineKind) -> RoundTripFabric,
+    n_ces: usize,
+    traffic: PrefetchTraffic,
+    cuts: &[u64],
+) -> FabricReport {
+    let run = |engine: EngineKind| {
+        let mut fabric = build(engine);
+        let mut exp = fabric.begin_experiment(n_ces, traffic, MAX_NET_CYCLES);
+        let mut bytes = Vec::new();
+        for &cut in cuts {
+            fabric.drive_experiment(&mut exp, None, Some(cut)).unwrap();
+            bytes.push(fabric.checkpoint_experiment(&exp));
+        }
+        fabric.drive_experiment(&mut exp, None, None).unwrap();
+        assert_eq!(
+            fabric.last_run_engine(),
+            Some(engine_name(engine)),
+            "{case}"
+        );
+        (bytes, fabric.finish_experiment(exp))
+    };
+    let (gen_bytes, expected) = run(EngineKind::Generic);
+    let (spec_bytes, report) = run(EngineKind::Specialized);
+    assert!(expected.resolved(), "{case} must resolve");
+    for (i, cut) in cuts.iter().enumerate() {
+        assert!(
+            gen_bytes[i] == spec_bytes[i],
+            "{case}: checkpoints diverged at cut {cut}"
+        );
+    }
+    assert_eq!(report, expected, "{case}: reports diverged");
+    for (i, cut) in cuts.iter().enumerate() {
+        for (bytes, second) in [
+            (&gen_bytes[i], EngineKind::Specialized),
+            (&spec_bytes[i], EngineKind::Generic),
+        ] {
+            let (mut resumed, mut exp) =
+                RoundTripFabric::restore_experiment(bytes).expect("checkpoint decodes");
+            resumed.set_engine(second);
+            resumed.drive_experiment(&mut exp, None, None).unwrap();
+            assert_eq!(
+                resumed.finish_experiment(exp),
+                expected,
+                "{case}: resume on {second:?} from cut {cut} diverged"
+            );
+        }
+    }
+    expected
+}
+
+fn engine_name(engine: EngineKind) -> &'static str {
+    match engine {
+        EngineKind::Generic => "generic",
+        _ => "specialized",
+    }
+}
+
+/// `n` ascending random cuts below `limit`.
+fn random_cuts(rng: &mut SplitMix64, n: usize, limit: u64) -> Vec<u64> {
+    let mut cuts: Vec<u64> = (0..n).map(|_| 1 + rng.next_below(limit)).collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+/// A Cedar fabric with slowed memory modules, so 32 CEs keep every
+/// injection FIFO full: the issue loop parks sources whose packet does
+/// not fit, and modules fill their pending buffers.
+fn saturated_cedar(service: u64) -> FabricConfig {
+    let mut cfg = FabricConfig::cedar();
+    cfg.mem_service_net_cycles = service;
+    cfg
+}
+
+#[test]
+fn saturated_sources_park_and_match() {
+    // Saturated RK at 32 CEs: injection FIFOs are full mid-block (the
+    // source parks until its FIFO pops) and at block starts, where each
+    // attempt draws fresh stream bases and must repeat every boundary.
+    let mut rng = SplitMix64::new(0x5A7_CEDA);
+    for service in [4, 9] {
+        let cfg = saturated_cedar(service);
+        let cuts = random_cuts(&mut rng, 3, 6_000);
+        let build = |engine: EngineKind| {
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.set_engine(engine);
+            fabric
+        };
+        let mut traffic = PrefetchTraffic::rk_aggressive(2);
+        traffic.block_len = 64;
+        assert_engines_agree(&format!("RK service {service}"), build, 32, traffic, &cuts);
+    }
+}
+
+#[test]
+fn hot_spot_draws_are_never_parked() {
+    // Every hot-spot read attempt draws its coin, failed or not, so a
+    // source with a full FIFO must keep attempting.
+    let mut rng = SplitMix64::new(0x407_CEDA);
+    for fraction in [0.3, 0.9] {
+        let cfg = saturated_cedar(6);
+        let cuts = random_cuts(&mut rng, 3, 4_000);
+        let build = |engine: EngineKind| {
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.set_engine(engine);
+            fabric
+        };
+        let mut traffic = PrefetchTraffic::sync_hotspot(2, fraction);
+        traffic.window = 64;
+        assert_engines_agree(&format!("hot spot {fraction}"), build, 32, traffic, &cuts);
+    }
+}
+
+#[test]
+fn write_debt_into_full_fifos_matches() {
+    // One write owed per read: at each closed block window the source
+    // pays its debt with 2-word writes, which bounce off FIFOs that
+    // have no room for both words and park the source until a pop.
+    let mut rng = SplitMix64::new(0x3817_CEDA);
+    let cfg = saturated_cedar(6);
+    let cuts = random_cuts(&mut rng, 3, 5_000);
+    let build = |engine: EngineKind| {
+        let mut fabric = RoundTripFabric::new(cfg.clone());
+        fabric.set_engine(engine);
+        fabric
+    };
+    let mut traffic = PrefetchTraffic::tridiagonal_matvec(3);
+    traffic.writes_per_read = 1.0;
+    traffic.gap_ce_cycles = 0;
+    assert_engines_agree("write debt", build, 32, traffic, &cuts);
+}
+
+#[test]
+fn fail_stop_on_full_module_matches() {
+    // Modules that take one request at a time fill their pending
+    // buffers under 32 CEs; half of them fail-stop early, most while
+    // full, and discard their queue.
+    let mut rng = SplitMix64::new(0xF5_CEDA);
+    let mut cfg = saturated_cedar(5);
+    cfg.module_buffer_requests = 1;
+    for case in 0..3 {
+        let fault_cfg = FaultConfig {
+            failed_modules: 16,
+            fail_by_cycle: 2_000,
+            ..FaultConfig::none(rng.next_u64())
+        };
+        let plan = FaultPlan::generate(&fault_cfg, &shape_of(&cfg)).expect("valid plan");
+        let cuts = random_cuts(&mut rng, 3, 4_000);
+        let build = |engine: EngineKind| {
+            let mut fabric = RoundTripFabric::new(cfg.clone());
+            fabric.attach_faults(plan.clone(), RETRY);
+            fabric.set_engine(engine);
+            fabric
+        };
+        let mut traffic = PrefetchTraffic::rk_aggressive(1);
+        traffic.block_len = 128;
+        let report = assert_engines_agree(&format!("fail-stop {case}"), build, 32, traffic, &cuts);
+        assert!(
+            report.module_discards() > 0,
+            "case {case}: no fail-stop discarded work"
+        );
+    }
+}

@@ -4,7 +4,9 @@
 
 use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar_net::config::NetworkConfig;
-use cedar_net::fabric::{FabricConfig, PrefetchTraffic, RoundTripFabric};
+use cedar_net::fabric::{
+    FabricConfig, FabricReport, PrefetchTraffic, RequestRecord, RoundTripFabric,
+};
 use cedar_net::network::OmegaNetwork;
 use cedar_net::packet::{Packet, PacketId, PacketKind};
 use cedar_net::topology::Topology;
@@ -243,4 +245,70 @@ fn fabric_recovers_every_dropped_packet_exactly_once() {
         saw_drops |= report.words_dropped() > 0;
     }
     assert!(saw_drops, "the sweep should exercise at least one drop");
+}
+
+/// The interarrival reduction as first written: a per-CE `BTreeMap`
+/// from block to that block's returns.
+fn mean_interarrival_by_map(report: &FabricReport) -> f64 {
+    let ratio = report.net_cycles_per_ce_cycle as f64;
+    let mut n = 0u64;
+    let mut sum = 0.0;
+    for records in &report.per_ce {
+        let mut by_block: std::collections::BTreeMap<u32, Vec<u64>> =
+            std::collections::BTreeMap::new();
+        for r in records {
+            by_block.entry(r.block).or_default().push(r.ret);
+        }
+        for rets in by_block.values() {
+            for w in rets.windows(2) {
+                sum += (w[1] - w[0]) as f64 / ratio;
+                n += 1;
+            }
+        }
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// `mean_interarrival_ce` sums in the map's order (blocks ascending,
+/// then return order), so it is bit-identical to the map reduction on
+/// any report: random CE counts, blocks completing out of order, and
+/// clock ratios 1 to 3.
+#[test]
+fn interarrival_reduction_matches_the_map_reduction_bit_for_bit() {
+    let mut rng = SplitMix64::new(0x1a7e);
+    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+    let mut report =
+        fabric.run_prefetch_experiment(2, PrefetchTraffic::compiler_default(1), 1 << 20);
+    for case in 0..CASES {
+        let ces = rng.next_below(6) as usize;
+        let blocks = 1 + rng.next_below(5) as u32;
+        report.per_ce = (0..ces)
+            .map(|_| {
+                let mut ret = rng.next_below(100);
+                (0..rng.next_below(80))
+                    .map(|i| {
+                        // Returns arrive in completion order; blocks
+                        // interleave as several are in flight.
+                        ret += rng.next_below(7);
+                        RequestRecord {
+                            block: rng.next_below(u64::from(blocks)) as u32,
+                            index_in_block: i as u32,
+                            issue: 0,
+                            ret,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        report.net_cycles_per_ce_cycle = 1 + rng.next_below(3);
+        assert_eq!(
+            report.mean_interarrival_ce().to_bits(),
+            mean_interarrival_by_map(&report).to_bits(),
+            "case {case}"
+        );
+    }
 }
