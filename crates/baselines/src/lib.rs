@@ -23,6 +23,7 @@
 //! calibrated from its lattice-QCD performance study ([`t3d`]), and a
 //! SPARC T3-style massively multithreaded NUMA machine ([`t3`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cm5;

@@ -29,6 +29,7 @@
 //! | [`whatif`] | design what-ifs over the Perfect workload |
 //! | [`fidelity32`] | regular omega vs the production dual-link 32×32 network |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation_barriers;

@@ -54,6 +54,7 @@
 //! assert_eq!(report.results.len(), 64);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coordinator;

@@ -32,6 +32,7 @@
 //! assert!((cedar.params().peak_mflops() - 376.0).abs() < 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod costmodel;

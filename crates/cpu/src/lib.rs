@@ -28,6 +28,7 @@
 //! assert!(cycles >= 32 + 12, "startup plus per-element time");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ccbus;

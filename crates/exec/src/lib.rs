@@ -42,6 +42,7 @@
 //! assert_eq!(out, serial);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cached;

@@ -39,6 +39,7 @@
 //! assert_eq!(d1, d2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

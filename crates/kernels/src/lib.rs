@@ -31,6 +31,7 @@
 //! assert!(report.mflops > 100.0, "four-cluster cached rank update is fast");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod banded;

@@ -44,6 +44,7 @@
 //! assert_eq!(gm.read_word(0), 15);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod address;

@@ -30,6 +30,7 @@
 //! assert_eq!(classify(5.0, 32), PerfBand::Intermediate);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bands;

@@ -42,6 +42,7 @@
 //! cedar_obs::export::validate_json(&json).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

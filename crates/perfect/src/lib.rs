@@ -40,6 +40,7 @@
 //! assert!((t - 73.0).abs() / 73.0 < 0.05, "ADM automatable ~73 s, got {t}");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod manual;

@@ -44,6 +44,7 @@
 //! assert!(report.makespan_cycles > 1_000.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod io;

@@ -12,8 +12,9 @@
 //! batching dispatcher that fans each batch across the `cedar-exec`
 //! deterministic pool and streams completions back per job; identical
 //! requests collapse in flight and memoize across runs through
-//! `cedar-snap`'s content-addressed cache, whose sealed envelopes are
-//! forwarded verbatim as binary `Outcome` payloads.
+//! `cedar-snap`'s content-addressed cache, fronted by a bounded
+//! in-memory tier of verified envelopes ([`memo`]); those sealed
+//! envelopes are forwarded verbatim as binary `Outcome` payloads.
 //!
 //! Three properties carry over from the rest of the workspace:
 //!
@@ -36,6 +37,7 @@ pub mod conn;
 pub mod job;
 pub mod json;
 pub mod loadgen;
+pub mod memo;
 pub mod proto;
 pub mod queue;
 pub(crate) mod reactor;

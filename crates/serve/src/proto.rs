@@ -12,16 +12,19 @@
 //! the response, which is what lets one connection pipeline many
 //! requests) followed by a kind tag byte. The `Outcome` response
 //! carries the job's result as a complete *sealed CSNP envelope* — the
-//! very bytes [`CacheDir`](cedar_snap::CacheDir) stores — so memoized
-//! hits are forwarded zero-copy and clients get end-to-end checksum
-//! coverage of the result for free.
+//! very bytes [`CacheDir`](cedar_snap::CacheDir) stores — so a
+//! memoized hit is forwarded without re-encoding (copied once, into the
+//! frame) and clients get end-to-end checksum coverage of the result
+//! for free.
 //!
 //! Every way a frame can be malformed maps to a typed [`ProtoError`];
 //! the decoder never panics and the incremental [`FrameScanner`] never
 //! hangs on garbage (a bad magic byte fails as soon as it arrives, a
 //! declared length past the cap fails before buffering the body).
 
-use cedar_snap::{frame, seal_as, FrameError, SnapError, SnapReader, SnapWriter, Snapshot};
+use cedar_snap::{
+    frame, seal_as, seal_as_with, FrameError, SnapError, SnapReader, SnapWriter, Snapshot,
+};
 
 use crate::job::{JobError, JobSpec};
 
@@ -349,12 +352,7 @@ impl Response {
                 corr,
                 cached,
                 envelope,
-            } => {
-                w.put_u64(*corr);
-                w.put_u8(1);
-                w.put_bool(*cached);
-                w.put_bytes(envelope);
-            }
+            } => return Response::encode_outcome(*corr, *cached, envelope),
             Response::Error {
                 corr,
                 status,
@@ -377,6 +375,21 @@ impl Response {
             }
         }
         seal_as(PROTO_MAGIC, &w.into_bytes())
+    }
+
+    /// Encodes an [`Response::Outcome`] frame from a borrowed envelope,
+    /// the same bytes [`encode`](Response::encode) gives. The envelope
+    /// is copied once, straight into the sealed frame, so a server can
+    /// answer from a shared cached envelope without first cloning it.
+    #[must_use]
+    pub fn encode_outcome(corr: u64, cached: bool, envelope: &[u8]) -> Vec<u8> {
+        // corr (8) + tag (1) + cached (1) + length prefix (8).
+        seal_as_with(PROTO_MAGIC, 18 + envelope.len(), |w| {
+            w.put_u64(corr);
+            w.put_u8(1);
+            w.put_bool(cached);
+            w.put_bytes(envelope);
+        })
     }
 
     /// Decodes a response from an unsealed frame payload.

@@ -4,11 +4,17 @@
 //! # Request path
 //!
 //! ```text
-//! TCP bytes ──reactor──▶ Conn ──parse──▶ admission ──▶ JobQueue ──▶ dispatcher
-//!                         ▲                 │  │                        │
-//!                         │                 │  └─ dedup map (collapse)  └─ cedar-exec pool
-//!                         │                 └─ CacheDir (memoize)            │
-//!                         └──── ReactorLink (rendered reply bytes) ◀────────┘
+//! TCP bytes ──reactor──▶ Conn ──parse──▶ admission
+//!                         ▲                 │ 1. memo      (memory, bounded) ──hit──┐
+//!                         │                 │ 2. CacheDir  (disk, verified)  ──hit──┤
+//!                         │                 │ 3. dedup map (collapse in flight)     │
+//!                         │                 ▼                                       │
+//!                         │              JobQueue ──▶ dispatcher ──▶ cedar-exec pool│
+//!                         │                                               │         │
+//!                         │              store on disk, then in the memo ◀┤         │
+//!                         │                                               │         │
+//!                         ├──── ReactorLink (rendered reply bytes) ◀──────┘         │
+//!                         └──── reply frame, envelope copied once ◀─────────────────┘
 //! ```
 //!
 //! Connections are owned by a small fixed set of reactor threads (see
@@ -21,13 +27,19 @@
 //! number of waiters outstanding; the binary protocol's correlation
 //! ids (and the line protocol's `id` field) let clients pipeline.
 //!
-//! Identical in-flight requests collapse onto one execution: the first
-//! arrival inserts an entry in the dedup map and queues a ticket, later
-//! arrivals just add their waiter. Completed outcomes are memoized in a
-//! [`CacheDir`] keyed by the spec's content hash — and because
-//! [`JobOutcome::to_snapshot_bytes`] *is* the cache entry, the sealed
-//! envelope is built once and shared (`Arc`) between the cache write
-//! and every binary `Outcome` response, which forwards it verbatim.
+//! Admission tries three layers before it queues a ticket. A server
+//! with a cache directory first asks its memo, a bounded in-memory
+//! tier ([`crate::memo`]) that holds only envelopes already verified,
+//! then the [`CacheDir`](cedar_snap::CacheDir) on disk, whose checksum
+//! and decode must pass before a disk entry becomes a hit (and enters
+//! the memo). A memo hit does no file I/O, no checksum and no decode.
+//! Then the dedup map: identical in-flight requests collapse onto one
+//! execution — the first arrival inserts an entry and queues a ticket,
+//! later arrivals just add their waiter. A completed outcome is sealed
+//! once; because [`JobOutcome::to_snapshot_bytes`] *is* the cache
+//! entry, the envelope is shared (`Arc`) between the disk write, the
+//! memo and every binary `Outcome` response, which copies it once,
+//! straight into its frame.
 //!
 //! # Shutdown
 //!
@@ -51,12 +63,13 @@ use std::time::{Duration, Instant};
 use cedar_exec::{run_sweep_streaming_on, CancelToken};
 use cedar_obs::export::escape_json;
 use cedar_obs::{http_reply, MetricSet, SharedObs};
-use cedar_snap::{CacheDir, Snapshot};
+use cedar_snap::Snapshot;
 
 use crate::config::ServeConfig;
 use crate::conn::{Conn, ConnToken, WireRequest};
 use crate::job::{JobError, JobOutcome, JobSpec};
 use crate::json::{self, Json};
+use crate::memo::ResultCache;
 use crate::proto::{ErrStatus, Request, Response};
 use crate::queue::{JobQueue, JobTicket, PushError};
 use crate::reactor::{Reactor, ReactorLink, ReactorMsg};
@@ -67,7 +80,7 @@ use crate::reactor::{Reactor, ReactorLink, ReactorMsg};
 /// `rollup("serve.responses.")` totals every response, whatever its
 /// status. Histograms are 64 bins of 500 µs: 0–32 ms fine-grained, the
 /// overflow bin catching the saturated tail.
-const METRICS: MetricSet = MetricSet {
+pub(crate) const METRICS: MetricSet = MetricSet {
     counters: &[
         "serve.requests.received",
         "serve.responses.ok",
@@ -81,6 +94,7 @@ const METRICS: MetricSet = MetricSet {
         "serve.jobs.expired",
         "serve.dedup.coalesced",
         "serve.cache.hits",
+        "serve.cache.disk_reads",
         "serve.cache.stores",
         "serve.queue.rejected",
         "serve.conn.reaped_read",
@@ -153,7 +167,9 @@ pub(crate) struct Shared {
     shutdown_waiters: Mutex<Vec<Waiter>>,
     draining: AtomicBool,
     kill: CancelToken,
-    cache: Option<CacheDir>,
+    /// The memoization cache, memory tier in front of disk; `None`
+    /// without a cache directory.
+    cache: Option<ResultCache>,
     seq: AtomicU64,
     next_token: AtomicU64,
     next_reactor: AtomicUsize,
@@ -434,7 +450,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let cache = match &cfg.cache_dir {
-        Some(dir) => Some(CacheDir::new(dir.clone())?),
+        Some(dir) => Some(ResultCache::open(dir.clone())?),
         None => None,
     };
     let reactors_n = cfg.reactor_threads.max(1);
@@ -697,20 +713,20 @@ fn admit_run(
     }
     let key = spec.key();
 
-    // Memoized? Serve the stored envelope without touching the queue.
-    // The bytes come back checksum-verified; a decode failure (schema
-    // skew from an older build) is just a miss.
-    if let Some(cache) = &shared.cache {
-        if let Some(bytes) = cache.load_bytes(&key) {
-            if let Ok(outcome) = JobOutcome::from_snapshot_bytes(&bytes) {
-                shared.obs.inc("serve.cache.hits");
-                return Admission::Immediate(Resolution::Done {
-                    outcome,
-                    envelope: Arc::new(bytes),
-                    cached: true,
-                });
-            }
-        }
+    // Memoized? Answer from the memo, else from disk, without
+    // touching the queue. Either way the envelope was verified before
+    // it became a hit.
+    if let Some((outcome, envelope)) = shared
+        .cache
+        .as_ref()
+        .and_then(|cache| cache.lookup(&key, &shared.obs))
+    {
+        shared.obs.inc("serve.cache.hits");
+        return Admission::Immediate(Resolution::Done {
+            outcome,
+            envelope,
+            cached: true,
+        });
     }
 
     let mut owner = false;
@@ -870,11 +886,13 @@ fn finish_ticket(
                 end_us.saturating_sub(service_us),
                 end_us,
             );
-            // One seal: the same envelope bytes become the cache entry
-            // and every binary response's payload.
+            // One seal: the same envelope bytes become the cache entry,
+            // the memo entry and every binary response's payload. The
+            // memo takes it before `complete`, so a repeat arriving
+            // after this reply is answered from memory.
             let envelope = Arc::new(outcome.to_snapshot_bytes());
             if let Some(cache) = &shared.cache {
-                if cache.store_bytes(&ticket.key, &envelope).is_ok() {
+                if cache.store(&ticket.key, *outcome, &envelope) {
                     shared.obs.inc("serve.cache.stores");
                 }
             }
@@ -901,6 +919,20 @@ fn num(f: f64) -> String {
     }
 }
 
+/// The `serve.responses.*` counter of a wire status, one of the names
+/// in [`METRICS`].
+fn response_counter(status: &str) -> &'static str {
+    match status {
+        "ok" => "serve.responses.ok",
+        "degraded" => "serve.responses.degraded",
+        "rejected" => "serve.responses.rejected",
+        "expired" => "serve.responses.expired",
+        "cancelled" => "serve.responses.cancelled",
+        "invalid" => "serve.responses.invalid",
+        _ => "serve.responses.error",
+    }
+}
+
 fn render_resolution_json(
     id: Option<&str>,
     res: &Resolution,
@@ -914,7 +946,7 @@ fn render_resolution_json(
             outcome, cached, ..
         } => {
             let status = if outcome.degraded { "degraded" } else { "ok" };
-            shared.obs.inc(&format!("serve.responses.{status}"));
+            shared.obs.inc(response_counter(status));
             let id_field = id.map_or(String::new(), |i| format!("\"id\":\"{}\",", escape_json(i)));
             format!(
                 "{{{id_field}\"status\":\"{status}\",\"cached\":{cached},\
@@ -930,7 +962,7 @@ fn render_resolution_json(
             )
         }
         Resolution::Failed(err) => {
-            shared.obs.inc(&format!("serve.responses.{}", err.status()));
+            shared.obs.inc(response_counter(err.status()));
             render_error(id, err)
         }
     }
@@ -951,16 +983,11 @@ fn render_resolution_binary(
             cached,
         } => {
             let status = if outcome.degraded { "degraded" } else { "ok" };
-            shared.obs.inc(&format!("serve.responses.{status}"));
-            Response::Outcome {
-                corr,
-                cached: *cached,
-                envelope: envelope.as_ref().clone(),
-            }
-            .encode()
+            shared.obs.inc(response_counter(status));
+            Response::encode_outcome(corr, *cached, envelope)
         }
         Resolution::Failed(err) => {
-            shared.obs.inc(&format!("serve.responses.{}", err.status()));
+            shared.obs.inc(response_counter(err.status()));
             Response::Error {
                 corr,
                 status: ErrStatus::from_job_error(err),
@@ -978,4 +1005,28 @@ fn render_error(id: Option<&str>, err: &JobError) -> String {
         err.status(),
         escape_json(&err.reason())
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_response_status_counts_under_its_preinterned_name() {
+        let errors = [
+            JobError::Invalid(String::new()),
+            JobError::Rejected(String::new()),
+            JobError::Expired,
+            JobError::Cancelled,
+            JobError::Stalled(String::new()),
+        ];
+        let statuses = ["ok", "degraded"]
+            .into_iter()
+            .chain(errors.iter().map(JobError::status));
+        for status in statuses {
+            let name = response_counter(status);
+            assert_eq!(name, format!("serve.responses.{status}"));
+            assert!(METRICS.counters.contains(&name), "{name} not in METRICS");
+        }
+    }
 }

@@ -4,8 +4,11 @@
 use std::time::Duration;
 
 use cedar_serve::config::ServeConfig;
-use cedar_serve::loadgen::Client;
+use cedar_serve::job::JobSpec;
+use cedar_serve::loadgen::{BinClient, Client};
+use cedar_serve::proto::{Request, Response};
 use cedar_serve::server::{start, ServerHandle};
+use cedar_snap::{CacheDir, Snapshot, ENVELOPE_HEADER_LEN};
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cedar-serve-{name}-{}", std::process::id()));
@@ -65,7 +68,8 @@ fn burst_of_identical_requests_executes_exactly_once() {
         "every other request was coalesced or served from cache"
     );
 
-    // A second burst after completion is pure disk cache.
+    // A second burst after completion is pure cache: the execution's
+    // envelope entered the memo before its waiters were answered.
     let mut c = Client::connect(&addr).unwrap();
     for _ in 0..3 {
         assert_eq!(status(&c.request(line).unwrap()), "ok");
@@ -365,4 +369,131 @@ fn kill_stops_the_server_with_typed_cancellations() {
             );
         }
     }
+}
+
+fn hotspot(ppm: u32) -> JobSpec {
+    JobSpec::Hotspot {
+        hot_ppm: ppm,
+        ces: 2,
+        blocks: 1,
+    }
+}
+
+/// The envelope a fresh execution of `spec` seals: what every reply
+/// for it must carry, whichever tier answers.
+fn expected_envelope(spec: &JobSpec) -> Vec<u8> {
+    spec.execute(ServeConfig::default().max_net_cycles)
+        .expect("spec executes")
+        .to_snapshot_bytes()
+}
+
+/// Runs `spec` over the binary protocol; returns `(cached, envelope)`.
+fn run_binary(c: &mut BinClient, corr: u64, spec: &JobSpec) -> (bool, Vec<u8>) {
+    let req = Request::Run {
+        corr,
+        priority: 1,
+        deadline_ms: None,
+        spec: spec.clone(),
+    };
+    match c.request(&req).unwrap() {
+        Response::Outcome {
+            corr: got,
+            cached,
+            envelope,
+        } if got == corr => (cached, envelope),
+        other => panic!("expected Outcome {corr}, got {other:?}"),
+    }
+}
+
+fn caching_server(dir: &std::path::Path) -> (ServerHandle, String) {
+    start_on_any_port(ServeConfig {
+        cache_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    })
+}
+
+#[test]
+fn restarted_server_answers_the_first_hit_from_disk_and_repeats_from_memory() {
+    let cache = scratch("memo-restart");
+    let spec = hotspot(250_000);
+    let expected = expected_envelope(&spec);
+
+    // Fill the directory: one execution, one store, and the repeat
+    // is already a memo hit (the only disk read was the first miss).
+    let (handle, addr) = caching_server(&cache);
+    let mut c = BinClient::connect(&addr).unwrap();
+    assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
+    assert_eq!(run_binary(&mut c, 1, &spec), (true, expected.clone()));
+    let obs = handle.obs();
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 1);
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 1);
+    handle.shutdown();
+
+    // A fresh server on the filled directory: one disk read, then
+    // memory only; nothing executes.
+    let (handle, addr) = caching_server(&cache);
+    let mut c = BinClient::connect(&addr).unwrap();
+    let obs = handle.obs();
+    assert_eq!(run_binary(&mut c, 0, &spec), (true, expected.clone()));
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 1);
+    for corr in 1..4 {
+        assert_eq!(run_binary(&mut c, corr, &spec), (true, expected.clone()));
+    }
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 1);
+    assert_eq!(obs.counter_value("serve.cache.hits"), 4);
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn corrupt_disk_entry_is_quarantined_reexecuted_and_never_memoized() {
+    let cache = scratch("memo-corrupt");
+    let spec = hotspot(125_000);
+    let expected = expected_envelope(&spec);
+
+    let (handle, addr) = caching_server(&cache);
+    let mut c = BinClient::connect(&addr).unwrap();
+    assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
+    handle.shutdown();
+
+    // Flip one payload byte of the stored entry: its checksum now fails.
+    let dir = CacheDir::new(&cache).unwrap();
+    let path = dir.entry_path(&spec.key());
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[ENVELOPE_HEADER_LEN] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (handle, addr) = caching_server(&cache);
+    let mut c = BinClient::connect(&addr).unwrap();
+    let obs = handle.obs();
+    assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 1);
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 1);
+    assert_eq!(dir.corrupt_entries().unwrap().len(), 1, "entry quarantined");
+    // Repeats come from the memo, and they carry the re-executed
+    // bytes, never the corrupt ones.
+    for corr in 1..3 {
+        assert_eq!(run_binary(&mut c, corr, &spec), (true, expected.clone()));
+    }
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 1);
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 1);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn cacheless_server_reexecutes_a_repeated_spec() {
+    let (handle, addr) = start_on_any_port(ServeConfig::default());
+    let spec = hotspot(375_000);
+    let expected = expected_envelope(&spec);
+    let mut c = BinClient::connect(&addr).unwrap();
+    for corr in 0..2 {
+        assert_eq!(run_binary(&mut c, corr, &spec), (false, expected.clone()));
+    }
+    let obs = handle.obs();
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 2);
+    assert_eq!(obs.counter_value("serve.cache.hits"), 0);
+    assert_eq!(obs.counter_value("serve.cache.disk_reads"), 0);
+    handle.shutdown();
 }

@@ -37,6 +37,7 @@
 //! assert_eq!((t, ev), (Cycle::new(2), "early"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

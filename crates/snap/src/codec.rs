@@ -346,12 +346,32 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
 /// inherit the codec's corruption detection without inventing one.
 #[must_use]
 pub fn seal_as(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
-    out.extend_from_slice(&magic);
-    out.push(SNAP_VERSION);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    seal_as_with(magic, payload.len(), |w| w.buf.extend_from_slice(payload))
+}
+
+/// [`seal_as`] for a payload encoded in place: `fill` writes the
+/// payload into a writer that already holds the envelope header, then
+/// the length is patched in and the checksum appended. The frame is
+/// built in one buffer, with no intermediate payload copy.
+/// `payload_hint` sizes that buffer; a wrong hint costs only a regrow.
+#[must_use]
+pub fn seal_as_with(
+    magic: [u8; 4],
+    payload_hint: usize,
+    fill: impl FnOnce(&mut SnapWriter),
+) -> Vec<u8> {
+    let mut w = SnapWriter {
+        buf: Vec::with_capacity(payload_hint + ENVELOPE_OVERHEAD),
+    };
+    w.buf.extend_from_slice(&magic);
+    w.buf.push(SNAP_VERSION);
+    w.buf.extend_from_slice(&[0; 8]);
+    fill(&mut w);
+    let mut out = w.buf;
+    let len = (out.len() - ENVELOPE_HEADER_LEN) as u64;
+    out[ENVELOPE_HEADER_LEN - 8..ENVELOPE_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv1a(&out[ENVELOPE_HEADER_LEN..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -606,6 +626,27 @@ mod tests {
         );
         // seal() is exactly seal_as() with the snapshot magic.
         assert_eq!(seal(b"hello"), seal_as(SNAP_MAGIC, b"hello"));
+    }
+
+    #[test]
+    fn in_place_seal_matches_a_separately_encoded_payload() {
+        for n in [0usize, 1, 77, 4096] {
+            let body: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let mut w = SnapWriter::new();
+            w.put_u64(n as u64);
+            w.put_bytes(&body);
+            let payload = w.into_bytes();
+            // The hint only sizes the buffer: too small or too large,
+            // the sealed bytes are the same.
+            for hint in [0, payload.len(), 10 * payload.len() + 3] {
+                let sealed = seal_as_with(*b"CSRV", hint, |w| {
+                    w.put_u64(n as u64);
+                    w.put_bytes(&body);
+                });
+                assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
+                assert_eq!(unseal_as(*b"CSRV", &sealed).unwrap(), &payload[..]);
+            }
+        }
     }
 
     #[test]

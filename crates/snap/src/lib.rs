@@ -48,6 +48,7 @@
 //! The codec is std-only and fully deterministic: no host pointers,
 //! no hash-map iteration order, no timestamps ever reach the wire.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -56,9 +57,9 @@ pub mod frame;
 
 pub use cache::{write_atomic, CacheDir};
 pub use codec::{
-    fnv1a, seal, seal_as, unseal, unseal_as, SnapError, SnapReader, SnapWriter, Snapshot,
-    ENVELOPE_CHECKSUM_LEN, ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD, MAX_PREALLOC, SNAP_MAGIC,
-    SNAP_VERSION,
+    fnv1a, seal, seal_as, seal_as_with, unseal, unseal_as, SnapError, SnapReader, SnapWriter,
+    Snapshot, ENVELOPE_CHECKSUM_LEN, ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD, MAX_PREALLOC,
+    SNAP_MAGIC, SNAP_VERSION,
 };
 pub use frame::{
     read_frame, read_frame_as, unseal_frame, write_frame, FrameError, FrameScanner,

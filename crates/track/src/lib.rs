@@ -28,6 +28,8 @@
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 pub mod history;
 pub mod ingest;

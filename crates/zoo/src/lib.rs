@@ -48,6 +48,7 @@
 //! assert!(cedar.summary.ppt1.passes);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;

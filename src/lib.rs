@@ -52,6 +52,7 @@
 //! | [`track`] | `cedar-track` | benchmark history, regression gating, dashboard |
 //! | [`zoo`] | `cedar-zoo` | machine-model zoo judged by the PPTs |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cedar_baselines as baselines;
