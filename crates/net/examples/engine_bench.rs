@@ -5,6 +5,7 @@
 //! ```text
 //! cargo run --release -p cedar-net --example engine_bench            # full report
 //! cargo run --release -p cedar-net --example engine_bench -- --smoke # CI check
+//! cargo run --release -p cedar-net --example engine_bench -- --floor # A/B probe
 //! ```
 //!
 //! The full report prints, in order:
@@ -13,19 +14,42 @@
 //! - a specialized drive in 1-cycle chunks, which re-imports the lanes
 //!   every cycle;
 //! - the phase ledger over the suite, repeated, each share as median
-//!   and min–max over the repeats.
+//!   and min–max over the repeats, and each phase's host time per
+//!   useful move.
 //!
 //! `--smoke` runs the ledger twice and exits nonzero if the two
-//! censuses differ, if the sampled phase times do not add up to the
+//! censuses differ, if the census's live cycles or per-phase useful
+//! totals differ from the pinned [`SUITE_LIVE_CYCLES`] and
+//! [`SUITE_USEFUL`] (a host-side change may cut attempts, never the
+//! simulated work), if the sampled phase times do not add up to the
 //! sampled cycles' total (timed apart), if the phase shares do not add
 //! up to the live loop, or if a ledger-on run reports differently from
 //! a ledger-off run.
+//!
+//! `--floor` prints one line: the suite's production-loop floor (best
+//! of 40 runs per cell, summed) and an FNV-1a digest of the 24 reports'
+//! snapshot bytes. Two builds compare fairly when their runs alternate
+//! on one core, e.g. for builds `a` and `b`:
+//!
+//! ```text
+//! for i in $(seq 30); do for b in a b; do
+//!   echo "$b $(taskset -c 1 $b/engine_bench --floor)"; done; done
+//! ```
 
 use cedar_net::fabric::{FabricConfig, FabricReport, RoundTripFabric};
 use cedar_net::{EngineKind, Phase, PhaseLedger, PrefetchTraffic};
+use cedar_snap::Snapshot;
 use std::time::Instant;
 
 const MAX_NET_CYCLES: u64 = 64_000_000;
+
+/// Net cycles the suite steps one by one, per ledger pass.
+const SUITE_LIVE_CYCLES: u64 = 9_643;
+
+/// Useful moves per phase over one ledger pass, in [`Phase::ALL`]
+/// order: words moved forward and back, words injected, module visits
+/// that changed state, requests completed, packets issued.
+const SUITE_USEFUL: [u64; 6] = [239_432, 236_544, 118_994, 125_763, 59_136, 59_497];
 
 /// The 24 Table-2 cells, as (name, CEs, traffic).
 fn cells() -> Vec<(String, usize, PrefetchTraffic)> {
@@ -101,16 +125,26 @@ fn print_ledger(passes: &[PhaseLedger]) {
         passes.len()
     );
     println!(
-        "  phase      attempts/cycle  useful/cycle  share of live-loop time: median [min–max]"
+        "  phase      attempts/cycle  useful/cycle  ns/useful  share of live-loop time: median [min–max]"
     );
     for phase in Phase::ALL {
         let p = phase as usize;
         let shares: Vec<f64> = passes.iter().map(|l| l.phase_shares()[p]).collect();
+        // The phase's share of the live loop's wall time, over its
+        // useful moves; the median over the passes.
+        let per_move: Vec<f64> = passes
+            .iter()
+            .map(|l| {
+                let live = l.drive_ns.saturating_sub(l.import_ns) as f64;
+                l.phase_shares()[p] * live / l.useful[p].max(1) as f64
+            })
+            .collect();
         println!(
-            "  {:9} {:15.2} {:13.2}  {}",
+            "  {:9} {:15.2} {:13.2} {:10.1}  {}",
             phase.name(),
             first.attempts[p] as f64 / cycles,
             first.useful[p] as f64 / cycles,
+            median(per_move),
             spread(&shares)
         );
     }
@@ -168,6 +202,14 @@ fn smoke() {
         );
         std::process::exit(1);
     }
+    if a.live_cycles != SUITE_LIVE_CYCLES || a.useful != SUITE_USEFUL {
+        eprintln!(
+            "engine_bench: the suite's simulated work moved: {} live cycles and useful {:?}, \
+             pinned {SUITE_LIVE_CYCLES} and {SUITE_USEFUL:?}",
+            a.live_cycles, a.useful
+        );
+        std::process::exit(1);
+    }
     check_books(&a);
     check_books(&b);
     for ((name, ces, traffic), ledgered) in cells().into_iter().zip(&reports) {
@@ -181,10 +223,54 @@ fn smoke() {
     println!("engine_bench smoke: census reproducible, books balance, ledger is a pure overlay");
 }
 
+/// The production loop's floor over the suite: each cell's best of
+/// `runs`, summed, in seconds. Also returns the last run's reports.
+fn suite_floor(runs: usize) -> (f64, Vec<FabricReport>) {
+    let mut best_sum = 0.0;
+    let mut reports = Vec::new();
+    for (_, ces, traffic) in cells() {
+        let mut best = f64::INFINITY;
+        let mut report = None;
+        for _ in 0..runs {
+            let mut fabric = fabric(EngineKind::Specialized);
+            let start = Instant::now();
+            report = Some(std::hint::black_box(fabric.run_prefetch_experiment(
+                ces,
+                traffic,
+                MAX_NET_CYCLES,
+            )));
+            best = best.min(start.elapsed().as_secs_f64());
+        }
+        best_sum += best;
+        reports.extend(report);
+    }
+    (best_sum, reports)
+}
+
+/// FNV-1a over the reports' snapshot bytes.
+fn digest(reports: &[FabricReport]) -> u64 {
+    let mut w = cedar_snap::SnapWriter::new();
+    for report in reports {
+        report.snap(&mut w);
+    }
+    w.into_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--smoke") {
         smoke();
+        return;
+    }
+    if args.iter().any(|a| a == "--floor") {
+        let (floor, reports) = suite_floor(40);
+        println!(
+            "floor {:.3} ms digest {:016x}",
+            floor * 1e3,
+            digest(&reports)
+        );
         return;
     }
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
@@ -208,21 +294,8 @@ fn main() {
     }
 
     // Production loop, ledger off: best of 40 per cell, summed.
-    let mut best_sum = 0.0;
-    for (_, ces, traffic) in cells() {
-        let mut best = f64::INFINITY;
-        for _ in 0..40 {
-            let mut fabric = fabric(EngineKind::Specialized);
-            let start = Instant::now();
-            std::hint::black_box(fabric.run_prefetch_experiment(ces, traffic, MAX_NET_CYCLES));
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best_sum += best;
-    }
-    println!(
-        "suite, best of 40 per cell, summed: {:.2} ms",
-        best_sum * 1e3
-    );
+    let (floor, _) = suite_floor(40);
+    println!("suite, best of 40 per cell, summed: {:.2} ms", floor * 1e3);
 
     // Chunked drive: every call re-imports and re-exports the lanes.
     let small = PrefetchTraffic::rk_aggressive(1);

@@ -52,15 +52,24 @@
 //! `CEDAR_ENGINE=specialized`, where the user explicitly demanded the
 //! fast path — logs the reason once per fabric.
 //!
-//! # SoA layout and event masks
+//! # Record layout and event masks
 //!
-//! Each network becomes a [`SpecNet`]: per-port switch queues as
-//! power-of-two ring buffers over flat slot lanes (packet id plus
-//! packed dest/src/words/index/kind meta), each queue's head, length
-//! and wormhole lock — and, for outputs, its round-robin pointer —
-//! packed into one `u32` state word, and the inject/exit FIFOs and
-//! exit-progress trackers as parallel lanes. The memory modules
-//! likewise flatten into a [`SpecModules`].
+//! Each network becomes a `SpecNet`. Its switches live in one flat
+//! `u64` array, one contiguous record per switch: one cell per port
+//! holding the output's candidate mask, the output and input queues'
+//! packed state words (head, length, wormhole lock and, for outputs,
+//! the round-robin pointer), the precomputed link targets up and down
+//! the network, the switched-word count and both queues' rings. A grant
+//! addresses its switch's cells from one base, and its only store
+//! outside the record is the upstream unblock. The event masks follow
+//! the records, one bit per port in port order, so a stage's masks are
+//! a few 64-bit words and each pass walks a whole word of ports —
+//! several switches — in one loop with the word's masks in registers.
+//! The dimensions that address the records are copied into locals for
+//! a stepping pass, and Cedar's own shape (8×8 switches, 2-word queues)
+//! has an instantiation with every dimension a constant. The
+//! inject/exit FIFOs and exit-progress trackers stay per-port lanes,
+//! and the memory modules flatten into a `SpecModules`.
 //!
 //! Exit FIFOs are sized lazily. The reverse network's exit FIFOs hold
 //! 512 words, but the CE ports drain them every cycle, so a reply
@@ -74,16 +83,22 @@
 //! replacing every per-cycle scan with an incrementally maintained
 //! bitmask:
 //!
-//! - `cand[q_out]` — for each switch output, the set of unlocked
-//!   inputs whose buffered *header* word routes to it. Updated when a
-//!   word enters an empty unlocked input, when a grant consumes a
-//!   header, and when a tail unlocks an input — never by scanning.
-//!   Arbitration becomes two shifts and a `trailing_zeros`.
-//! - `grantable[gsw]` — outputs that are locked mid-packet or have a
-//!   candidate; `transfer` walks `grantable & !out_full` instead of
-//!   all `radix` outputs.
-//! - `out_nonempty[gsw]` / `out_full[gsw]` — drive the link and exit
-//!   phases straight to occupied queues.
+//! - `C_CAND` — for each switch output, the set of unlocked inputs
+//!   whose buffered *header* word routes to it. Updated when a word
+//!   enters an empty unlocked input, when a grant consumes a header,
+//!   and when a tail unlocks an input — never by scanning. Arbitration
+//!   becomes two shifts and a `trailing_zeros`.
+//! - `M_GRANTABLE` — outputs that are locked mid-packet or have a
+//!   candidate; `transfer` walks `grantable & !full` instead of every
+//!   output.
+//! - `M_NONEMPTY` / `M_FULL` — drive the link and exit phases straight
+//!   to occupied queues. A pass holds a word of these three in
+//!   registers and stores it once.
+//! - `M_BLOCKED` and the injection backpressure mask — outputs and
+//!   sources whose downstream queue is full. The push that fills a
+//!   queue sets the bit of whatever feeds it (`C_UP`) and the pop that
+//!   frees it clears the bit, so links, exits and injection never load
+//!   downstream state to find out.
 //! - `inj_mask` / `exit_mask` — ports with buffered inject/exit words,
 //!   so injection, module service and reply ejection touch only live
 //!   ports.
@@ -107,6 +122,8 @@
 //! powers of two: the module wake wheel is a power-of-two ring indexed
 //! by mask, and the CE boundary and CE cycle are a mask and a shift
 //! when the net-to-CE clock ratio is a power of two (`CeClock`).
+//! Issuing a read has none at all: each source's stream and module
+//! offset advance with its request index (`IssueCursor`).
 //!
 //! `import` copies a generic network in (building the masks once),
 //! `export` writes the exact generic representation back, so a
@@ -256,26 +273,24 @@ fn meta_is_tail(meta: u32) -> bool {
 }
 
 /// The reply a served request produces, as a packed meta: src and dest
-/// swapped, one word, `Reply` kind. Mirrors `Packet::reply`.
+/// swapped, one word, `Reply` kind. Mirrors `Packet::reply`: reads and
+/// sync operations, the even kind tags, are answered.
 #[inline]
 fn reply_meta(meta: u32) -> Option<u32> {
-    match kind_from_tag(meta_kind(meta)) {
-        PacketKind::ReadRequest | PacketKind::SyncOp => Some(
-            meta_src(meta)
-                | meta_dest(meta) << META_SRC_SHIFT
-                | 1 << META_WORDS_SHIFT
-                | kind_tag(PacketKind::Reply) << META_KIND_SHIFT,
-        ),
-        PacketKind::Write | PacketKind::Reply => None,
-    }
+    (meta_kind(meta) & 1 == 0).then(|| {
+        meta_src(meta)
+            | meta_dest(meta) << META_SRC_SHIFT
+            | 1 << META_WORDS_SHIFT
+            | kind_tag(PacketKind::Reply) << META_KIND_SHIFT
+    })
 }
 
 // ---------------------------------------------------------------------------
-// SpecNet: one omega network flattened into SoA lanes.
+// SpecNet: one omega network flattened into one record per switch.
 // ---------------------------------------------------------------------------
 
-/// One buffered word: packet id plus packed meta, stored together so a
-/// queue operation costs one indexed access instead of two.
+/// One buffered FIFO word: packet id plus packed meta, stored together
+/// so a queue operation costs one indexed access instead of two.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     id: u64,
@@ -369,21 +384,440 @@ fn at<T>(lane: &mut [T], i: usize) -> &mut T {
     unsafe { lane.get_unchecked_mut(i) }
 }
 
-/// A generic [`OmegaNetwork`] compiled into flat lanes for the
-/// duration of one specialized drive. Queue indices: switch-port queue
-/// `q = (stage * switches + sw) * radix + port`, ring slot
-/// `q * qcap + ((head + i) & qmask)`.
-struct SpecNet {
-    // Dimensions and derived masks.
-    ports: usize,
-    radix: usize,
+// Switch records. Every switch port has a cell of `1 << cshift` words in
+// `recs`; the cells of one switch are contiguous (its record), and the
+// records of one stage follow each other in switch order. A port is named
+// by its global position `gpos = s * span + pos`: stage `s`, stage
+// position `pos = sw * radix + port`, and `span` the stage width rounded
+// up to whole 64-bit mask words. Its cell starts at word `gpos << cshift`.
+// After the cells come the event masks, one bit per port, and the
+// injection backpressure mask (see `Dims`).
+
+/// Port cell, as an output: the unlocked inputs whose buffered header
+/// routes here.
+const C_CAND: usize = 0;
+/// Port cell: the output queue's state word (see `st_pack`).
+const C_OUT_ST: usize = 1;
+/// Port cell: the input queue's state word.
+const C_IN_ST: usize = 2;
+/// Port cell, as an input: the backpressure bit of whatever feeds the
+/// queue, as `word << 6 | bit` in `recs` — the upstream output's
+/// `M_BLOCKED` bit, or at stage 0 the source's bit of the injection
+/// mask. Set while the queue is full.
+const C_UP: usize = 3;
+/// Port cell, as an output of every stage but the last: the global
+/// position of the input its link feeds.
+const C_DOWN: usize = 4;
+/// Port cell: the packet id holding the output's wormhole lock (read
+/// only while the lock is held).
+const C_LOCK_ID: usize = 5;
+/// Port cell: words this output has taken from the switch's inputs. A
+/// switch's `words_switched` is the sum over its ports.
+const C_SWITCHED: usize = 6;
+/// Port cell: the queue rings. Entry `k` is four words, the output
+/// slot's id and meta, then the input slot's.
+const C_RING: usize = 7;
+/// The input slot's offset within a ring entry.
+const RING_IN: usize = 2;
+
+/// Event mask: outputs locked mid-packet or with a candidate.
+const M_GRANTABLE: usize = 0;
+/// Event mask: outputs with buffered words.
+const M_NONEMPTY: usize = 1;
+/// Event mask: outputs whose queue is full.
+const M_FULL: usize = 2;
+/// Event mask: outputs whose downstream input (links) or exit FIFO
+/// (last stage) is full, kept exact by the push that fills it and the
+/// pop that frees it, so links and exits never look downstream first.
+const M_BLOCKED: usize = 3;
+
+/// One mask word's three event masks, held in registers while a pass
+/// walks its ports: loaded once and stored once.
+#[derive(Clone, Copy)]
+struct Masks {
+    grantable: u64,
+    nonempty: u64,
+    full: u64,
+}
+
+/// The dimensions that address a network's records and masks.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Dims {
     rbits: u32,
     rmask: usize,
-    switches: usize,
+    /// Ports per stage.
+    ports: usize,
+    /// Mask words per stage; a stage spans `pwords * 64` positions.
+    pwords: usize,
     queue_words: usize,
-    qcap: usize,
-    qshift: u32,
     qmask: usize,
+    /// A port cell is `1 << cshift` words.
+    cshift: u32,
+    /// The first word of the event masks: mask `k` of mask word `w` is
+    /// at `masks + k * mwords + w`.
+    masks: usize,
+    /// Mask words per mask, all stages.
+    mwords: usize,
+    /// Per stage, the shift that brings a destination's routing digit
+    /// to the bottom.
+    dest_shift: [u32; 4],
+}
+
+impl Dims {
+    /// The dimensions of a network with `stages` stages of
+    /// `radix`-port switches whose queues hold `queue_words` words.
+    const fn new(radix: usize, stages: usize, queue_words: usize) -> Dims {
+        let rbits = radix.trailing_zeros();
+        let ports = radix.pow(stages as u32);
+        let pwords = ports.div_ceil(64);
+        let qcap = queue_words.next_power_of_two();
+        let cshift = (C_RING + 4 * qcap).next_power_of_two().trailing_zeros();
+        let mut dest_shift = [0; 4];
+        let mut s = 0;
+        while s < stages {
+            dest_shift[s] = rbits * (stages - 1 - s) as u32;
+            s += 1;
+        }
+        Dims {
+            rbits,
+            rmask: radix - 1,
+            ports,
+            pwords,
+            queue_words,
+            qmask: qcap - 1,
+            cshift,
+            masks: (stages * pwords * 64) << cshift,
+            mwords: stages * pwords,
+            dest_shift,
+        }
+    }
+
+    /// These dimensions, or with `C` set the constant [`CEDAR_DIMS`]
+    /// they equal (the dispatch checks), so every shift and mask folds.
+    #[inline(always)]
+    fn pick<const C: bool>(self) -> Dims {
+        if C {
+            debug_assert!(self == CEDAR_DIMS, "constant shape on another network");
+            CEDAR_DIMS
+        } else {
+            self
+        }
+    }
+
+    /// The global position of stage-`s` position `pos`.
+    #[inline(always)]
+    fn gpos(&self, s: usize, pos: usize) -> usize {
+        s * (self.pwords << 6) + pos
+    }
+
+    /// The first word of the cell at global position `gpos`.
+    #[inline(always)]
+    fn cell(&self, gpos: usize) -> usize {
+        gpos << self.cshift
+    }
+
+    /// Word `w` of event mask `kind`.
+    #[inline(always)]
+    fn mask_word(&self, kind: usize, w: usize) -> usize {
+        self.masks + kind * self.mwords + w
+    }
+
+    /// The word of event mask `kind` holding global position `gpos`'s bit.
+    #[inline(always)]
+    fn mask(&self, kind: usize, gpos: usize) -> usize {
+        self.mask_word(kind, gpos >> 6)
+    }
+
+    /// The injection backpressure mask's word `w`, after the masks.
+    #[inline(always)]
+    fn inj_blocked(&self, w: usize) -> usize {
+        self.masks + 4 * self.mwords + w
+    }
+
+    /// Words of `recs` in all.
+    fn len(&self) -> usize {
+        self.inj_blocked(self.pwords)
+    }
+
+    /// The ring-entry word of queue position `k` in the cell at `cell`
+    /// (the output slot; the input slot is `RING_IN` words on).
+    #[inline(always)]
+    fn ring(&self, cell: usize, k: usize) -> usize {
+        cell + C_RING + ((k & self.qmask) << 2)
+    }
+
+    /// The output a header word with `meta` takes at stage `s`.
+    #[inline(always)]
+    fn route(&self, s: usize, meta: u32) -> usize {
+        (meta_dest(meta) >> ld(&self.dest_shift, s)) as usize & self.rmask
+    }
+}
+
+/// Cedar's network: two stages of 8×8 crossbars with 2-word queues.
+/// The stepper has an instantiation for it with every dimension a
+/// constant (`C = true`); any other shape steps the same source with
+/// the dimensions read at run time.
+const CEDAR_DIMS: Dims = Dims::new(8, 2, 2);
+
+// The record operations of a stepping pass take the dimensions by value
+// and the records as a slice. Held in locals, the dimensions stay in
+// registers across the record stores; read through `&mut SpecNet`, the
+// compiler reloads them after every store, since it cannot prove the
+// records do not overlap the struct.
+impl Dims {
+    /// Appends a word to the stage-`s` input at global position `gin`,
+    /// maintaining the candidate and grantable masks and the feeder's
+    /// backpressure bit. The input is not full (its feeder is blocked
+    /// while it is).
+    #[inline(always)]
+    fn push_input(self, recs: &mut [u64], s: usize, gin: usize, id: u64, meta: u32) {
+        let d = self;
+        let cell = d.cell(gin);
+        let st = ld(recs, cell + C_IN_ST) as u32;
+        debug_assert!(st_len(st) < d.queue_words);
+        let slot = d.ring(cell, st_head(st) + st_len(st)) + RING_IN;
+        *at(recs, slot) = id;
+        *at(recs, slot + 1) = u64::from(meta);
+        *at(recs, cell + C_IN_ST) = u64::from(st + 0x100);
+        // Filling the queue backpressures whatever feeds it.
+        let up = ld(recs, cell + C_UP) as usize;
+        let filled = u64::from(st_len(st) + 1 == d.queue_words);
+        *at(recs, up >> 6) |= filled << (up & 63);
+        // A word landing in an empty unlocked queue is a header (the
+        // wormhole invariant) and becomes the queue's candidate for
+        // the output it routes to: a masked store, not a branch.
+        let fresh = u64::from(st >> 8 == ST_NO_LOCK << 8);
+        let gout = (gin & !d.rmask) + d.route(s, meta);
+        *at(recs, d.cell(gout) + C_CAND) |= fresh << (gin & d.rmask);
+        *at(recs, d.mask(M_GRANTABLE, gout)) |= fresh << (gout & 63);
+    }
+
+    /// Pops the head word of the output at global position `gpos`,
+    /// maintaining its mask word's register-resident masks. The caller
+    /// has already checked non-emptiness.
+    #[inline(always)]
+    fn pop_out(self, recs: &mut [u64], gpos: usize, v: &mut Masks) -> (u64, u32) {
+        let d = self;
+        let cell = d.cell(gpos);
+        let st = ld(recs, cell + C_OUT_ST) as u32;
+        debug_assert!(st_len(st) > 0);
+        let slot = d.ring(cell, st_head(st));
+        let (id, meta) = (ld(recs, slot), ld(recs, slot + 1) as u32);
+        *at(recs, cell + C_OUT_ST) = u64::from(
+            st & ST_RR_BITS | st_pack((st_head(st) + 1) & d.qmask, st_len(st) - 1, st_lock(st)),
+        );
+        let bit = gpos & 63;
+        v.nonempty &= !(u64::from(st_len(st) == 1) << bit);
+        v.full &= !(1u64 << bit);
+        (id, meta)
+    }
+
+    /// The internal transfer cycle of every switch in mask word `w` of
+    /// stage `s`: the exact generic `Crossbar::transfer`, switches in
+    /// order and each switch's outputs in ascending order over live
+    /// state (so one input can feed several outputs in a cycle, as the
+    /// generic switch allows) — but walking only the grantable, non-full
+    /// outputs, all of the word's switches in one loop. The masks come
+    /// in and go out by value, so they stay in registers for the whole
+    /// walk, and a grant touches only its own switch's record but for
+    /// the upstream unblock. The grant body is written with arithmetic
+    /// selects instead of data-dependent branches: the round-robin pick
+    /// is a rotate, and the next-header re-expose and the upstream
+    /// unblock are masked stores that write nothing when they do not
+    /// apply. The moved-word path keeps one unpredictable branch, the
+    /// empty-locked-input skip, and only under `MULTI`.
+    fn transfer<const C: bool, const MULTI: bool, const L: bool>(
+        self,
+        recs: &mut [u64],
+        s: usize,
+        w: usize,
+        v: Masks,
+        census: &mut [u64; 4],
+    ) -> Masks {
+        let Masks {
+            grantable: mut g,
+            nonempty: mut ne,
+            full: mut fl,
+        } = v;
+        let d = self.pick::<C>();
+        let Dims {
+            cshift,
+            qmask,
+            rmask,
+            queue_words: qw,
+            ..
+        } = d;
+        let dest_shift = ld(&d.dest_shift, s);
+        let word = w << 6;
+        let mut switched = 0u64;
+        // The outputs still to visit, ascending. Only a re-exposed
+        // header can add one past `bit` (below), so the walk's next
+        // step never waits on this grant's loads.
+        let mut todo = g & !fl;
+        while todo != 0 {
+            let bit = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            if L {
+                census[0] += 1;
+            }
+            // The output's port, and its switch's port 0 as a bit of
+            // this word and as a global position (a switch's ports
+            // share a mask word: the radix divides 64).
+            let out = bit & rmask;
+            let base_bit = bit - out;
+            let cells = (word + base_bit) << cshift;
+            let oc = cells + (out << cshift);
+            let ost = ld(recs, oc + C_OUT_ST) as u32;
+            debug_assert!(
+                MULTI || st_lock(ost) == ST_NO_LOCK,
+                "lock without multi-word packet"
+            );
+            let lock_in = if MULTI { st_lock(ost) } else { ST_NO_LOCK };
+            let unlocked = lock_in == ST_NO_LOCK;
+            // Round-robin: first candidate at or after rr_next,
+            // wrapping. Rotating the candidates right by rr_next puts
+            // that candidate at the lowest set bit; the radix divides
+            // 64, so the wrapped index reduces with `rmask`. Under a
+            // held lock the selection is ignored and the pointer
+            // written back unchanged — a select, not a branch.
+            let m = ld(recs, oc + C_CAND);
+            debug_assert!(
+                !unlocked || m != 0,
+                "grantable output with no lock and no candidates"
+            );
+            let start = ost >> ST_RR_SHIFT;
+            let rr_pick = (start + m.rotate_right(start).trailing_zeros()) as usize & rmask;
+            let input = if unlocked { rr_pick } else { lock_in as usize };
+            let rr_next = if unlocked {
+                ((rr_pick + 1) & rmask) as u32
+            } else {
+                start
+            };
+            let ic = cells + (input << cshift);
+            let ist = ld(recs, ic + C_IN_ST) as u32;
+            let ilen = st_len(ist);
+            debug_assert!(MULTI || ilen > 0, "empty candidate input");
+            if MULTI && ilen == 0 {
+                continue; // locked input has no word buffered yet
+            }
+            let ihead = st_head(ist);
+            let ihead2 = (ihead + 1) & qmask;
+            let islot = ic + C_RING + RING_IN + (ihead << 2);
+            let (id, meta) = (ld(recs, islot), ld(recs, islot + 1) as u32);
+            debug_assert!(
+                unlocked || recs[oc + C_LOCK_ID] == id,
+                "wormhole violation: interleaved packet on a locked output"
+            );
+            debug_assert!(
+                MULTI || meta_words(meta) == 1,
+                "multi-word word past the census"
+            );
+            let index = meta_index(meta);
+            let tail = !MULTI || index + 1 == meta_words(meta);
+            let first = !MULTI || index == 0;
+            // Lock transitions: a tail releases both sides, a non-tail
+            // header locks both, anything else leaves them unchanged.
+            let new_ilock = if tail {
+                ST_NO_LOCK
+            } else if first {
+                out as u32
+            } else {
+                st_lock(ist)
+            };
+            let new_olock = if tail {
+                ST_NO_LOCK
+            } else if first {
+                input as u32
+            } else {
+                lock_in
+            };
+            *at(recs, ic + C_IN_ST) = u64::from(st_pack(ihead2, ilen - 1, new_ilock));
+            // Popping a full input queue makes space for whatever was
+            // backpressured behind it: the upstream link (s > 0) or
+            // the source injection FIFO (s == 0), both named by the
+            // input's precomputed target. The clear is masked to
+            // nothing when the queue was not full.
+            let freed = u64::from(ilen == qw);
+            let up = ld(recs, ic + C_UP) as usize;
+            *at(recs, up >> 6) &= !(freed << (up & 63));
+            // The lock id is only read while the lock is held, so the
+            // store can be unconditional (a held lock's id already
+            // equals `id` by the wormhole invariant).
+            if MULTI {
+                *at(recs, oc + C_LOCK_ID) = id;
+            }
+            // An input left unlocked with words buffered exposes its
+            // next header for arbitration. The slot behind the head is
+            // read either way (a stale slot still routes inside the
+            // switch) and the candidate bit masked in only when it
+            // applies.
+            let expose = u64::from((new_ilock == ST_NO_LOCK) & (ilen > 1));
+            let meta2 = ld(recs, ic + C_RING + RING_IN + (ihead2 << 2) + 1) as u32;
+            debug_assert!(
+                expose == 0 || meta_index(meta2) == 0,
+                "continuation word on unlocked input"
+            );
+            let out2 = (meta_dest(meta2) >> dest_shift) as usize & rmask;
+            let bit2 = base_bit + out2;
+            let cand =
+                m & !(u64::from(unlocked) << input) | (expose & u64::from(out2 == out)) << input;
+            *at(recs, oc + C_CAND) = cand;
+            *at(recs, cells + (out2 << cshift) + C_CAND) |= expose << input;
+            // A header exposed for a non-full output later in the walk
+            // is granted this cycle too, as in the generic switch. That
+            // is rare, so it is a branch: predicted not taken, the walk
+            // runs ahead of this grant's loads.
+            let late = (expose << bit2) & !fl & (!1u64 << bit);
+            if late != 0 {
+                std::hint::cold_path();
+                todo |= late;
+            }
+            let still = new_olock != ST_NO_LOCK || cand != 0;
+            g = (g & !(1u64 << bit)) | u64::from(still) << bit | expose << bit2;
+            let (ohead, olen) = (st_head(ost), st_len(ost));
+            let oslot = oc + C_RING + (((ohead + olen) & qmask) << 2);
+            *at(recs, oslot) = id;
+            *at(recs, oslot + 1) = u64::from(meta);
+            *at(recs, oc + C_OUT_ST) =
+                u64::from(st_pack(ohead, olen + 1, new_olock) | rr_next << ST_RR_SHIFT);
+            *at(recs, oc + C_SWITCHED) += 1;
+            ne |= 1u64 << bit;
+            fl |= u64::from(olen + 1 == qw) << bit;
+            switched += 1;
+        }
+        if L {
+            census[1] += switched;
+        }
+        Masks {
+            grantable: g,
+            nonempty: ne,
+            full: fl,
+        }
+    }
+}
+
+/// One exit's progress tracker (the generic `ExitProgress`): the packet
+/// whose words are leaving there, when it started and how many left.
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    live: bool,
+    seen: u8,
+    meta: u32,
+    id: u64,
+    head_exit: u64,
+}
+
+/// A generic [`OmegaNetwork`] compiled into flat lanes for the
+/// duration of one specialized drive. The switch queues live in
+/// `recs`, one record of port cells per switch (see `C_CAND` and the
+/// constants after it): the queues of port `port` of switch `sw` at
+/// stage `s` are the cell at word `(s * span + sw * radix + port) <<
+/// cshift`, and ring slot `i` of either queue is entry `(head + i) &
+/// qmask` of the cell's rings. The event masks follow the cells, one
+/// bit per port in the same order (see `Dims`).
+struct SpecNet {
+    radix: usize,
+    d: Dims,
     /// The exit FIFOs' word capacity (`exit_fifo_words`), which the
     /// backpressure check enforces.
     exit_cap: usize,
@@ -391,39 +825,16 @@ struct SpecNet {
     eshift: u32,
     emask: usize,
     clock: CeClock,
-    // Topology tables (`inv_shuffle` inverts `shuffle`, mapping a
-    // stage input position back to the upstream output that feeds it).
-    shuffle: Vec<u32>,
-    inv_shuffle: Vec<u32>,
-    dest_shift: [u32; 4],
-    /// First global switch index of the last stage.
-    last_base: usize,
-    // Switch input/output queues: ring buffers over flat slot lanes,
-    // with head, live length and wormhole lock packed per queue into
-    // one `u32` state word (see `st_pack`) so the grant path reads and
-    // writes each queue's full state in a single lane access.
-    in_q: Vec<Slot>,
-    in_st: Vec<u32>,
-    out_q: Vec<Slot>,
-    out_st: Vec<u32>,
-    // Wormhole lock ids (valid while the output lock is held).
-    output_lock_id: Vec<u64>,
-    // Event masks (see the module docs). `cand` is indexed by output
-    // queue; the per-switch masks are indexed by global switch.
-    cand: Vec<u64>,
-    grantable: Vec<u64>,
-    out_nonempty: Vec<u64>,
-    out_full: Vec<u64>,
-    // Backpressure masks: a bit is set when a word provably cannot
-    // move (full exit FIFO behind a last-stage output, full downstream
-    // input behind a link, full stage-0 input behind an injection
-    // FIFO) and cleared event-driven by the pop that makes space — so
-    // congested traffic is never rescanned cycle after cycle.
-    exit_blocked: Vec<u64>,
-    link_blocked: Vec<u64>,
-    inj_blocked: Vec<u64>,
-    // Per-switch switched-word counters (exported back verbatim).
-    words_switched: Vec<u64>,
+    /// The last stage's global position 0: exit `pos` drains the output
+    /// at `last + pos`.
+    last: usize,
+    /// The port cells, the event masks and the injection backpressure
+    /// mask: bit `src` of that is set while the stage-0 input source
+    /// `src` feeds is full, and cleared by the pop that makes space.
+    recs: Vec<u64>,
+    /// Per source port: the global position of the stage-0 input its
+    /// FIFO feeds.
+    inj_down: Vec<u64>,
     // Injection FIFOs (cap INJECT_FIFO_WORDS per source port).
     inj_q: Vec<Slot>,
     inj_hl: Vec<u16>,
@@ -440,12 +851,7 @@ struct SpecNet {
     exit_head: Vec<u32>,
     exit_len: Vec<u32>,
     exit_mask: Vec<u64>,
-    // Exit-progress trackers (ExitProgress, SoA form).
-    prog_live: Vec<bool>,
-    prog_id: Vec<u64>,
-    prog_meta: Vec<u32>,
-    prog_head_exit: Vec<u64>,
-    prog_seen: Vec<u8>,
+    prog: Vec<Progress>,
     // Clocks and counters.
     now: u64,
     words_injected: u64,
@@ -507,10 +913,10 @@ impl CeClock {
 }
 
 /// A network's fault plan as the specialized stepper consults it: the
-/// plan plus, per global switch, the mask of outputs that any stuck
-/// window or slowdown names. Only masked outputs pay for the plan's
-/// linear `output_blocked` scan; every hop of a single-word packet asks
-/// `drops_word`, as the generic `link_eats` does.
+/// plan plus a mask, laid out like the event masks, of the outputs that
+/// any stuck window or slowdown names. Only masked outputs pay for the
+/// plan's linear `output_blocked` scan; every hop of a single-word
+/// packet asks `drops_word`, as the generic `link_eats` does.
 struct NetFaults {
     dir: NetDirection,
     plan: FaultPlan,
@@ -518,12 +924,14 @@ struct NetFaults {
 }
 
 impl NetFaults {
-    fn compile(net: &OmegaNetwork, plan: &FaultPlan, switches: usize) -> NetFaults {
-        let mut outputs = vec![0u64; net.cfg.stages * switches];
+    fn compile(net: &OmegaNetwork, plan: &FaultPlan, d: &Dims) -> NetFaults {
+        let mut outputs = vec![0u64; d.mwords];
+        let switches = d.ports >> d.rbits;
         // Outputs outside this network's shape never match a query.
         for (stage, switch, port) in plan.faulted_outputs(net.direction) {
             if stage < net.cfg.stages && switch < switches && port < net.cfg.radix {
-                outputs[stage * switches + switch] |= 1u64 << port;
+                let gpos = d.gpos(stage, (switch << d.rbits) + port);
+                outputs[gpos >> 6] |= 1u64 << (gpos & 63);
             }
         }
         NetFaults {
@@ -543,53 +951,35 @@ impl SpecNet {
         let radix = cfg.radix;
         let stages_n = cfg.stages;
         let ports = cfg.ports();
-        let switches = ports / radix;
-        let queue_words = cfg.queue_words;
-        let qcap = queue_words.next_power_of_two();
-        let exit_cap = cfg.exit_fifo_words;
+        let d = Dims::new(radix, stages_n, cfg.queue_words);
+        let rbits = d.rbits;
+        let pwords = d.pwords;
+        // The perfect shuffle left-rotates a position's base-`radix`
+        // digits (`Topology::shuffle`); with a power-of-two radix that
+        // is a bit rotation, no division.
+        let pbits = ports.trailing_zeros();
+        let shuffle = |pos: usize| (pos << rbits | pos >> (pbits - rbits)) & (ports - 1);
+        let unshuffle = |pos: usize| (pos >> rbits | pos << (pbits - rbits)) & (ports - 1);
         // Exit rings start at the imported occupancy (at least
         // MIN_EXIT_RING) and double on demand up to the capacity, so an
         // import of the reverse network's 512-word FIFOs does not fill
         // 512 slots per port that a drained reply port never uses.
+        let exit_cap = cfg.exit_fifo_words;
         let occupancy = net.exit_fifo.iter().map(VecDeque::len).max().unwrap_or(0);
         let ecap = occupancy
             .max(MIN_EXIT_RING)
             .next_power_of_two()
             .min(exit_cap.next_power_of_two());
-        let nq = stages_n * switches * radix;
-        let nsw = stages_n * switches;
-        let pwords = ports.div_ceil(64);
         let mut spec = SpecNet {
-            ports,
             radix,
-            rbits: radix.trailing_zeros(),
-            rmask: radix - 1,
-            switches,
-            queue_words,
-            qcap,
-            qshift: qcap.trailing_zeros(),
-            qmask: qcap - 1,
+            d,
             exit_cap,
             eshift: ecap.trailing_zeros(),
             emask: ecap - 1,
             clock: CeClock::new(cfg.net_cycles_per_ce_cycle),
-            shuffle: vec![0; ports],
-            inv_shuffle: vec![0; ports],
-            dest_shift: [0; 4],
-            last_base: (stages_n - 1) * switches,
-            in_q: vec![Slot::default(); nq * qcap],
-            in_st: vec![st_pack(0, 0, ST_NO_LOCK); nq],
-            out_q: vec![Slot::default(); nq * qcap],
-            out_st: vec![st_pack(0, 0, ST_NO_LOCK); nq],
-            output_lock_id: vec![0; nq],
-            cand: vec![0; nq],
-            grantable: vec![0; nsw],
-            out_nonempty: vec![0; nsw],
-            out_full: vec![0; nsw],
-            exit_blocked: vec![0; nsw],
-            link_blocked: vec![0; nsw],
-            inj_blocked: vec![0; pwords],
-            words_switched: vec![0; nsw],
+            last: d.gpos(stages_n - 1, 0),
+            recs: vec![0; d.len()],
+            inj_down: vec![0; ports],
             inj_q: vec![Slot::default(); ports * INJECT_FIFO_WORDS],
             inj_hl: vec![0; ports],
             inj_mask: vec![0; pwords],
@@ -599,72 +989,84 @@ impl SpecNet {
             exit_head: vec![0; ports],
             exit_len: vec![0; ports],
             exit_mask: vec![0; pwords],
-            prog_live: vec![false; ports],
-            prog_id: vec![0; ports],
-            prog_meta: vec![0; ports],
-            prog_head_exit: vec![0; ports],
-            prog_seen: vec![0; ports],
+            prog: vec![Progress::default(); ports],
             now: net.now,
             words_injected: net.words_injected,
             words_exited: net.words_exited,
             buffered: 0,
             multiword_words: 0,
             words_dropped: net.words_dropped,
-            faults: net
-                .faults()
-                .map(|plan| NetFaults::compile(net, plan, switches)),
+            faults: net.faults().map(|plan| NetFaults::compile(net, plan, &d)),
             census: [0; 4],
         };
-        for pos in 0..ports {
-            let shuffled = net.topo.shuffle(pos);
-            spec.shuffle[pos] = shuffled as u32;
-            spec.inv_shuffle[shuffled] = pos as u32;
+        for src in 0..ports {
+            debug_assert_eq!(shuffle(src), net.topo.shuffle(src));
+            spec.inj_down[src] = shuffle(src) as u64;
         }
-        for s in 0..stages_n {
-            spec.dest_shift[s] = spec.rbits * (stages_n - 1 - s) as u32;
-        }
+        let set = |recs: &mut Vec<u64>, kind: usize, gpos: usize| {
+            recs[d.mask(kind, gpos)] |= 1u64 << (gpos & 63);
+        };
         for (s, stage) in net.stages.iter().enumerate() {
             for (sw, cb) in stage.iter().enumerate() {
-                let gsw = s * switches + sw;
-                spec.words_switched[gsw] = cb.words_switched;
+                let base = d.gpos(s, sw << rbits);
+                spec.recs[d.cell(base) + C_SWITCHED] = cb.words_switched;
                 for port in 0..radix {
-                    let q = gsw * radix + port;
-                    for (i, w) in cb.inputs[port].iter().enumerate() {
-                        spec.in_q[q * qcap + i] = Slot {
-                            id: w.packet.id.0,
-                            meta: pack_word_meta(w),
-                        };
+                    let gpos = base + port;
+                    let cell = d.cell(gpos);
+                    let pos = (sw << rbits) + port;
+                    // The upstream output (or, at stage 0, the source)
+                    // feeding this input is the one shuffled onto it.
+                    let up = unshuffle(pos);
+                    let feeder = if s == 0 {
+                        d.inj_blocked(up >> 6)
+                    } else {
+                        d.mask(M_BLOCKED, d.gpos(s - 1, up))
+                    };
+                    spec.recs[cell + C_UP] = (feeder << 6 | (up & 63)) as u64;
+                    if s + 1 < stages_n {
+                        spec.recs[cell + C_DOWN] = d.gpos(s + 1, shuffle(pos)) as u64;
+                    }
+                    let (inputs, outputs) = (&cb.inputs[port], &cb.outputs[port]);
+                    for (k, w) in outputs.iter().enumerate() {
+                        spec.put_slot(cell + C_RING + (k << 2), w);
+                    }
+                    for (k, w) in inputs.iter().enumerate() {
+                        spec.put_slot(cell + C_RING + (k << 2) + RING_IN, w);
                     }
                     let in_lock = cb.input_lock[port].map_or(ST_NO_LOCK, |o| o as u32);
-                    spec.in_st[q] = st_pack(0, cb.inputs[port].len(), in_lock);
-                    for (i, w) in cb.outputs[port].iter().enumerate() {
-                        spec.out_q[q * qcap + i] = Slot {
-                            id: w.packet.id.0,
-                            meta: pack_word_meta(w),
-                        };
+                    spec.recs[cell + C_IN_ST] = u64::from(st_pack(0, inputs.len(), in_lock));
+                    if inputs.len() == cfg.queue_words {
+                        let up = spec.recs[cell + C_UP] as usize;
+                        spec.recs[up >> 6] |= 1u64 << (up & 63);
                     }
                     let out_lock = match cb.output_lock[port] {
                         Some((input, id)) => {
-                            spec.output_lock_id[q] = id.0;
+                            spec.recs[cell + C_LOCK_ID] = id.0;
                             input as u32
                         }
                         None => ST_NO_LOCK,
                     };
-                    spec.out_st[q] = st_pack(0, cb.outputs[port].len(), out_lock)
-                        | (cb.rr_next[port] as u32) << ST_RR_SHIFT;
-                    spec.buffered += (cb.inputs[port].len() + cb.outputs[port].len()) as u64;
+                    spec.recs[cell + C_OUT_ST] = u64::from(
+                        st_pack(0, outputs.len(), out_lock)
+                            | (cb.rr_next[port] as u32) << ST_RR_SHIFT,
+                    );
+                    spec.buffered += (inputs.len() + outputs.len()) as u64;
                     // Seed the event masks from this port's settled state.
-                    if !cb.outputs[port].is_empty() {
-                        spec.out_nonempty[gsw] |= 1u64 << port;
+                    if !outputs.is_empty() {
+                        set(&mut spec.recs, M_NONEMPTY, gpos);
                     }
-                    if cb.outputs[port].len() == queue_words {
-                        spec.out_full[gsw] |= 1u64 << port;
+                    if outputs.len() == cfg.queue_words {
+                        set(&mut spec.recs, M_FULL, gpos);
                     }
                     if out_lock != ST_NO_LOCK {
-                        spec.grantable[gsw] |= 1u64 << port;
+                        set(&mut spec.recs, M_GRANTABLE, gpos);
                     }
-                    if !cb.inputs[port].is_empty() && in_lock == ST_NO_LOCK {
-                        spec.add_candidate(s, gsw, port);
+                    if let (Some(head), ST_NO_LOCK) = (inputs.front(), in_lock) {
+                        // An unlocked input's head word is a header (the
+                        // wormhole invariant): a candidate for its output.
+                        let gout = base + d.route(s, pack_word_meta(head));
+                        spec.recs[d.cell(gout) + C_CAND] |= 1u64 << port;
+                        set(&mut spec.recs, M_GRANTABLE, gout);
                     }
                 }
             }
@@ -675,6 +1077,7 @@ impl SpecNet {
                     id: w.packet.id.0,
                     meta: pack_word_meta(w),
                 };
+                spec.multiword_words += u64::from(w.packet.words > 1);
             }
             spec.inj_hl[src] = hl_pack(0, fifo.len());
             if !fifo.is_empty() {
@@ -690,8 +1093,12 @@ impl SpecNet {
                     at,
                     meta: pack_word_meta(&w),
                 };
+                spec.multiword_words += u64::from(w.packet.words > 1);
             }
             spec.exit_len[pos] = fifo.len() as u32;
+            if fifo.len() >= exit_cap {
+                set(&mut spec.recs, M_BLOCKED, spec.last + pos);
+            }
             if !fifo.is_empty() {
                 spec.exit_mask[pos >> 6] |= 1u64 << (pos & 63);
             }
@@ -699,68 +1106,55 @@ impl SpecNet {
         }
         for (pos, progress) in net.exit_progress.iter().enumerate() {
             if let Some(p) = progress {
-                spec.prog_live[pos] = true;
-                spec.prog_id[pos] = p.packet.id.0;
-                spec.prog_meta[pos] = pack_packet_meta(&p.packet);
-                spec.prog_head_exit[pos] = p.head_exit;
-                spec.prog_seen[pos] = p.words_seen;
+                spec.prog[pos] = Progress {
+                    live: true,
+                    seen: p.words_seen,
+                    meta: pack_packet_meta(&p.packet),
+                    id: p.packet.id.0,
+                    head_exit: p.head_exit,
+                };
             }
         }
         debug_assert!(net.delivered.is_empty(), "undrained delivery log");
-        // Seed the multi-word census from the buffered slots (every
-        // ring head is zero at import, so live slots are contiguous).
-        for q in 0..nq {
-            for i in 0..st_len(spec.in_st[q]) {
-                spec.multiword_words += u64::from(meta_words(spec.in_q[q * qcap + i].meta) > 1);
-            }
-            for i in 0..st_len(spec.out_st[q]) {
-                spec.multiword_words += u64::from(meta_words(spec.out_q[q * qcap + i].meta) > 1);
-            }
-        }
-        for src in 0..ports {
-            for i in 0..hl_len(spec.inj_hl[src]) {
-                spec.multiword_words +=
-                    u64::from(meta_words(spec.inj_q[src * INJECT_FIFO_WORDS + i].meta) > 1);
-            }
-        }
-        for pos in 0..ports {
-            for i in 0..spec.exit_len[pos] as usize {
-                spec.multiword_words += u64::from(meta_words(spec.exit_q[pos * ecap + i].meta) > 1);
-            }
-        }
         spec
+    }
+
+    /// Writes a switch-queue word into the ring slot at `slot` at import,
+    /// counting it in the multi-word census.
+    fn put_slot(&mut self, slot: usize, w: &Word) {
+        self.recs[slot] = w.packet.id.0;
+        self.recs[slot + 1] = u64::from(pack_word_meta(w));
+        self.multiword_words += u64::from(w.packet.words > 1);
     }
 
     /// Writes the lanes back into the generic representation. After
     /// this, `net` is byte-identical (under `Snapshot`) to the network
     /// a generic run would have produced.
     fn export(&self, net: &mut OmegaNetwork) {
-        let radix = self.radix;
-        let switches = self.switches;
-        let qcap = self.qcap;
-        let qmask = self.qmask;
+        let d = self.d;
+        let word = |slot: usize| unpack_word(self.recs[slot], self.recs[slot + 1] as u32);
         for (s, stage) in net.stages.iter_mut().enumerate() {
             for (sw, cb) in stage.iter_mut().enumerate() {
-                let gsw = s * switches + sw;
-                cb.words_switched = self.words_switched[gsw];
-                for port in 0..radix {
-                    let q = gsw * radix + port;
-                    let ist = self.in_st[q];
+                let base = d.gpos(s, sw << d.rbits);
+                cb.words_switched = 0;
+                for port in 0..self.radix {
+                    let cell = d.cell(base + port);
+                    cb.words_switched += self.recs[cell + C_SWITCHED];
+                    let ist = self.recs[cell + C_IN_ST] as u32;
                     cb.inputs[port].clear();
                     for i in 0..st_len(ist) {
-                        let s = self.in_q[q * qcap + ((st_head(ist) + i) & qmask)];
-                        cb.inputs[port].push_back(unpack_word(s.id, s.meta));
+                        let slot = d.ring(cell, st_head(ist) + i) + RING_IN;
+                        cb.inputs[port].push_back(word(slot));
                     }
-                    let ost = self.out_st[q];
+                    let ost = self.recs[cell + C_OUT_ST] as u32;
                     cb.outputs[port].clear();
                     for i in 0..st_len(ost) {
-                        let s = self.out_q[q * qcap + ((st_head(ost) + i) & qmask)];
-                        cb.outputs[port].push_back(unpack_word(s.id, s.meta));
+                        cb.outputs[port].push_back(word(d.ring(cell, st_head(ost) + i)));
                     }
                     cb.input_lock[port] =
                         (st_lock(ist) != ST_NO_LOCK).then(|| st_lock(ist) as usize);
                     cb.output_lock[port] = (st_lock(ost) != ST_NO_LOCK)
-                        .then(|| (st_lock(ost) as usize, PacketId(self.output_lock_id[q])));
+                        .then(|| (st_lock(ost) as usize, PacketId(self.recs[cell + C_LOCK_ID])));
                     cb.rr_next[port] = (ost >> ST_RR_SHIFT) as usize;
                 }
             }
@@ -781,11 +1175,11 @@ impl SpecNet {
                 fifo.push_back((unpack_word(s.id, s.meta), s.at));
             }
         }
-        for (pos, progress) in net.exit_progress.iter_mut().enumerate() {
-            *progress = self.prog_live[pos].then(|| crate::network::ExitProgress {
-                packet: unpack_packet(self.prog_id[pos], self.prog_meta[pos]),
-                head_exit: self.prog_head_exit[pos],
-                words_seen: self.prog_seen[pos],
+        for (progress, p) in net.exit_progress.iter_mut().zip(&self.prog) {
+            *progress = p.live.then(|| crate::network::ExitProgress {
+                packet: unpack_packet(p.id, p.meta),
+                head_exit: p.head_exit,
+                words_seen: p.seen,
             });
         }
         net.now = self.now;
@@ -794,59 +1188,6 @@ impl SpecNet {
         net.words_dropped = self.words_dropped;
         // `delivered` was empty at import (eligibility) and the
         // specialized engine never appends to it; nothing to write.
-    }
-
-    /// Registers input `input` of switch `gsw` (stage `s`) as an
-    /// arbitration candidate for the output its buffered header word
-    /// routes to. The input must be unlocked and non-empty; by the
-    /// wormhole invariant its head word is then a header.
-    #[inline]
-    fn add_candidate(&mut self, s: usize, gsw: usize, input: usize) {
-        let q_in = (gsw << self.rbits) + input;
-        let st = ld(&self.in_st, q_in);
-        debug_assert!(st_len(st) > 0 && st_lock(st) == ST_NO_LOCK);
-        let meta = ld(&self.in_q, (q_in << self.qshift) + st_head(st)).meta;
-        debug_assert_eq!(meta_index(meta), 0, "continuation word on unlocked input");
-        let out = (meta_dest(meta) >> self.dest_shift[s]) as usize & self.rmask;
-        *at(&mut self.cand, (gsw << self.rbits) + out) |= 1u64 << input;
-        *at(&mut self.grantable, gsw) |= 1u64 << out;
-    }
-
-    /// Appends a word to a switch input queue, maintaining the
-    /// candidate mask. The caller has already checked capacity.
-    #[inline]
-    fn push_switch_input(&mut self, s: usize, gsw: usize, input: usize, id: u64, meta: u32) {
-        let q = (gsw << self.rbits) + input;
-        let st = ld(&self.in_st, q);
-        debug_assert!(st_len(st) < self.queue_words);
-        *at(
-            &mut self.in_q,
-            (q << self.qshift) + ((st_head(st) + st_len(st)) & self.qmask),
-        ) = Slot { id, meta };
-        *at(&mut self.in_st, q) = st + 0x100;
-        // A word landing in an empty unlocked queue is a header (the
-        // wormhole invariant) and becomes the queue's candidate for
-        // the output it routes to: a masked store, not a branch.
-        let fresh = u64::from(st >> 8 == ST_NO_LOCK << 8);
-        let out = (meta_dest(meta) >> ld(&self.dest_shift, s)) as usize & self.rmask;
-        *at(&mut self.cand, (gsw << self.rbits) + out) |= fresh << input;
-        *at(&mut self.grantable, gsw) |= fresh << out;
-    }
-
-    /// Pops the head word of a switch output queue, maintaining the
-    /// caller's register-resident occupancy masks. The caller has
-    /// already checked non-emptiness.
-    #[inline]
-    fn pop_out_local(&mut self, gsw: usize, out: usize, ne: &mut u64, fl: &mut u64) -> (u64, u32) {
-        let q = (gsw << self.rbits) + out;
-        let st = ld(&self.out_st, q);
-        debug_assert!(st_len(st) > 0);
-        let s = ld(&self.out_q, (q << self.qshift) + st_head(st));
-        *at(&mut self.out_st, q) =
-            st & ST_RR_BITS | st_pack((st_head(st) + 1) & self.qmask, st_len(st) - 1, st_lock(st));
-        *ne &= !(u64::from(st_len(st) == 1) << out);
-        *fl &= !(1u64 << out);
-        (s.id, s.meta)
     }
 
     /// One network cycle, the monomorphized counterpart of
@@ -859,50 +1200,72 @@ impl SpecNet {
     /// transfers (per stage) → injection. Exits and links drain
     /// disjoint queues, the link stages are mutually disjoint, and a
     /// stage's transfer touches only its own switch state (plus
-    /// already-stored upstream blocked masks) — so the phases can be
-    /// interleaved per switch, provided each switch drains before it
-    /// transfers and every link into a stage-`s+1` input queue runs
-    /// before that stage's pass. Fusing this way keeps each switch's
-    /// occupancy masks in registers across both halves of its cycle
-    /// and walks the switch state once per cycle instead of once per
-    /// phase.
+    /// already-stored upstream blocked masks) — so each stage may run
+    /// its links (or exits) and then its transfers, provided every link
+    /// into a stage-`s+1` input queue runs before that stage's pass.
+    /// Each pass walks a whole mask word of ports, several switches at
+    /// once, in one loop, with the word's event masks in registers.
     ///
     /// Injection, the last generic phase, is [`injection`](Self::injection):
     /// it touches only this network, so the caller may run it after the
     /// other network's switches.
-    fn step_switches<const S: usize, const F: bool, const L: bool>(&mut self) {
+    fn step_switches<const S: usize, const C: bool, const F: bool, const L: bool>(&mut self) {
         // One predictable branch per cycle: with no multi-word packet
         // buffered anywhere, wormhole locks cannot engage and the
         // lock-free monomorphic transfer is exact.
         if self.multiword_words == 0 {
-            self.step_inner::<S, false, F, L>();
+            self.step_inner::<S, C, false, F, L>();
         } else {
-            self.step_inner::<S, true, F, L>();
+            self.step_inner::<S, C, true, F, L>();
         }
     }
 
-    fn step_inner<const S: usize, const MULTI: bool, const F: bool, const L: bool>(&mut self) {
+    fn step_inner<
+        const S: usize,
+        const C: bool,
+        const MULTI: bool,
+        const F: bool,
+        const L: bool,
+    >(
+        &mut self,
+    ) {
         self.now += 1;
+        let d = self.d.pick::<C>();
         for s in 0..S {
-            let last = s + 1 == S;
-            for sw in 0..self.switches {
-                let gsw = s * self.switches + sw;
-                let mut ne = ld(&self.out_nonempty, gsw);
-                let mut fl = ld(&self.out_full, gsw);
-                let g = ld(&self.grantable, gsw);
-                if ne | g == 0 {
-                    continue; // nothing buffered, nothing grantable
+            for w in s * d.pwords..(s + 1) * d.pwords {
+                let nonempty = ld(&self.recs, d.mask_word(M_NONEMPTY, w));
+                let movable = nonempty & !ld(&self.recs, d.mask_word(M_BLOCKED, w));
+                if movable == 0 {
+                    continue;
                 }
-                if last {
-                    self.collect_exits_sw::<F, L>(s, gsw, sw, &mut ne, &mut fl);
+                let mut v = Masks {
+                    grantable: 0,
+                    nonempty,
+                    full: ld(&self.recs, d.mask_word(M_FULL, w)),
+                };
+                if s + 1 == S {
+                    self.exits::<F, L>(d, s, w, movable, &mut v);
                 } else {
-                    self.link_sw::<F, L>(s, gsw, sw, &mut ne, &mut fl);
+                    self.links::<F, L>(d, s, w, movable, &mut v);
                 }
-                if g & !fl != 0 {
-                    self.transfer::<MULTI, L>(s, gsw, g, &mut ne, &mut fl);
+                *at(&mut self.recs, d.mask_word(M_NONEMPTY, w)) = v.nonempty;
+                *at(&mut self.recs, d.mask_word(M_FULL, w)) = v.full;
+            }
+            for w in s * d.pwords..(s + 1) * d.pwords {
+                let grantable = ld(&self.recs, d.mask_word(M_GRANTABLE, w));
+                let full = ld(&self.recs, d.mask_word(M_FULL, w));
+                if grantable & !full == 0 {
+                    continue;
                 }
-                *at(&mut self.out_nonempty, gsw) = ne;
-                *at(&mut self.out_full, gsw) = fl;
+                let v = Masks {
+                    grantable,
+                    nonempty: ld(&self.recs, d.mask_word(M_NONEMPTY, w)),
+                    full,
+                };
+                let v = d.transfer::<C, MULTI, L>(&mut self.recs, s, w, v, &mut self.census);
+                *at(&mut self.recs, d.mask_word(M_GRANTABLE, w)) = v.grantable;
+                *at(&mut self.recs, d.mask_word(M_NONEMPTY, w)) = v.nonempty;
+                *at(&mut self.recs, d.mask_word(M_FULL, w)) = v.full;
             }
         }
     }
@@ -917,8 +1280,9 @@ impl SpecNet {
         let old = 1usize << self.eshift;
         debug_assert!(old < self.exit_cap, "grew a ring past the exit capacity");
         let shift = self.eshift + 1;
-        let mut grown = vec![ExitSlot::default(); self.ports << shift];
-        for pos in 0..self.ports {
+        let ports = self.d.ports;
+        let mut grown = vec![ExitSlot::default(); ports << shift];
+        for pos in 0..ports {
             let head = self.exit_head[pos] as usize;
             for i in 0..self.exit_len[pos] as usize {
                 grown[(pos << shift) + i] =
@@ -931,40 +1295,38 @@ impl SpecNet {
         self.emask = (1 << shift) - 1;
     }
 
-    /// One last-stage switch → its exit FIFOs. Mirrors the generic
-    /// order: a fault-blocked output holds its word, the exit capacity
-    /// check happens before the pop, a lossy link eats the popped word,
-    /// and at most one word exits per position per cycle.
+    /// The movable outputs `m` of mask word `w` of the last stage → their
+    /// exit FIFOs. Mirrors the generic order: a fault-blocked output
+    /// holds its word, a lossy link eats the popped word, and at most one
+    /// word exits per position per cycle. A full exit blocks its output
+    /// (`M_BLOCKED`) until the pop that frees it.
     #[inline(always)]
-    fn collect_exits_sw<const F: bool, const L: bool>(
+    fn exits<const F: bool, const L: bool>(
         &mut self,
+        d: Dims,
         s: usize,
-        gsw: usize,
-        sw: usize,
-        ne: &mut u64,
-        fl: &mut u64,
+        w: usize,
+        mut m: u64,
+        v: &mut Masks,
     ) {
-        let mut m = *ne & !ld(&self.exit_blocked, gsw);
         if L {
             self.census[0] += u64::from(m.count_ones());
         }
         while m != 0 {
-            let out = m.trailing_zeros() as usize;
+            let bit = m.trailing_zeros() as usize;
             m &= m - 1;
-            if F && self.output_faulted(s, gsw, sw, out) {
+            let gpos = (w << 6) + bit;
+            let pos = gpos - self.last;
+            if F && self.output_faulted(d, s, gpos, pos) {
                 continue;
             }
-            let pos = (sw << self.rbits) + out;
             let elen = ld(&self.exit_len, pos) as usize;
-            if elen >= self.exit_cap {
-                *at(&mut self.exit_blocked, gsw) |= 1u64 << out;
-                continue;
-            }
-            let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            debug_assert!(elen < self.exit_cap, "a full exit left unblocked");
+            let (id, meta) = d.pop_out(&mut self.recs, gpos, v);
             if L {
                 self.census[1] += 1;
             }
-            if F && self.link_drops(s, sw, out, id, meta) {
+            if F && self.link_drops(d, s, pos, id, meta) {
                 continue;
             }
             if elen > self.emask {
@@ -979,68 +1341,69 @@ impl SpecNet {
             };
             *at(&mut self.exit_len, pos) += 1;
             *at(&mut self.exit_mask, pos >> 6) |= 1u64 << (pos & 63);
+            *at(&mut self.recs, d.mask(M_BLOCKED, gpos)) |=
+                u64::from(elen + 1 == self.exit_cap) << bit;
             self.words_exited += 1;
         }
     }
 
-    /// One switch's inter-stage shuffle links into stage `s + 1`. The
-    /// link stages drain mutually disjoint queues, so the per-stage
-    /// processing order is free. Faults follow the generic order: a
-    /// blocked output holds its word, and a lossy link eats a word only
-    /// once the downstream queue could have taken it.
+    /// The inter-stage shuffle links out of the movable outputs `m` of
+    /// mask word `w` of stage `s`, into stage `s + 1`. The link stages
+    /// drain mutually disjoint queues, so the processing order is free.
+    /// Faults follow the generic order: a blocked output holds its word,
+    /// and a lossy link eats a word only once the downstream queue could
+    /// have taken it.
     #[inline(always)]
-    fn link_sw<const F: bool, const L: bool>(
+    fn links<const F: bool, const L: bool>(
         &mut self,
+        d: Dims,
         s: usize,
-        gsw: usize,
-        sw: usize,
-        ne: &mut u64,
-        fl: &mut u64,
+        w: usize,
+        mut m: u64,
+        v: &mut Masks,
     ) {
-        let mut m = *ne & !ld(&self.link_blocked, gsw);
         if L {
             self.census[0] += u64::from(m.count_ones());
         }
         while m != 0 {
-            let out = m.trailing_zeros() as usize;
+            let bit = m.trailing_zeros() as usize;
             m &= m - 1;
-            if F && self.output_faulted(s, gsw, sw, out) {
+            let gpos = (w << 6) + bit;
+            let pos = gpos - d.gpos(s, 0);
+            if F && self.output_faulted(d, s, gpos, pos) {
                 continue;
             }
-            let shuffled = ld(&self.shuffle, (sw << self.rbits) + out) as usize;
-            let ngsw = (s + 1) * self.switches + (shuffled >> self.rbits);
-            let nin = shuffled & self.rmask;
-            if st_len(ld(&self.in_st, (ngsw << self.rbits) + nin)) >= self.queue_words {
-                *at(&mut self.link_blocked, gsw) |= 1u64 << out;
-                continue;
-            }
-            let (id, meta) = self.pop_out_local(gsw, out, ne, fl);
+            let gin = ld(&self.recs, d.cell(gpos) + C_DOWN) as usize;
+            let (id, meta) = d.pop_out(&mut self.recs, gpos, v);
             if L {
                 self.census[1] += 1;
             }
-            if F && self.link_drops(s, sw, out, id, meta) {
+            if F && self.link_drops(d, s, pos, id, meta) {
                 continue;
             }
-            self.push_switch_input(s + 1, ngsw, nin, id, meta);
+            d.push_input(&mut self.recs, s + 1, gin, id, meta);
         }
     }
 
-    /// Whether the fault plan blocks output `out` of switch `sw` (global
-    /// `gsw`) at stage `s` this cycle. Unmasked outputs never query the
-    /// plan.
+    /// Whether the fault plan blocks the output at stage position `pos`
+    /// (global `gpos`) of stage `s` this cycle. Unmasked outputs never
+    /// query the plan.
     #[inline]
-    fn output_faulted(&self, s: usize, gsw: usize, sw: usize, out: usize) -> bool {
+    fn output_faulted(&self, d: Dims, s: usize, gpos: usize, pos: usize) -> bool {
         self.faults.as_ref().is_some_and(|f| {
-            ld(&f.outputs, gsw) >> out & 1 != 0
-                && f.plan.output_blocked(f.dir, s, sw, out, self.now)
+            ld(&f.outputs, gpos >> 6) >> (gpos & 63) & 1 != 0
+                && f.plan
+                    .output_blocked(f.dir, s, pos >> d.rbits, pos & d.rmask, self.now)
         })
     }
 
-    /// Whether the link out of `(s, sw, out)` loses the word just popped
-    /// from that output (single-word packets only, as in the generic
-    /// `link_eats`); a lost word leaves the network.
+    /// Whether the link out of the output at stage position `pos` of
+    /// stage `s` loses the word just popped from it (single-word packets
+    /// only, as in the generic `link_eats`); a lost word leaves the
+    /// network.
     #[inline]
-    fn link_drops(&mut self, s: usize, sw: usize, out: usize, id: u64, meta: u32) -> bool {
+    fn link_drops(&mut self, d: Dims, s: usize, pos: usize, id: u64, meta: u32) -> bool {
+        let (sw, out) = (pos >> d.rbits, pos & d.rmask);
         let lost = self.faults.as_ref().is_some_and(|f| {
             meta_words(meta) == 1 && f.plan.drops_word(f.dir, s, sw, out, id, self.now)
         });
@@ -1051,201 +1414,49 @@ impl SpecNet {
         lost
     }
 
-    /// One switch's internal transfer cycle: the exact generic
-    /// `Crossbar::transfer`, outputs processed in ascending order over
-    /// live state (so one input can feed several outputs in a cycle,
-    /// as the generic switch allows) — but walking only the grantable,
-    /// non-full outputs. The per-switch event masks live in registers
-    /// for the whole call, and the grant body is written with
-    /// arithmetic selects instead of data-dependent branches: the
-    /// round-robin pick is a rotate, and the next-header re-expose and
-    /// the upstream unblock are masked stores that write nothing when
-    /// they do not apply. The moved-word path keeps one unpredictable
-    /// branch, the empty-locked-input skip, and only under `MULTI`.
-    fn transfer<const MULTI: bool, const L: bool>(
-        &mut self,
-        s: usize,
-        gsw: usize,
-        mut g: u64,
-        ne: &mut u64,
-        fl: &mut u64,
-    ) {
-        let base = gsw << self.rbits;
-        let dest_shift = ld(&self.dest_shift, s);
-        // Inputs of this switch as stage positions, for `inv_shuffle`.
-        let stage_base = base - ((s * self.switches) << self.rbits);
-        let mut switched = 0u64;
-        let mut from = 0usize;
-        while from < self.radix {
-            let active = g & !*fl & (!0u64 << from);
-            if active == 0 {
-                break;
-            }
-            let out = active.trailing_zeros() as usize;
-            from = out + 1;
-            if L {
-                self.census[0] += 1;
-            }
-            let q_out = base + out;
-            let ost = ld(&self.out_st, q_out);
-            debug_assert!(
-                MULTI || st_lock(ost) == ST_NO_LOCK,
-                "lock without multi-word packet"
-            );
-            let lock_in = if MULTI { st_lock(ost) } else { ST_NO_LOCK };
-            let unlocked = lock_in == ST_NO_LOCK;
-            // Round-robin: first candidate at or after rr_next,
-            // wrapping. Rotating the candidates right by rr_next puts
-            // that candidate at the lowest set bit; the radix divides
-            // 64, so the wrapped index reduces with `rmask`. Under a
-            // held lock the selection is ignored and the pointer
-            // written back unchanged — a select, not a branch.
-            let m = ld(&self.cand, q_out);
-            debug_assert!(
-                !unlocked || m != 0,
-                "grantable output with no lock and no candidates"
-            );
-            let start = ost >> ST_RR_SHIFT;
-            let rr_pick = (start + m.rotate_right(start).trailing_zeros()) as usize & self.rmask;
-            let input = if unlocked { rr_pick } else { lock_in as usize };
-            let rr_next = if unlocked {
-                ((rr_pick + 1) & self.rmask) as u32
-            } else {
-                start
-            };
-            let q_in = base + input;
-            let ist = ld(&self.in_st, q_in);
-            let ilen = st_len(ist);
-            debug_assert!(MULTI || ilen > 0, "empty candidate input");
-            if MULTI && ilen == 0 {
-                continue; // locked input has no word buffered yet
-            }
-            let ihead = st_head(ist);
-            let Slot { id, meta } = ld(&self.in_q, (q_in << self.qshift) + ihead);
-            debug_assert!(
-                unlocked || self.output_lock_id[q_out] == id,
-                "wormhole violation: interleaved packet on a locked output"
-            );
-            debug_assert!(
-                MULTI || meta_words(meta) == 1,
-                "multi-word word past the census"
-            );
-            let index = meta_index(meta);
-            let tail = !MULTI || index + 1 == meta_words(meta);
-            let first = !MULTI || index == 0;
-            // Lock transitions: a tail releases both sides, a non-tail
-            // header locks both, anything else leaves them unchanged.
-            let new_ilock = if tail {
-                ST_NO_LOCK
-            } else if first {
-                out as u32
-            } else {
-                st_lock(ist)
-            };
-            let new_olock = if tail {
-                ST_NO_LOCK
-            } else if first {
-                input as u32
-            } else {
-                lock_in
-            };
-            *at(&mut self.in_st, q_in) = st_pack((ihead + 1) & self.qmask, ilen - 1, new_ilock);
-            // Popping a full input queue makes space for whatever was
-            // backpressured behind it: the upstream link (s > 0) or
-            // the source injection FIFO (s == 0). The clear is masked
-            // to nothing when the queue was not full.
-            let freed = u64::from(ilen == self.queue_words);
-            let up = ld(&self.inv_shuffle, stage_base + input) as usize;
-            if s == 0 {
-                *at(&mut self.inj_blocked, up >> 6) &= !(freed << (up & 63));
-            } else {
-                *at(
-                    &mut self.link_blocked,
-                    (s - 1) * self.switches + (up >> self.rbits),
-                ) &= !(freed << (up & self.rmask));
-            }
-            // The lock id is only read while the lock is held, so the
-            // store can be unconditional (a held lock's id already
-            // equals `id` by the wormhole invariant).
-            if MULTI {
-                *at(&mut self.output_lock_id, q_out) = id;
-            }
-            *at(&mut self.cand, q_out) = m & !(u64::from(unlocked) << input);
-            // An input left unlocked with words buffered exposes its
-            // next header for arbitration. The slot behind the head is
-            // read either way (a stale slot still routes inside the
-            // switch) and the candidate bit masked in only when it
-            // applies.
-            let expose = u64::from((new_ilock == ST_NO_LOCK) & (ilen > 1));
-            let meta2 = ld(
-                &self.in_q,
-                (q_in << self.qshift) + ((ihead + 1) & self.qmask),
-            )
-            .meta;
-            debug_assert!(
-                expose == 0 || meta_index(meta2) == 0,
-                "continuation word on unlocked input"
-            );
-            let out2 = (meta_dest(meta2) >> dest_shift) as usize & self.rmask;
-            *at(&mut self.cand, base + out2) |= expose << input;
-            g |= expose << out2;
-            let still = new_olock != ST_NO_LOCK || ld(&self.cand, q_out) != 0;
-            g = (g & !(1u64 << out)) | u64::from(still) << out;
-            let ohead = st_head(ost);
-            let olen = st_len(ost);
-            *at(
-                &mut self.out_q,
-                (q_out << self.qshift) + ((ohead + olen) & self.qmask),
-            ) = Slot { id, meta };
-            *at(&mut self.out_st, q_out) =
-                st_pack(ohead, olen + 1, new_olock) | rr_next << ST_RR_SHIFT;
-            *ne |= 1u64 << out;
-            *fl |= u64::from(olen + 1 == self.queue_words) << out;
-            switched += 1;
-        }
-        *at(&mut self.grantable, gsw) = g;
-        *at(&mut self.words_switched, gsw) += switched;
-        if L {
-            self.census[1] += switched;
-        }
-    }
-
     /// Injection FIFOs → stage 0, on CE-cycle boundaries only (the
-    /// generic step's last phase).
-    fn injection<const L: bool>(&mut self) {
+    /// generic step's last phase). Each 64-source word's FIFO and
+    /// popped masks stay in registers while its sources inject.
+    fn injection<const C: bool, const L: bool>(&mut self) {
         if !self.clock.boundary(self.now) || self.inj_words == 0 {
             return;
         }
+        let d = self.d.pick::<C>();
         for w in 0..self.inj_mask.len() {
-            let mut m = ld(&self.inj_mask, w) & !ld(&self.inj_blocked, w);
+            // A push sets only its own source's bit, so the word read
+            // here stays exact for the sources still to inject.
+            let mut live = ld(&self.inj_mask, w);
+            let mut m = live & !ld(&self.recs, d.inj_blocked(w));
             if L {
                 self.census[2] += u64::from(m.count_ones());
             }
+            if m == 0 {
+                continue;
+            }
+            let mut popped = 0u64;
             while m != 0 {
+                let bit = m & m.wrapping_neg();
                 let src = (w << 6) + m.trailing_zeros() as usize;
                 m &= m - 1;
-                let pos = ld(&self.shuffle, src) as usize;
-                let gsw = pos >> self.rbits;
-                let input = pos & self.rmask;
-                if st_len(ld(&self.in_st, (gsw << self.rbits) + input)) >= self.queue_words {
-                    *at(&mut self.inj_blocked, w) |= 1u64 << (src & 63);
-                    continue;
-                }
+                let gin = ld(&self.inj_down, src) as usize;
                 let hl = ld(&self.inj_hl, src);
                 let Slot { id, meta } = ld(&self.inj_q, src * INJECT_FIFO_WORDS + hl_head(hl));
                 *at(&mut self.inj_hl, src) =
                     hl_pack((hl_head(hl) + 1) % INJECT_FIFO_WORDS, hl_len(hl) - 1);
-                self.inj_words -= 1;
                 if hl_len(hl) == 1 {
-                    *at(&mut self.inj_mask, w) &= !(1u64 << (src & 63));
+                    live &= !bit;
                 }
-                *at(&mut self.inj_popped, w) |= 1u64 << (src & 63);
-                self.push_switch_input(0, gsw, input, id, meta);
-                self.words_injected += 1;
-                if L {
-                    self.census[3] += 1;
-                }
+                popped |= bit;
+                d.push_input(&mut self.recs, 0, gin, id, meta);
             }
+            let moved = u64::from(popped.count_ones());
+            self.inj_words -= moved;
+            self.words_injected += moved;
+            if L {
+                self.census[3] += moved;
+            }
+            *at(&mut self.inj_mask, w) = live;
+            *at(&mut self.inj_popped, w) |= popped;
         }
     }
 
@@ -1279,7 +1490,7 @@ impl SpecNet {
 
     /// Offers a packet's words to the source-port injection FIFO.
     fn try_inject(&mut self, packet: Packet) -> bool {
-        debug_assert!(packet.src < self.ports && packet.dest < self.ports);
+        debug_assert!(packet.src < self.d.ports && packet.dest < self.d.ports);
         self.try_inject_meta(packet.src, packet.id.0, pack_packet_meta(&packet))
     }
 
@@ -1306,8 +1517,8 @@ impl SpecNet {
         // Popping an exit FIFO makes space for the last-stage output
         // word backpressured behind it.
         if len as usize == self.exit_cap {
-            *at(&mut self.exit_blocked, self.last_base + (pos >> self.rbits)) &=
-                !(1u64 << (pos & self.rmask));
+            let gpos = self.last + pos;
+            *at(&mut self.recs, self.d.mask(M_BLOCKED, gpos)) &= !(1u64 << (gpos & 63));
         }
         self.buffered -= 1;
         // Progress tracking: a single-word packet at an idle exit
@@ -1316,19 +1527,21 @@ impl SpecNet {
         // behind too), so the common case skips the tracker entirely.
         let words = meta_words(meta);
         self.multiword_words -= u64::from(words > 1);
-        if ld(&self.prog_live, pos) {
-            debug_assert_eq!(self.prog_id[pos], id, "interleaved packets at one exit");
-            let seen = ld(&self.prog_seen, pos) + 1;
-            *at(&mut self.prog_seen, pos) = seen;
-            if u32::from(seen) == words {
-                *at(&mut self.prog_live, pos) = false;
+        let prog = at(&mut self.prog, pos);
+        if prog.live {
+            debug_assert_eq!(prog.id, id, "interleaved packets at one exit");
+            prog.seen += 1;
+            if u32::from(prog.seen) == words {
+                prog.live = false;
             }
         } else if words > 1 {
-            *at(&mut self.prog_live, pos) = true;
-            *at(&mut self.prog_id, pos) = id;
-            *at(&mut self.prog_meta, pos) = meta & !(7 << META_INDEX_SHIFT);
-            *at(&mut self.prog_head_exit, pos) = exit_at;
-            *at(&mut self.prog_seen, pos) = 1;
+            *prog = Progress {
+                live: true,
+                seen: 1,
+                meta: meta & !(7 << META_INDEX_SHIFT),
+                id,
+                head_exit: exit_at,
+            };
         }
         Some((id, meta, exit_at))
     }
@@ -1362,10 +1575,9 @@ struct SpecModules {
     pend_head: Vec<u8>,
     pend_len: Vec<u8>,
     busy_until: Vec<u64>,
-    // Reply awaiting reverse-network injection.
-    out_live: Vec<bool>,
-    out_id: Vec<u64>,
-    out_meta: Vec<u32>,
+    /// The reply awaiting reverse-network injection, valid while the
+    /// module's `out_mask` bit is set.
+    out: Vec<Slot>,
     served: Vec<u64>,
     // Partial multi-word request being reassembled.
     part_live: Vec<bool>,
@@ -1402,6 +1614,13 @@ struct SpecModules {
     census: [u64; 2],
 }
 
+/// One 64-module word of the `out_mask` and `pend_full` masks, held in
+/// registers while its modules are visited and stored once after.
+struct ModMasks {
+    out: u64,
+    full: u64,
+}
+
 impl SpecModules {
     fn import(fabric: &RoundTripFabric) -> SpecModules {
         let (modules, partial) = (&fabric.modules, &fabric.partial);
@@ -1423,9 +1642,7 @@ impl SpecModules {
             pend_head: vec![0; n],
             pend_len: vec![0; n],
             busy_until: vec![0; n],
-            out_live: vec![false; n],
-            out_id: vec![0; n],
-            out_meta: vec![0; n],
+            out: vec![Slot::default(); n],
             served: vec![0; n],
             part_live: vec![false; n],
             part_id: vec![0; n],
@@ -1460,16 +1677,17 @@ impl SpecModules {
             }
             spec.busy_until[i] = m.busy_until;
             if let Some(p) = &m.outgoing {
-                spec.out_live[i] = true;
-                spec.out_id[i] = p.id.0;
-                spec.out_meta[i] = pack_packet_meta(p);
+                spec.out[i] = Slot {
+                    id: p.id.0,
+                    meta: pack_packet_meta(p),
+                };
                 spec.out_mask[i >> 6] |= 1u64 << (i & 63);
             }
             spec.served[i] = m.served;
-            if spec.pend_len[i] > 0 || spec.out_live[i] {
+            if !m.pending.is_empty() || m.outgoing.is_some() {
                 spec.busy += 1;
             }
-            if spec.pend_len[i] > 0 {
+            if !m.pending.is_empty() {
                 spec.schedule_wake(i, now);
             }
         }
@@ -1517,7 +1735,8 @@ impl SpecModules {
                 m.pending.push_back(unpack_packet(s.id, s.meta));
             }
             m.busy_until = self.busy_until[i];
-            m.outgoing = self.out_live[i].then(|| unpack_packet(self.out_id[i], self.out_meta[i]));
+            m.outgoing = (self.out_mask[i >> 6] >> (i & 63) & 1 != 0)
+                .then(|| unpack_packet(self.out[i].id, self.out[i].meta));
             m.served = self.served[i];
         }
         for (i, slot) in partial.iter_mut().enumerate() {
@@ -1538,7 +1757,7 @@ impl SpecModules {
     }
 
     #[inline]
-    fn push_pending(&mut self, i: usize, id: u64, meta: u32) {
+    fn push_pending(&mut self, i: usize, id: u64, meta: u32, live: &mut ModMasks) {
         debug_assert!((self.pend_len[i] as usize) < self.buf_cap);
         let slot = (i << self.pshift)
             + ((ld(&self.pend_head, i) as usize + ld(&self.pend_len, i) as usize) & self.pmask);
@@ -1547,9 +1766,7 @@ impl SpecModules {
             meta: meta & !(7 << META_INDEX_SHIFT),
         };
         *at(&mut self.pend_len, i) += 1;
-        if ld(&self.pend_len, i) as usize == self.buf_cap {
-            *at(&mut self.pend_full, i >> 6) |= 1u64 << (i & 63);
-        }
+        live.full |= u64::from(ld(&self.pend_len, i) as usize == self.buf_cap) << (i & 63);
     }
 
     /// One cycle of `service_modules`: accept at most one forward
@@ -1570,9 +1787,16 @@ impl SpecModules {
         for w in 0..self.words {
             let wake = std::mem::take(at(&mut self.wheel, slot + w));
             let arriving = fwd.exit_mask.get(w).copied().unwrap_or(0);
-            let mut m = wake | ld(&self.out_mask, w) | (arriving & !ld(&self.pend_full, w));
+            let mut live = ModMasks {
+                out: ld(&self.out_mask, w),
+                full: ld(&self.pend_full, w),
+            };
+            let mut m = wake | live.out | (arriving & !live.full);
             if F {
                 m |= ld(&self.fault_mask, w);
+            }
+            if m == 0 {
+                continue;
             }
             while m != 0 {
                 let i = (w << 6) + m.trailing_zeros() as usize;
@@ -1586,7 +1810,7 @@ impl SpecModules {
                 if F && ld(&self.fault_mask, w) >> (i & 63) & 1 != 0 {
                     if let Some(plan) = plan {
                         let discards = self.discards;
-                        if self.fault_visit(fwd, plan, i, now) {
+                        if self.fault_visit(fwd, plan, i, now, &mut live) {
                             if L {
                                 self.census[1] += u64::from(self.discards != discards);
                             }
@@ -1594,11 +1818,13 @@ impl SpecModules {
                         }
                     }
                 }
-                let changed = self.service_one(fwd, rev, now, i);
+                let changed = self.service_one(fwd, rev, now, i, &mut live);
                 if L {
                     self.census[1] += u64::from(changed);
                 }
             }
+            *at(&mut self.out_mask, w) = live.out;
+            *at(&mut self.pend_full, w) = live.full;
         }
     }
 
@@ -1606,20 +1832,25 @@ impl SpecModules {
     /// fail-stopped module discards every arriving word and all its
     /// queued, outgoing and partial work; a stalled module neither
     /// receives nor serves. Returns whether the visit ends here.
-    fn fault_visit(&mut self, fwd: &mut SpecNet, plan: &FaultPlan, i: usize, now: u64) -> bool {
+    fn fault_visit(
+        &mut self,
+        fwd: &mut SpecNet,
+        plan: &FaultPlan,
+        i: usize,
+        now: u64,
+        live: &mut ModMasks,
+    ) -> bool {
         if plan.module_failed(i, now) {
             while fwd.pop_output(i).is_some() {
                 self.discards += 1;
             }
-            let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
-            self.discards += u64::from(ld(&self.pend_len, i));
+            let bit = 1u64 << (i & 63);
+            let replying = live.out & bit != 0;
+            let was_busy = ld(&self.pend_len, i) > 0 || replying;
+            self.discards += u64::from(ld(&self.pend_len, i)) + u64::from(replying);
             *at(&mut self.pend_len, i) = 0;
-            *at(&mut self.pend_full, i >> 6) &= !(1u64 << (i & 63));
-            if ld(&self.out_live, i) {
-                *at(&mut self.out_live, i) = false;
-                *at(&mut self.out_mask, i >> 6) &= !(1u64 << (i & 63));
-                self.discards += 1;
-            }
+            live.full &= !bit;
+            live.out &= !bit;
             if ld(&self.part_live, i) {
                 *at(&mut self.part_live, i) = false;
                 self.partials -= 1;
@@ -1636,8 +1867,16 @@ impl SpecModules {
     /// (accepted a word, injected a reply or started a service), which
     /// only the phase ledger reads.
     #[inline(always)]
-    fn service_one(&mut self, fwd: &mut SpecNet, rev: &mut SpecNet, now: u64, i: usize) -> bool {
-        let was_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
+    fn service_one(
+        &mut self,
+        fwd: &mut SpecNet,
+        rev: &mut SpecNet,
+        now: u64,
+        i: usize,
+        live: &mut ModMasks,
+    ) -> bool {
+        let bit = 1u64 << (i & 63);
+        let was_busy = ld(&self.pend_len, i) > 0 || live.out & bit != 0;
         let mut changed = false;
         // Accept one word into the reassembly slot / pending queue
         // (pop directly — the generic peek-then-pop pair reads the
@@ -1653,12 +1892,12 @@ impl SpecModules {
                         *at(&mut self.part_live, i) = false;
                         self.partials -= 1;
                         let (pid, pmeta) = (ld(&self.part_id, i), ld(&self.part_meta, i));
-                        self.push_pending(i, pid, pmeta);
+                        self.push_pending(i, pid, pmeta, live);
                     }
                 } else {
                     debug_assert_eq!(meta_index(meta), 0, "packet must start with its header");
                     if tail {
-                        self.push_pending(i, id, meta);
+                        self.push_pending(i, id, meta, live);
                     } else {
                         *at(&mut self.part_live, i) = true;
                         *at(&mut self.part_id, i) = id;
@@ -1671,10 +1910,10 @@ impl SpecModules {
         }
         // Retry a blocked reply; while blocked, no new service starts.
         let mut blocked = false;
-        if ld(&self.out_live, i) {
-            let (oid, ometa) = (ld(&self.out_id, i), ld(&self.out_meta, i));
-            if rev.try_inject_meta(meta_src(ometa) as usize, oid, ometa) {
-                *at(&mut self.out_live, i) = false;
+        if live.out & bit != 0 {
+            let Slot { id, meta } = ld(&self.out, i);
+            if rev.try_inject_meta(meta_src(meta) as usize, id, meta) {
+                live.out &= !bit;
                 changed = true;
             } else {
                 blocked = true;
@@ -1686,32 +1925,20 @@ impl SpecModules {
             let Slot { id, meta } = ld(&self.pend_q, (i << self.pshift) + head);
             *at(&mut self.pend_head, i) = ((head + 1) & self.pmask) as u8;
             *at(&mut self.pend_len, i) -= 1;
-            *at(&mut self.pend_full, i >> 6) &= !(1u64 << (i & 63));
+            live.full &= !bit;
             *at(&mut self.busy_until, i) = now + self.service;
             *at(&mut self.served, i) += 1;
             if let Some(rmeta) = reply_meta(meta) {
-                *at(&mut self.out_live, i) = true;
-                *at(&mut self.out_id, i) = id;
-                *at(&mut self.out_meta, i) = rmeta;
+                live.out |= bit;
+                *at(&mut self.out, i) = Slot { id, meta: rmeta };
             }
         }
-        let bit = 1u64 << (i & 63);
-        if ld(&self.out_live, i) {
-            *at(&mut self.out_mask, i >> 6) |= bit;
-        } else {
-            *at(&mut self.out_mask, i >> 6) &= !bit;
-        }
-        if ld(&self.pend_len, i) > 0 {
+        let pending = ld(&self.pend_len, i) > 0;
+        if pending {
             self.schedule_wake(i, now);
         }
-        let is_busy = ld(&self.pend_len, i) > 0 || ld(&self.out_live, i);
-        if is_busy != was_busy {
-            if is_busy {
-                self.busy += 1;
-            } else {
-                self.busy -= 1;
-            }
-        }
+        let is_busy = pending || live.out & bit != 0;
+        self.busy = self.busy + usize::from(is_busy) - usize::from(was_busy);
         changed
     }
 }
@@ -1871,11 +2098,24 @@ impl RoundTripFabric {
         stop_at: Option<u64>,
         ledger: &mut PhaseLedger,
     ) -> Result<(), CedarError> {
-        match self.cfg.net.stages {
-            1 => self.spec_loop::<1, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
-            2 => self.spec_loop::<2, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
-            3 => self.spec_loop::<3, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
-            4 => self.spec_loop::<4, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger),
+        // Both networks share the configured switch shape.
+        let cedar = fwd.d == CEDAR_DIMS;
+        match (self.cfg.net.stages, cedar) {
+            (1, _) => {
+                self.spec_loop::<1, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
+            }
+            (2, true) => {
+                self.spec_loop::<2, true, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
+            }
+            (2, false) => {
+                self.spec_loop::<2, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
+            }
+            (3, _) => {
+                self.spec_loop::<3, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
+            }
+            (4, _) => {
+                self.spec_loop::<4, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
+            }
             _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
         }
     }
@@ -1894,7 +2134,7 @@ impl RoundTripFabric {
     /// up to commuting independent work, and it lets the ledger time
     /// injection apart from switching.
     #[allow(clippy::too_many_arguments)]
-    fn spec_loop<const S: usize, const F: bool, const L: bool>(
+    fn spec_loop<const S: usize, const C: bool, const F: bool, const L: bool>(
         &mut self,
         fwd: &mut SpecNet,
         rev: &mut SpecNet,
@@ -1910,6 +2150,12 @@ impl RoundTripFabric {
         // block flow-window closed, stream finished, no room in the
         // FIFO) and re-armed by the next one that reaches it.
         let mut issuable = vec![!0u64; exp.sources.len().div_ceil(64).max(1)];
+        let n_mod = self.cfg.mem_modules;
+        let mut cursors: Vec<IssueCursor> = exp
+            .sources
+            .iter()
+            .map(|src| IssueCursor::at(src, n_mod))
+            .collect();
         let clock = CeClock::new(exp.ratio);
         let mut sample_in = LEDGER_SAMPLE_PERIOD;
         while self.experiment_running(exp) && stop_at.is_none_or(|c| self.now < c) {
@@ -1932,12 +2178,12 @@ impl RoundTripFabric {
                 }
             }
             let sample_start = timer;
-            fwd.step_switches::<S, F, L>();
+            fwd.step_switches::<S, C, F, L>();
             lap(&mut timer, &mut ledger.sampled_ns[Phase::Forward as usize]);
-            rev.step_switches::<S, F, L>();
+            rev.step_switches::<S, C, F, L>();
             lap(&mut timer, &mut ledger.sampled_ns[Phase::Return as usize]);
-            fwd.injection::<L>();
-            rev.injection::<L>();
+            fwd.injection::<C, L>();
+            rev.injection::<C, L>();
             lap(&mut timer, &mut ledger.sampled_ns[Phase::Inject as usize]);
             mods.service::<F, L>(fwd, rev, self.now, self.faults.as_ref());
             lap(&mut timer, &mut ledger.sampled_ns[Phase::Module as usize]);
@@ -1972,6 +2218,7 @@ impl RoundTripFabric {
                 self.spec_issue_requests::<F, L>(
                     fwd,
                     &mut exp.sources,
+                    &mut cursors,
                     exp.recovery.as_mut(),
                     clock.ce_cycle(self.now),
                     &mut issuable,
@@ -2094,6 +2341,7 @@ impl RoundTripFabric {
         &mut self,
         fwd: &mut SpecNet,
         sources: &mut [CeSource],
+        cursors: &mut [IssueCursor],
         mut rec: Option<&mut RecoveryState>,
         ce_now: u64,
         issuable: &mut [u64],
@@ -2118,7 +2366,8 @@ impl RoundTripFabric {
                 if ce_now < src.blocked_until_ce {
                     continue; // time-based gap: stays armed
                 }
-                let (issued, park) = self.spec_issue_one(fwd, src, ce_now, n_mod);
+                let cursor = &mut cursors[idx];
+                let (issued, park) = self.spec_issue_one(fwd, src, cursor, ce_now, n_mod);
                 if park {
                     *armed &= !(1u64 << (idx & 63));
                 }
@@ -2152,11 +2401,15 @@ impl RoundTripFabric {
     /// fresh stream bases and a hot-spot read draws its coin on every
     /// attempt, so those attempts must repeat each boundary to replay
     /// the generic draw sequence.
+    ///
+    /// The read's module comes from `cursor` instead of the generic
+    /// `(base + next_index / streams) % n_mod`: no division per read.
     #[inline]
     fn spec_issue_one(
         &mut self,
         fwd: &mut SpecNet,
         src: &mut CeSource,
+        cursor: &mut IssueCursor,
         ce_now: u64,
         n_mod: usize,
     ) -> (Issued, bool) {
@@ -2187,13 +2440,11 @@ impl RoundTripFabric {
         }
         let local = u64::from(src.next_block) * u64::from(src.traffic.block_len)
             + u64::from(src.next_index);
-        let n_streams = src.stream_bases.len();
-        let stream = src.next_index as usize % n_streams;
         let module = match src.traffic.pattern {
             AddressPattern::HotSpot { module, fraction } if src.rng.next_bool(fraction) => {
                 module % n_mod
             }
-            _ => (src.stream_bases[stream] + src.next_index as usize / n_streams) % n_mod,
+            _ => cursor.module(&src.stream_bases, n_mod),
         };
         let packet = Packet::new(
             Self::packet_id(src.port, local),
@@ -2212,8 +2463,10 @@ impl RoundTripFabric {
         src.outstanding += 1;
         src.write_debt += src.traffic.writes_per_read;
         src.next_index += 1;
+        cursor.advance(src.stream_bases.len(), n_mod);
         if src.next_index == src.traffic.block_len {
             src.next_index = 0;
+            *cursor = IssueCursor::default();
             src.next_block += 1;
             src.blocked_until_ce = ce_now + src.traffic.gap_ce_cycles;
             if src.next_block == src.traffic.blocks {
@@ -2221,6 +2474,56 @@ impl RoundTripFabric {
             }
         }
         (Issued::Read(packet), false)
+    }
+}
+
+/// Where a source's next read lands, kept so that issuing a read needs
+/// no division: the read's stream (`next_index % streams`) and that
+/// stream's module offset (`next_index / streams`, reduced modulo the
+/// module count). A drive derives it from `next_index` when it starts,
+/// so it is never snapshotted.
+#[derive(Clone, Copy, Default)]
+struct IssueCursor {
+    stream: usize,
+    offset: usize,
+}
+
+impl IssueCursor {
+    fn at(src: &CeSource, n_mod: usize) -> IssueCursor {
+        let (next, streams) = (src.next_index as usize, src.stream_bases.len());
+        IssueCursor {
+            stream: next % streams,
+            offset: next / streams % n_mod,
+        }
+    }
+
+    /// The generic `(stream_bases[stream] + next_index / streams) %
+    /// n_mod`. Both terms are below `n_mod` when the base was drawn by
+    /// the source, so one subtraction reduces the sum; the remainder
+    /// covers a base restored from elsewhere.
+    #[inline]
+    fn module(self, bases: &[usize], n_mod: usize) -> usize {
+        let sum = bases[self.stream] + self.offset;
+        if sum < n_mod {
+            sum
+        } else if sum - n_mod < n_mod {
+            sum - n_mod
+        } else {
+            sum % n_mod
+        }
+    }
+
+    /// Steps to the next read of the block.
+    #[inline]
+    fn advance(&mut self, streams: usize, n_mod: usize) {
+        self.stream += 1;
+        if self.stream == streams {
+            self.stream = 0;
+            self.offset += 1;
+            if self.offset == n_mod {
+                self.offset = 0;
+            }
+        }
     }
 }
 
@@ -2524,8 +2827,8 @@ mod tests {
                 assert_eq!(net.try_inject(packet), spec.try_inject(packet));
             }
             net.step();
-            spec.step_switches::<2, false, false>();
-            spec.injection::<false>();
+            spec.step_switches::<2, true, false, false>();
+            spec.injection::<true, false>();
         }
     }
 
@@ -2565,6 +2868,57 @@ mod tests {
         assert!(1usize << spec.eshift > occupancy.next_power_of_two());
         spec.export(&mut restored);
         assert_eq!(snap_bytes(&restored), snap_bytes(&net), "after growth");
+    }
+
+    /// The issue cursor names the generic `(base + index / streams) %
+    /// n_mod` module for every read of a block, from a cursor advanced
+    /// read by read and from one derived mid-block, for stream counts
+    /// up to 6 and module counts that are not powers of two.
+    #[test]
+    fn issue_cursor_matches_the_division() {
+        let mut rng = cedar_sim::rng::SplitMix64::new(7);
+        for streams in 1..=6 {
+            for n_mod in [1, 2, 3, 5, 7, 8, 12, 31, 64] {
+                let mut src = CeSource::new(0, PrefetchTraffic::rk_aggressive(1));
+                src.stream_bases = (0..streams)
+                    .map(|_| rng.next_below(n_mod as u64) as usize)
+                    .collect();
+                let mut cursor = IssueCursor::default();
+                for index in 0..200u32 {
+                    src.next_index = index;
+                    let expected = (src.stream_bases[index as usize % streams]
+                        + index as usize / streams)
+                        % n_mod;
+                    assert_eq!(cursor.module(&src.stream_bases, n_mod), expected);
+                    let derived = IssueCursor::at(&src, n_mod);
+                    assert_eq!(derived.module(&src.stream_bases, n_mod), expected);
+                    cursor.advance(streams, n_mod);
+                }
+            }
+        }
+    }
+
+    /// A stream base at or past the module count (as a restored
+    /// checkpoint could carry) still reduces like the division.
+    #[test]
+    fn issue_cursor_reduces_any_base() {
+        let cursor = IssueCursor {
+            stream: 0,
+            offset: 2,
+        };
+        for base in [0, 4, 5, 9, 40] {
+            assert_eq!(cursor.module(&[base], 5), (base + 2) % 5);
+        }
+    }
+
+    /// Cedar's network imports with exactly the constant dimensions the
+    /// `C = true` instantiation folds in.
+    #[test]
+    fn cedar_network_takes_the_constant_shape() {
+        let spec = SpecNet::import(&OmegaNetwork::new(NetworkConfig::cedar()));
+        assert!(spec.d == CEDAR_DIMS);
+        let deeper = SpecNet::import(&OmegaNetwork::new(NetworkConfig::cedar_with_queue_words(4)));
+        assert!(deeper.d != CEDAR_DIMS);
     }
 
     /// A full-size specialized run produces the exact report of the

@@ -17,20 +17,38 @@ use cedar_sim::watchdog::Watchdog;
 const MAX_NET_CYCLES: u64 = 4_000_000;
 
 /// A random specialization-eligible fabric: power-of-two omega
-/// topologies with randomized queue depths and module timing (all
-/// within the specialized engine's dimension bounds).
+/// topologies from a single 2×2 switch to 64-port crossbars, with
+/// randomized clock ratios, queue depths, module counts (powers of two
+/// or not) and module timing, all within the specialized engine's
+/// dimension bounds.
 fn random_config(rng: &mut SplitMix64) -> FabricConfig {
     let mut cfg = FabricConfig::cedar();
-    let topologies = [(8, 2), (4, 2), (4, 3), (2, 4)];
+    let topologies = [
+        (8, 2),
+        (4, 2),
+        (4, 3),
+        (2, 4),
+        (16, 2),
+        (32, 2),
+        (64, 1),
+        (2, 1),
+    ];
     let (radix, stages) = topologies[rng.next_below(topologies.len() as u64) as usize];
     cfg.net.radix = radix;
     cfg.net.stages = stages;
+    cfg.net.net_cycles_per_ce_cycle = 1 + rng.next_below(3);
     cfg.net.queue_words = 2 + rng.next_below(3) as usize;
     cfg.net.exit_fifo_words = 2 + rng.next_below(3) as usize;
-    cfg.mem_modules = cfg.net.ports() / 2;
+    cfg.mem_modules = 1 + rng.next_below(cfg.net.ports() as u64) as usize;
     cfg.mem_service_net_cycles = 1 + rng.next_below(3);
     cfg.module_buffer_requests = 1 + rng.next_below(3) as usize;
     cfg
+}
+
+/// A random CE count for `cfg`: at most half its ports, and at most
+/// `cap` so the generic oracle stays quick in debug builds.
+fn random_ces(rng: &mut SplitMix64, cfg: &FabricConfig, cap: usize) -> usize {
+    1 + rng.next_below((cfg.net.ports() / 2).clamp(1, cap) as u64) as usize
 }
 
 /// A random prefetch traffic shape, including hot-spot patterns (which
@@ -38,10 +56,10 @@ fn random_config(rng: &mut SplitMix64) -> FabricConfig {
 /// same order).
 fn random_traffic(rng: &mut SplitMix64) -> PrefetchTraffic {
     let mut t = PrefetchTraffic::rk_aggressive(1 + rng.next_below(3) as u32);
-    t.block_len = 8 << rng.next_below(3);
+    t.block_len = 5 + rng.next_below(28) as u32;
     t.window = 2 + rng.next_below(31) as u32;
     t.gap_ce_cycles = rng.next_below(5);
-    t.streams = 1 + rng.next_below(4) as u32;
+    t.streams = 1 + rng.next_below(6) as u32;
     t.writes_per_read = [0.0, 0.5, 1.0][rng.next_below(3) as usize];
     if rng.next_below(3) == 0 {
         t.pattern = AddressPattern::HotSpot {
@@ -115,7 +133,7 @@ fn random_machines_match_across_engines() {
     for case in 0..24 {
         let cfg = random_config(&mut rng);
         let traffic = random_traffic(&mut rng);
-        let n_ces = 1 + rng.next_below((cfg.net.ports() / 2) as u64) as usize;
+        let n_ces = random_ces(&mut rng, &cfg, 64);
         let cut = rng.next_below(50_000);
         let (gen_bytes, gen_report, _) =
             run_with_engine(cfg.clone(), EngineKind::Generic, n_ces, traffic, cut);
@@ -161,19 +179,22 @@ const FAULT_CLASSES: [&str; 6] = [
 
 /// A plan of fault class `class` for `shape`. Stuck and stall windows
 /// land anywhere in a 65536-cycle horizon, so those classes draw seeds
-/// until a window covers cycle 200, early in the run.
+/// until a window covers cycle 200, early in the run. Counts scale
+/// down to small machines: a single 2×2 switch has only 4 outputs
+/// across both networks.
 fn class_plan(class: usize, shape: &MachineShape, rng: &mut SplitMix64) -> FaultPlan {
+    let outputs = (2 * shape.stages * shape.ports) as u32;
     loop {
         let seed = rng.next_u64();
         let none = FaultConfig::none(seed);
         let cfg = match class {
             0 => FaultConfig {
-                stuck_outputs: 6,
+                stuck_outputs: outputs.min(6),
                 stuck_window_cycles: 3_000,
                 ..none
             },
             1 => FaultConfig {
-                slow_outputs: 6,
+                slow_outputs: outputs.min(6),
                 slow_period: 3,
                 ..none
             },
@@ -229,8 +250,7 @@ fn faulted_runs_specialize_and_match() {
         let name = FAULT_CLASSES[class];
         let cfg = random_config(&mut rng);
         let traffic = random_traffic(&mut rng);
-        // At most 16 CEs keeps the generic oracle quick in debug builds.
-        let n_ces = 1 + rng.next_below((cfg.net.ports() / 2).min(16) as u64) as usize;
+        let n_ces = random_ces(&mut rng, &cfg, 16);
         let plan = class_plan(class, &shape_of(&cfg), &mut rng);
         let build = |engine: EngineKind| {
             let mut fabric = RoundTripFabric::new(cfg.clone());
@@ -394,7 +414,7 @@ fn checkpoints_resume_across_engines() {
     for case in 0..6 {
         let cfg = random_config(&mut rng);
         let traffic = random_traffic(&mut rng);
-        let n_ces = 1 + rng.next_below((cfg.net.ports() / 2) as u64) as usize;
+        let n_ces = random_ces(&mut rng, &cfg, 64);
         let cut = rng.next_below(30_000);
         let mut reference = RoundTripFabric::new(cfg.clone());
         reference.set_engine(EngineKind::Generic);
