@@ -487,14 +487,28 @@ impl FaultPlan {
         packet_id: u64,
         cycle: u64,
     ) -> bool {
-        if self.link_drop_prob <= 0.0 {
-            return false;
-        }
-        let h = event_hash(
+        self.drops_on_link(self.link_key(dir, stage, switch, port), packet_id, cycle)
+    }
+
+    /// The part of [`drops_word`](Self::drops_word)'s event hash that
+    /// depends only on the link `(stage, switch, port)`: the hash is a
+    /// left fold over the event identity, so a stepper can compute this
+    /// once per link and ask [`drops_on_link`](Self::drops_on_link) per
+    /// word.
+    #[must_use]
+    pub fn link_key(&self, dir: NetDirection, stage: usize, switch: usize, port: usize) -> u64 {
+        event_hash(
             self.seed ^ dir.tag(),
-            &[stage as u64, switch as u64, port as u64, packet_id, cycle],
-        );
-        to_unit(h) < self.link_drop_prob
+            &[stage as u64, switch as u64, port as u64],
+        )
+    }
+
+    /// [`drops_word`](Self::drops_word) for the link whose
+    /// [`link_key`](Self::link_key) is `key`.
+    #[must_use]
+    pub fn drops_on_link(&self, key: u64, packet_id: u64, cycle: u64) -> bool {
+        self.link_drop_prob > 0.0
+            && to_unit(event_hash(key, &[packet_id, cycle])) < self.link_drop_prob
     }
 
     /// Whether `module` is stalled (not receiving or serving) at
@@ -767,6 +781,40 @@ mod tests {
             .count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.5).abs() < 0.05, "drop rate {rate} far from 0.5");
+    }
+
+    #[test]
+    fn keyed_drop_query_matches_drops_word() {
+        let mut rng = SplitMix64::new(0x11CE);
+        for p in [0.0, 1.0, 0.3] {
+            let plan =
+                FaultPlan::generate(&FaultConfig::link_noise(rng.next_u64(), p), &shape()).unwrap();
+            let mut drops = 0;
+            for _ in 0..2_000 {
+                let dir = if rng.next_bool(0.5) {
+                    NetDirection::Forward
+                } else {
+                    NetDirection::Reverse
+                };
+                let (stage, switch, port) = (
+                    rng.next_below(4) as usize,
+                    rng.next_below(64) as usize,
+                    rng.next_below(8) as usize,
+                );
+                let (id, cycle) = (rng.next_u64(), rng.next_u64());
+                let dropped = plan.drops_word(dir, stage, switch, port, id, cycle);
+                let key = plan.link_key(dir, stage, switch, port);
+                assert_eq!(plan.drops_on_link(key, id, cycle), dropped);
+                drops += u32::from(dropped);
+            }
+            if p == 0.0 {
+                assert_eq!(drops, 0);
+            } else if p == 1.0 {
+                assert_eq!(drops, 2_000);
+            } else {
+                assert!((400..800).contains(&drops), "{drops} drops at p = {p}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Engine measurements on the Table-2 suite: the 24 healthy cells
-//! (TM/CG/VF/RK × 8/16/32 CEs × 1/2 blocks) that the repository
-//! benchmark's `table2` workload runs.
+//! Engine measurements on the repository benchmark's suites: by
+//! default the Table-2 suite, the 24 healthy cells (TM/CG/VF/RK ×
+//! 8/16/32 CEs × 1/2 blocks) that the `table2` workload runs; with
+//! `--faulted`, the 16 points the `degraded` workload runs (RK, 1 block,
+//! 8/16 CEs × 2,000/5,000 ppm faults × 4 fault seeds).
 //!
 //! ```text
 //! cargo run --release -p cedar-net --example engine_bench            # full report
 //! cargo run --release -p cedar-net --example engine_bench -- --smoke # CI check
 //! cargo run --release -p cedar-net --example engine_bench -- --floor # A/B probe
+//! cargo run --release -p cedar-net --example engine_bench -- --faulted [--smoke|--floor]
 //! ```
 //!
 //! The full report prints, in order:
@@ -19,15 +22,14 @@
 //!
 //! `--smoke` runs the ledger twice and exits nonzero if the two
 //! censuses differ, if the census's live cycles or per-phase useful
-//! totals differ from the pinned [`SUITE_LIVE_CYCLES`] and
-//! [`SUITE_USEFUL`] (a host-side change may cut attempts, never the
-//! simulated work), if the sampled phase times do not add up to the
-//! sampled cycles' total (timed apart), if the phase shares do not add
-//! up to the live loop, or if a ledger-on run reports differently from
-//! a ledger-off run.
+//! totals differ from the suite's pinned ones (a host-side change may
+//! cut attempts, never the simulated work), if the sampled phase times
+//! do not add up to the sampled cycles' total (timed apart), if the
+//! phase shares do not add up to the live loop, or if a ledger-on run
+//! reports differently from a ledger-off run.
 //!
 //! `--floor` prints one line: the suite's production-loop floor (best
-//! of 40 runs per cell, summed) and an FNV-1a digest of the 24 reports'
+//! of 40 runs per cell, summed) and an FNV-1a digest of the reports'
 //! snapshot bytes. Two builds compare fairly when their runs alternate
 //! on one core, e.g. for builds `a` and `b`:
 //!
@@ -36,6 +38,7 @@
 //!   echo "$b $(taskset -c 1 $b/engine_bench --floor)"; done; done
 //! ```
 
+use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar_net::fabric::{FabricConfig, FabricReport, RoundTripFabric};
 use cedar_net::{EngineKind, Phase, PhaseLedger, PrefetchTraffic};
 use cedar_snap::Snapshot;
@@ -43,16 +46,37 @@ use std::time::Instant;
 
 const MAX_NET_CYCLES: u64 = 64_000_000;
 
-/// Net cycles the suite steps one by one, per ledger pass.
-const SUITE_LIVE_CYCLES: u64 = 9_643;
+/// A suite of cells and the simulated work one ledger pass over it
+/// does: the net cycles it steps one by one, and the useful moves per
+/// phase in [`Phase::ALL`] order (words moved forward and back, words
+/// injected, module visits that changed state, requests completed,
+/// packets issued).
+struct Suite {
+    cells: Vec<Cell>,
+    live_cycles: u64,
+    useful: [u64; 6],
+}
 
-/// Useful moves per phase over one ledger pass, in [`Phase::ALL`]
-/// order: words moved forward and back, words injected, module visits
-/// that changed state, requests completed, packets issued.
-const SUITE_USEFUL: [u64; 6] = [239_432, 236_544, 118_994, 125_763, 59_136, 59_497];
+/// One benchmark point: CEs, traffic and the fault plan, if any.
+struct Cell {
+    name: String,
+    ces: usize,
+    traffic: PrefetchTraffic,
+    faults: Option<FaultPlan>,
+}
 
-/// The 24 Table-2 cells, as (name, CEs, traffic).
-fn cells() -> Vec<(String, usize, PrefetchTraffic)> {
+impl Cell {
+    fn fabric(&self, kind: EngineKind) -> RoundTripFabric {
+        let mut fabric = fabric(kind);
+        if let Some(plan) = &self.faults {
+            fabric.attach_faults(plan.clone(), RetryPolicy::fabric());
+        }
+        fabric
+    }
+}
+
+/// The 24 Table-2 cells.
+fn table2() -> Suite {
     type Kernel = fn(u32) -> PrefetchTraffic;
     let kernels: [(&str, Kernel); 4] = [
         ("TM", PrefetchTraffic::tridiagonal_matvec),
@@ -60,15 +84,49 @@ fn cells() -> Vec<(String, usize, PrefetchTraffic)> {
         ("VF", PrefetchTraffic::vector_load),
         ("RK", PrefetchTraffic::rk_aggressive),
     ];
-    let mut out = Vec::new();
+    let mut cells = Vec::new();
     for (name, traffic) in kernels {
         for ces in [8, 16, 32] {
             for blocks in [1, 2] {
-                out.push((format!("{name} {ces}x{blocks}"), ces, traffic(blocks)));
+                cells.push(Cell {
+                    name: format!("{name} {ces}x{blocks}"),
+                    ces,
+                    traffic: traffic(blocks),
+                    faults: None,
+                });
             }
         }
     }
-    out
+    Suite {
+        cells,
+        live_cycles: 9_643,
+        useful: [239_432, 236_544, 118_994, 125_763, 59_136, 59_497],
+    }
+}
+
+/// The 16 degraded points, with the fault plans the benchmark's
+/// `degraded` jobs attach.
+fn degraded() -> Suite {
+    let mut cells = Vec::new();
+    for rate_ppm in [2_000u32, 5_000] {
+        for ces in [8, 16] {
+            for seed in 0xCEDA..0xCEDA + 4 {
+                let cfg = FaultConfig::degraded(seed, f64::from(rate_ppm) / 1e6);
+                let plan = FaultPlan::generate(&cfg, &MachineShape::cedar()).expect("valid preset");
+                cells.push(Cell {
+                    name: format!("RK {ces}x1 {rate_ppm}ppm seed {seed:#x}"),
+                    ces,
+                    traffic: PrefetchTraffic::rk_aggressive(1),
+                    faults: Some(plan),
+                });
+            }
+        }
+    }
+    Suite {
+        cells,
+        live_cycles: 18_079,
+        useful: [198_772, 197_534, 99_242, 106_482, 49_152, 49_152],
+    }
 }
 
 fn fabric(kind: EngineKind) -> RoundTripFabric {
@@ -78,16 +136,21 @@ fn fabric(kind: EngineKind) -> RoundTripFabric {
 }
 
 /// One suite pass with the ledger on; also returns the reports.
-fn ledger_pass() -> (PhaseLedger, Vec<FabricReport>) {
+fn ledger_pass(suite: &Suite) -> (PhaseLedger, Vec<FabricReport>) {
     let mut ledger = PhaseLedger::default();
     let mut reports = Vec::new();
-    for (name, ces, traffic) in cells() {
-        let mut fabric = fabric(EngineKind::Specialized);
-        let mut exp = fabric.begin_experiment(ces, traffic, MAX_NET_CYCLES);
+    for cell in &suite.cells {
+        let mut fabric = cell.fabric(EngineKind::Specialized);
+        let mut exp = fabric.begin_experiment(cell.ces, cell.traffic, MAX_NET_CYCLES);
         fabric
             .drive_with_ledger(&mut exp, None, &mut ledger)
             .expect("no watchdog attached");
-        assert_eq!(fabric.last_run_engine(), Some("specialized"), "{name}");
+        assert_eq!(
+            fabric.last_run_engine(),
+            Some("specialized"),
+            "{}",
+            cell.name
+        );
         reports.push(fabric.finish_experiment(exp));
     }
     (ledger, reports)
@@ -190,9 +253,9 @@ fn check_books(ledger: &PhaseLedger) {
     }
 }
 
-fn smoke() {
-    let (a, reports) = ledger_pass();
-    let (b, _) = ledger_pass();
+fn smoke(suite: &Suite) {
+    let (a, reports) = ledger_pass(suite);
+    let (b, _) = ledger_pass(suite);
     print_ledger(&[a.clone(), b.clone()]);
     if a.census() != b.census() {
         eprintln!(
@@ -202,21 +265,25 @@ fn smoke() {
         );
         std::process::exit(1);
     }
-    if a.live_cycles != SUITE_LIVE_CYCLES || a.useful != SUITE_USEFUL {
+    if a.live_cycles != suite.live_cycles || a.useful != suite.useful {
         eprintln!(
             "engine_bench: the suite's simulated work moved: {} live cycles and useful {:?}, \
-             pinned {SUITE_LIVE_CYCLES} and {SUITE_USEFUL:?}",
-            a.live_cycles, a.useful
+             pinned {} and {:?}",
+            a.live_cycles, a.useful, suite.live_cycles, suite.useful
         );
         std::process::exit(1);
     }
     check_books(&a);
     check_books(&b);
-    for ((name, ces, traffic), ledgered) in cells().into_iter().zip(&reports) {
-        let plain =
-            fabric(EngineKind::Specialized).run_prefetch_experiment(ces, traffic, MAX_NET_CYCLES);
+    for (cell, ledgered) in suite.cells.iter().zip(&reports) {
+        let plain = cell
+            .fabric(EngineKind::Specialized)
+            .run_prefetch_experiment(cell.ces, cell.traffic, MAX_NET_CYCLES);
         if &plain != ledgered {
-            eprintln!("engine_bench: {name}: the ledger changed the simulation");
+            eprintln!(
+                "engine_bench: {}: the ledger changed the simulation",
+                cell.name
+            );
             std::process::exit(1);
         }
     }
@@ -225,18 +292,18 @@ fn smoke() {
 
 /// The production loop's floor over the suite: each cell's best of
 /// `runs`, summed, in seconds. Also returns the last run's reports.
-fn suite_floor(runs: usize) -> (f64, Vec<FabricReport>) {
+fn suite_floor(suite: &Suite, runs: usize) -> (f64, Vec<FabricReport>) {
     let mut best_sum = 0.0;
     let mut reports = Vec::new();
-    for (_, ces, traffic) in cells() {
+    for cell in &suite.cells {
         let mut best = f64::INFINITY;
         let mut report = None;
         for _ in 0..runs {
-            let mut fabric = fabric(EngineKind::Specialized);
+            let mut fabric = cell.fabric(EngineKind::Specialized);
             let start = Instant::now();
             report = Some(std::hint::black_box(fabric.run_prefetch_experiment(
-                ces,
-                traffic,
+                cell.ces,
+                cell.traffic,
                 MAX_NET_CYCLES,
             )));
             best = best.min(start.elapsed().as_secs_f64());
@@ -260,12 +327,17 @@ fn digest(reports: &[FabricReport]) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let suite = if args.iter().any(|a| a == "--faulted") {
+        degraded()
+    } else {
+        table2()
+    };
     if args.iter().any(|a| a == "--smoke") {
-        smoke();
+        smoke(&suite);
         return;
     }
     if args.iter().any(|a| a == "--floor") {
-        let (floor, reports) = suite_floor(40);
+        let (floor, reports) = suite_floor(&suite, 40);
         println!(
             "floor {:.3} ms digest {:016x}",
             floor * 1e3,
@@ -294,7 +366,7 @@ fn main() {
     }
 
     // Production loop, ledger off: best of 40 per cell, summed.
-    let (floor, _) = suite_floor(40);
+    let (floor, _) = suite_floor(&suite, 40);
     println!("suite, best of 40 per cell, summed: {:.2} ms", floor * 1e3);
 
     // Chunked drive: every call re-imports and re-exports the lanes.
@@ -317,7 +389,7 @@ fn main() {
     );
 
     let repeats = 5;
-    let passes: Vec<PhaseLedger> = (0..repeats).map(|_| ledger_pass().0).collect();
+    let passes: Vec<PhaseLedger> = (0..repeats).map(|_| ledger_pass(&suite).0).collect();
     print_ledger(&passes);
     for pass in &passes {
         check_books(pass);

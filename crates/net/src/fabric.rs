@@ -420,8 +420,8 @@ pub struct RoundTripFabric {
     fallback_logged: bool,
 }
 
-/// A request awaiting its reply under fault injection, for the
-/// timeout-and-retry machinery.
+/// A request awaiting its reply under fault injection, as checkpoints
+/// record it: the packet to re-inject and its attempt count.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     packet: Packet,
@@ -429,16 +429,84 @@ struct InFlight {
     attempts: u32,
 }
 
+/// One issued read's retry slot. A read's packet is fixed but for its
+/// target (`src` is the id's port, 1 word, `ReadRequest`), so the slot
+/// keeps only the attempt count and the module a retry aims at.
+#[derive(Debug, Clone, Copy, Default)]
+struct Flight {
+    /// Times the read has entered the forward network; 0 once it is
+    /// resolved (or for a slot not yet issued).
+    attempts: u32,
+    dest: usize,
+}
+
+/// Retry timers `(due cycle, packet id)`, popped in ascending order, as
+/// one `BinaryHeap<Reverse<_>>` would pop them. First-attempt timers
+/// (`now + base delay`) are armed in that order already, since sources
+/// issue in port order at most once per cycle, so they queue in a FIFO;
+/// the heap takes backoff re-arms and any arm that would break the
+/// FIFO's order. `(due, id)` is a total order, so taking the smaller
+/// head fires timers exactly as one heap would.
+#[derive(Debug, Default)]
+struct TimerQueue {
+    fifo: VecDeque<(u64, u64)>,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl TimerQueue {
+    /// Arms a timer at the FIFO's tail if that keeps it sorted.
+    fn arm_first(&mut self, timer: (u64, u64)) {
+        if self.fifo.back().is_none_or(|&last| last <= timer) {
+            self.fifo.push_back(timer);
+        } else {
+            self.heap.push(Reverse(timer));
+        }
+    }
+
+    /// Arms a timer in the heap.
+    fn arm(&mut self, timer: (u64, u64)) {
+        self.heap.push(Reverse(timer));
+    }
+
+    /// The earliest timer, without removing it.
+    fn peek(&self) -> Option<(u64, u64)> {
+        match (self.fifo.front(), self.heap.peek()) {
+            (Some(&f), Some(&Reverse(h))) => Some(f.min(h)),
+            (f, h) => f.copied().or(h.map(|&Reverse(t)| t)),
+        }
+    }
+
+    /// Removes and returns the earliest timer.
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        let first = self.peek()?;
+        if self.fifo.front() == Some(&first) {
+            self.fifo.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(t)| t)
+        }
+    }
+
+    /// Every armed timer, ascending.
+    fn sorted(&self) -> Vec<(u64, u64)> {
+        let mut timers: Vec<(u64, u64)> = self.fifo.iter().copied().collect();
+        timers.extend(self.heap.iter().map(|&Reverse(t)| t));
+        timers.sort_unstable();
+        timers
+    }
+}
+
 /// Book-keeping for request recovery, allocated only when a fault
 /// schedule is attached so the healthy path stays untouched.
 #[derive(Debug, Default)]
 struct RecoveryState {
-    /// Unresolved read requests by packet id. Presence here is the
-    /// dedup authority: a reply whose id is absent (already completed,
-    /// or abandoned) is discarded.
-    pending: BTreeMap<u64, InFlight>,
-    /// Min-heap of `(due cycle, packet id)` retry timers.
-    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    /// One slot per issued read, by source and dense local index (a
+    /// read's id is `port << 40 | local`). A nonzero attempt count is
+    /// the dedup authority: a reply whose slot reads 0 (already
+    /// completed, or abandoned) is discarded.
+    flights: Vec<Vec<Flight>>,
+    /// Slots with a nonzero attempt count.
+    live: usize,
+    timers: TimerQueue,
     /// Requests re-injected after a timeout.
     retries: u64,
     /// Requests abandoned after the retry budget ran out.
@@ -474,9 +542,7 @@ impl FabricExperiment {
     /// retry machinery — i.e. the experiment is mid-recovery.
     #[must_use]
     pub fn retry_in_flight(&self) -> bool {
-        self.recovery
-            .as_ref()
-            .is_some_and(|r| !r.pending.is_empty())
+        self.recovery.as_ref().is_some_and(|r| r.live != 0)
     }
 
     /// The first cycle after `now` at which an idle fabric can change
@@ -485,7 +551,7 @@ impl FabricExperiment {
     /// `horizon`, whichever comes first. Both engines' idle
     /// fast-forwards jump to the cycle before it.
     ///
-    /// The timer heap is only peeked, never popped: it is checkpointed
+    /// The timer queue is only peeked, never popped: it is checkpointed
     /// state. A stale timer (its request already resolved) merely ends
     /// the jump early and then fires as a no-op, as it would have
     /// without the jump.
@@ -517,9 +583,47 @@ enum Fired {
 }
 
 impl RecoveryState {
+    /// Empty recovery state for `n_ces` sources.
+    fn new(n_ces: usize) -> Self {
+        RecoveryState {
+            flights: vec![Vec::new(); n_ces],
+            ..RecoveryState::default()
+        }
+    }
+
     /// The cycle the earliest armed retry timer falls due.
     fn next_due(&self) -> Option<u64> {
-        self.timers.peek().map(|&Reverse((due, _))| due)
+        self.timers.peek().map(|(due, _)| due)
+    }
+
+    /// Registers a just-issued read and arms its first retry timer,
+    /// due at `due`.
+    fn register(&mut self, packet: Packet, due: u64) {
+        let (port, local) = split_id(packet.id.0);
+        let flights = &mut self.flights[port];
+        if flights.len() <= local {
+            flights.resize(local + 1, Flight::default());
+        }
+        flights[local] = Flight {
+            attempts: 1,
+            dest: packet.dest,
+        };
+        self.live += 1;
+        self.timers.arm_first((due, packet.id.0));
+    }
+
+    /// Resolves read `id` on its reply. False for a duplicate reply or
+    /// one that arrives after abandonment.
+    fn resolve(&mut self, id: u64) -> bool {
+        let (port, local) = split_id(id);
+        match self.flights.get_mut(port).and_then(|f| f.get_mut(local)) {
+            Some(f) if f.attempts != 0 => {
+                f.attempts = 0;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Fires the retry timers due at `now`, the recovery step both
@@ -538,38 +642,41 @@ impl RecoveryState {
         mut inject: impl FnMut(Packet) -> bool,
         mut note: impl FnMut(Fired),
     ) {
-        while let Some(&Reverse((due, id))) = self.timers.peek() {
+        while let Some((due, id)) = self.timers.peek() {
             if due > now {
                 break;
             }
             self.timers.pop();
-            let Some(entry) = self.pending.get_mut(&id) else {
+            let (src, local) = split_id(id);
+            let entry = &mut self.flights[src][local];
+            if entry.attempts == 0 {
                 continue; // resolved while the timer was pending
-            };
+            }
             if entry.attempts > policy.max_retries {
-                let (src, attempts) = (entry.packet.src, entry.attempts);
-                self.pending.remove(&id);
+                let attempts = entry.attempts;
+                entry.attempts = 0;
+                self.live -= 1;
                 self.failed_requests += 1;
                 RoundTripFabric::abandon_request(&mut sources[src], id);
                 note(Fired::Abandoned { id, src, attempts });
                 continue;
             }
             if let Some(plan) = plan {
-                if plan.module_failed(entry.packet.dest, now) {
-                    entry.packet.dest = plan.fallback_module(entry.packet.dest);
+                if plan.module_failed(entry.dest, now) {
+                    entry.dest = plan.fallback_module(entry.dest);
                 }
             }
-            if inject(entry.packet) {
+            let packet = Packet::new(PacketId(id), src, entry.dest, 1, PacketKind::ReadRequest);
+            if inject(packet) {
                 self.retries += 1;
                 entry.attempts += 1;
                 let attempts = entry.attempts;
-                self.timers
-                    .push(Reverse((now + policy.delay(attempts), id)));
+                self.timers.arm((now + policy.delay(attempts), id));
                 note(Fired::Retried { id, attempts });
             } else {
                 // Injection FIFO full: retry next cycle without
                 // spending an attempt.
-                self.timers.push(Reverse((now + 1, id)));
+                self.timers.arm((now + 1, id));
             }
         }
     }
@@ -1033,7 +1140,7 @@ impl RoundTripFabric {
         assert!(n_ces <= ports, "n_ces must be <= {ports}");
         let sources: Vec<CeSource> = (0..n_ces).map(|c| CeSource::new(c, traffic)).collect();
         FabricExperiment {
-            recovery: self.faults.as_ref().map(|_| RecoveryState::default()),
+            recovery: self.faults.as_ref().map(|_| RecoveryState::new(n_ces)),
             completed_requests: 0,
             total_expected: sources.iter().map(CeSource::local_request_count).sum(),
             ratio: self.cfg.net.net_cycles_per_ce_cycle,
@@ -1220,6 +1327,22 @@ impl RoundTripFabric {
         let exp = FabricExperiment::restore(&mut r)?;
         if r.remaining() != 0 {
             return Err(cedar_snap::SnapError::TrailingBytes);
+        }
+        if exp.sources.len() > fabric.cfg.net.ports() {
+            return Err(cedar_snap::SnapError::Invalid("more sources than ports"));
+        }
+        let modules = fabric.cfg.mem_modules;
+        if let Some(rec) = &exp.recovery {
+            if rec
+                .flights
+                .iter()
+                .flatten()
+                .any(|f| f.attempts != 0 && f.dest >= modules)
+            {
+                return Err(cedar_snap::SnapError::Invalid(
+                    "in-flight read aimed past the modules",
+                ));
+            }
         }
         Ok((fabric, exp))
     }
@@ -1485,8 +1608,8 @@ impl RoundTripFabric {
                 if let Some(rec) = rec.as_deref_mut() {
                     // Under faults a reply may duplicate (original and
                     // retry both survive) or arrive after abandonment;
-                    // the pending map is the dedup authority.
-                    if rec.pending.remove(&word.packet.id.0).is_none() {
+                    // the in-flight table is the dedup authority.
+                    if !rec.resolve(word.packet.id.0) {
                         continue;
                     }
                 }
@@ -1588,17 +1711,7 @@ impl RoundTripFabric {
                     self.trace_issue(packet.id.0);
                 }
                 if let Some(rec) = rec.as_deref_mut() {
-                    rec.pending.insert(
-                        packet.id.0,
-                        InFlight {
-                            packet,
-                            attempts: 1,
-                        },
-                    );
-                    rec.timers.push(Reverse((
-                        self.now + self.retry.base_delay_cycles,
-                        packet.id.0,
-                    )));
+                    rec.register(packet, self.now + self.retry.base_delay_cycles);
                 }
                 src.outstanding += 1;
                 src.write_debt += src.traffic.writes_per_read;
@@ -1625,6 +1738,11 @@ impl RoundTripFabric {
         debug_assert_eq!(id.0 >> 40, port as u64, "reply delivered to wrong CE");
         id.0 & ((1 << 40) - 1)
     }
+}
+
+/// Splits a read's packet id into (port, local request index).
+fn split_id(id: u64) -> (usize, usize) {
+    ((id >> 40) as usize, (id & ((1 << 40) - 1)) as usize)
 }
 
 /// The outcome of one prefetch experiment.
@@ -1844,14 +1962,45 @@ cedar_snap::snapshot_struct!(CeSource {
     done_issuing,
 });
 cedar_snap::snapshot_struct!(InFlight { packet, attempts });
-cedar_snap::snapshot_struct!(FabricExperiment {
-    sources,
-    recovery,
-    completed_requests,
-    total_expected,
-    ratio,
-    max_net_cycles,
-});
+
+// Written as the derived layout would be, field by field; restoring the
+// recovery state needs the sources restored before it.
+impl cedar_snap::Snapshot for FabricExperiment {
+    fn snap(&self, w: &mut cedar_snap::SnapWriter) {
+        self.sources.snap(w);
+        match &self.recovery {
+            None => w.put_u8(0),
+            Some(rec) => {
+                w.put_u8(1);
+                rec.snap(w);
+            }
+        }
+        self.completed_requests.snap(w);
+        self.total_expected.snap(w);
+        self.ratio.snap(w);
+        self.max_net_cycles.snap(w);
+    }
+    fn restore(r: &mut cedar_snap::SnapReader<'_>) -> Result<Self, cedar_snap::SnapError> {
+        use cedar_snap::Snapshot;
+        let sources: Vec<CeSource> = Snapshot::restore(r)?;
+        if sources.iter().enumerate().any(|(i, s)| s.port != i) {
+            return Err(cedar_snap::SnapError::Invalid("source port out of order"));
+        }
+        let recovery = match r.get_u8()? {
+            0 => None,
+            1 => Some(RecoveryState::restore(r, &sources)?),
+            _ => return Err(cedar_snap::SnapError::Invalid("Option tag out of range")),
+        };
+        Ok(FabricExperiment {
+            sources,
+            recovery,
+            completed_requests: Snapshot::restore(r)?,
+            total_expected: Snapshot::restore(r)?,
+            ratio: Snapshot::restore(r)?,
+            max_net_cycles: Snapshot::restore(r)?,
+        })
+    }
+}
 cedar_snap::snapshot_struct!(FabricReport {
     per_ce,
     total_net_cycles,
@@ -1888,33 +2037,92 @@ impl cedar_snap::Snapshot for AddressPattern {
     }
 }
 
-// Retry timers live in a BinaryHeap whose internal layout is
-// unspecified; they serialize as a sorted list and re-push on restore.
-// `(due, id)` is a total order, so pop order — and therefore every
-// retry decision — is preserved exactly.
-impl cedar_snap::Snapshot for RecoveryState {
+// Checkpoints keep the layout of an ordered map of in-flight reads and a
+// sorted timer list: the in-flight reads as a length and then
+// `(id, InFlight)` pairs in ascending id, the timers ascending. `(due,
+// id)` is a total order, so restoring every timer into the heap keeps
+// the firing order exactly.
+impl RecoveryState {
+    /// The in-flight reads in ascending id, as checkpoints record them.
+    fn in_flight(&self) -> impl Iterator<Item = (u64, InFlight)> + '_ {
+        self.flights.iter().enumerate().flat_map(|(port, flights)| {
+            let live = flights.iter().enumerate().filter(|(_, f)| f.attempts != 0);
+            live.map(move |(local, f)| {
+                let id = RoundTripFabric::packet_id(port, local as u64);
+                let packet = Packet::new(id, port, f.dest, 1, PacketKind::ReadRequest);
+                let attempts = f.attempts;
+                (id.0, InFlight { packet, attempts })
+            })
+        })
+    }
+
     fn snap(&self, w: &mut cedar_snap::SnapWriter) {
-        self.pending.snap(w);
-        let mut timers: Vec<(u64, u64)> = self.timers.iter().map(|Reverse(t)| *t).collect();
-        timers.sort_unstable();
-        timers.snap(w);
+        use cedar_snap::Snapshot;
+        self.live.snap(w);
+        for read in self.in_flight() {
+            read.snap(w);
+        }
+        self.timers.sorted().snap(w);
         self.retries.snap(w);
         self.failed_requests.snap(w);
     }
-    fn restore(r: &mut cedar_snap::SnapReader<'_>) -> Result<Self, cedar_snap::SnapError> {
-        use cedar_snap::Snapshot;
-        let pending = Snapshot::restore(r)?;
-        let timer_list: Vec<(u64, u64)> = Snapshot::restore(r)?;
-        let mut timers = BinaryHeap::with_capacity(timer_list.len());
-        for t in timer_list {
-            timers.push(Reverse(t));
+
+    /// Restores the state [`snap`](Self::snap) wrote for `sources`,
+    /// rejecting any read or timer the sources never issued. Each
+    /// source's table is sized by its issued reads, which the
+    /// checkpoint holds one by one, never by a decoded count.
+    fn restore(
+        r: &mut cedar_snap::SnapReader<'_>,
+        sources: &[CeSource],
+    ) -> Result<Self, cedar_snap::SnapError> {
+        use cedar_snap::{SnapError, Snapshot};
+        let issued: Vec<usize> = sources
+            .iter()
+            .map(|s| (s.issued_at.len() as u64).min(s.local_request_count()) as usize)
+            .collect();
+        let mut rec = RecoveryState {
+            flights: issued.iter().map(|&n| vec![Flight::default(); n]).collect(),
+            ..RecoveryState::default()
+        };
+        let in_range = |id: u64| {
+            let (port, local) = split_id(id);
+            issued.get(port).is_some_and(|&n| local < n)
+        };
+        let reads: Vec<(u64, InFlight)> = Snapshot::restore(r)?;
+        let mut last = None;
+        for (id, f) in reads {
+            if !in_range(id) {
+                return Err(SnapError::Invalid("in-flight read never issued"));
+            }
+            if last.is_some_and(|l| l >= id) {
+                return Err(SnapError::Invalid("in-flight reads out of order"));
+            }
+            last = Some(id);
+            let (port, local) = split_id(id);
+            let read = Packet::new(
+                PacketId(id),
+                port,
+                f.packet.dest,
+                1,
+                PacketKind::ReadRequest,
+            );
+            if f.packet != read || f.attempts == 0 {
+                return Err(SnapError::Invalid("in-flight read disagrees with its id"));
+            }
+            rec.flights[port][local] = Flight {
+                attempts: f.attempts,
+                dest: read.dest,
+            };
+            rec.live += 1;
         }
-        Ok(RecoveryState {
-            pending,
-            timers,
-            retries: Snapshot::restore(r)?,
-            failed_requests: Snapshot::restore(r)?,
-        })
+        let timers: Vec<(u64, u64)> = Snapshot::restore(r)?;
+        if !timers.iter().all(|&(_, id)| in_range(id)) {
+            return Err(SnapError::Invalid("retry timer for a read never issued"));
+        }
+        rec.timers.heap = timers.into_iter().map(Reverse).collect();
+        rec.retries = Snapshot::restore(r)?;
+        rec.failed_requests = Snapshot::restore(r)?;
+        Ok(rec)
     }
 }
 
@@ -2149,7 +2357,7 @@ mod tests {
 
     /// The same guarantee mid-recovery on a degraded machine: the
     /// checkpoint is taken while timed-out requests await retries, so
-    /// the pending map, the timer heap and the fault-plan decisions
+    /// the in-flight table, the timer queue and the fault-plan decisions
     /// all have to survive the round trip for the reports to agree.
     #[test]
     fn checkpoint_mid_retry_under_faults_resumes_identically() {
@@ -2190,6 +2398,212 @@ mod tests {
             resumed.step_experiment(&mut exp, Some(&mut dog)).unwrap();
         }
         assert_eq!(resumed.finish_experiment(exp), expected);
+    }
+
+    /// A degraded run with a short retry budget: 16 CEs of RK traffic,
+    /// 5% link drops, retries after 256 cycles, abandoned after 2.
+    fn harsh_degraded(kind: EngineKind) -> (RoundTripFabric, FabricExperiment) {
+        use cedar_faults::{FaultConfig, MachineShape};
+        let plan =
+            FaultPlan::generate(&FaultConfig::degraded(0xCEDA, 0.05), &MachineShape::cedar())
+                .expect("valid preset");
+        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+        fabric.set_engine(kind);
+        let retry = RetryPolicy {
+            base_delay_cycles: 256,
+            max_retries: 2,
+            max_delay_cycles: 1024,
+        };
+        fabric.attach_faults(plan, retry);
+        let exp = fabric.begin_experiment(16, PrefetchTraffic::rk_aggressive(2), 1_000_000);
+        (fabric, exp)
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the checkpoint bytes of a degraded run, on both engines,
+    /// mid-burst, mid-recovery (backoff timers at depth 2, stale timers
+    /// queued) and after abandonments. The constants were taken before
+    /// the recovery state moved from an ordered map and one heap to a
+    /// dense table and a FIFO-plus-heap queue; both engines share that
+    /// state, so only a pin like this sees its format drift.
+    #[test]
+    fn degraded_checkpoint_bytes_are_pinned() {
+        let pins = [
+            (200, 0x1992_a9f6_9280_cd3d),
+            (1_100, 0x04ab_4c36_3379_70b3),
+            (2_000, 0x4a00_7340_fa70_44c2),
+        ];
+        for kind in [EngineKind::Generic, EngineKind::Specialized] {
+            let (mut fabric, mut exp) = harsh_degraded(kind);
+            for (cycle, pin) in pins {
+                fabric
+                    .drive_experiment(&mut exp, None, Some(cycle))
+                    .unwrap();
+                assert_eq!(fabric.now(), cycle);
+                let rec = exp.recovery.as_ref().unwrap();
+                let flights = || rec.flights.iter().flatten();
+                let stale = rec
+                    .timers
+                    .sorted()
+                    .iter()
+                    .filter(|&&(_, id)| {
+                        let (port, local) = split_id(id);
+                        rec.flights[port].get(local).is_none_or(|f| f.attempts == 0)
+                    })
+                    .count();
+                match cycle {
+                    200 => assert_eq!(rec.retries, 0, "mid-burst, before any timeout"),
+                    1_100 => assert!(flights().any(|f| f.attempts >= 3) && stale > 0),
+                    _ => assert!(rec.failed_requests > 0),
+                }
+                let bytes = fabric.checkpoint_experiment(&exp);
+                assert_eq!(fnv1a(&bytes), pin, "{kind:?} checkpoint at cycle {cycle}");
+            }
+        }
+    }
+
+    /// The timer queue pops exactly as one min-heap of `(due, id)`
+    /// would, over random interleavings of in-order and out-of-order
+    /// first arms, backoff arms and next-cycle re-arms.
+    #[test]
+    fn timer_queue_pops_in_heap_order() {
+        let mut rng = SplitMix64::new(0x7173);
+        for _ in 0..40 {
+            let mut queue = TimerQueue::default();
+            let mut heap = BinaryHeap::new();
+            let mut now = 0;
+            for n in 0..1_500 {
+                now += rng.next_below(3);
+                let id = rng.next_below(16) << 40 | n;
+                let (first, timer) = match rng.next_below(5) {
+                    0 | 1 => (true, (now + 64, id)),
+                    2 => (true, (now + rng.next_below(64), id)),
+                    3 => (false, (now + (64 << rng.next_below(4)), id)),
+                    _ => (false, (now + 1, id)),
+                };
+                if first {
+                    queue.arm_first(timer);
+                } else {
+                    queue.arm(timer);
+                }
+                heap.push(Reverse(timer));
+                while queue.peek().is_some_and(|(due, _)| due <= now) {
+                    assert_eq!(queue.pop(), heap.pop().map(|Reverse(t)| t));
+                }
+                assert_eq!(queue.peek(), heap.peek().map(|&Reverse(t)| t));
+            }
+            let mut all: Vec<(u64, u64)> = heap.iter().map(|&Reverse(t)| t).collect();
+            all.sort_unstable();
+            assert_eq!(queue.sorted(), all);
+            while let Some(t) = heap.pop() {
+                assert_eq!(queue.pop(), Some(t.0));
+            }
+            assert_eq!(queue.pop(), None);
+        }
+    }
+
+    /// A sealed checkpoint of `fabric` and `exp` whose recovery state
+    /// holds `reads` and `timers` as given, whatever they say.
+    fn forged_checkpoint(
+        fabric: &RoundTripFabric,
+        exp: &FabricExperiment,
+        reads: &[(u64, InFlight)],
+        timers: &[(u64, u64)],
+    ) -> Vec<u8> {
+        use cedar_snap::Snapshot;
+        let rec = exp.recovery.as_ref().unwrap();
+        let mut w = cedar_snap::SnapWriter::new();
+        fabric.snap(&mut w);
+        exp.sources.snap(&mut w);
+        w.put_u8(1);
+        reads.to_vec().snap(&mut w);
+        timers.to_vec().snap(&mut w);
+        rec.retries.snap(&mut w);
+        rec.failed_requests.snap(&mut w);
+        exp.completed_requests.snap(&mut w);
+        exp.total_expected.snap(&mut w);
+        exp.ratio.snap(&mut w);
+        exp.max_net_cycles.snap(&mut w);
+        cedar_snap::seal(&w.into_bytes())
+    }
+
+    /// Restore rejects, with a typed error, recovery state that names a
+    /// read the experiment never issued or that disagrees with its id:
+    /// sized or indexed by such a read, the in-flight table would
+    /// panic at the first timer.
+    #[test]
+    fn restore_rejects_impossible_recovery_state() {
+        let (mut fabric, mut exp) = harsh_degraded(EngineKind::Auto);
+        fabric
+            .drive_experiment(&mut exp, None, Some(1_100))
+            .unwrap();
+        let rec = exp.recovery.as_ref().unwrap();
+        let reads: Vec<(u64, InFlight)> = rec.in_flight().collect();
+        let timers = rec.timers.sorted();
+        // The forger writes the real format: unforged, it is the checkpoint.
+        assert_eq!(
+            forged_checkpoint(&fabric, &exp, &reads, &timers),
+            fabric.checkpoint_experiment(&exp)
+        );
+
+        let count = exp.sources[3].local_request_count();
+        let read = |port: usize, local: u64| {
+            let id = RoundTripFabric::packet_id(port, local);
+            let packet = Packet::new(id, port, 0, 1, PacketKind::ReadRequest);
+            (
+                id.0,
+                InFlight {
+                    packet,
+                    attempts: 1,
+                },
+            )
+        };
+        let rejected = |reads: &[(u64, InFlight)], timers: &[(u64, u64)]| {
+            let bytes = forged_checkpoint(&fabric, &exp, reads, timers);
+            matches!(
+                RoundTripFabric::restore_experiment(&bytes),
+                Err(cedar_snap::SnapError::Invalid(_))
+            )
+        };
+        let (id, good) = reads[0];
+        let forge = |edit: &dyn Fn(&mut InFlight)| {
+            let mut f = good;
+            edit(&mut f);
+            vec![(id, f)]
+        };
+        let modules = fabric.config().mem_modules;
+        let bad_reads = [
+            ("read port past the sources", vec![read(999, 0)]),
+            ("read past the request count", vec![read(3, count)]),
+            (
+                "source disagrees with the id",
+                forge(&|f| f.packet.src ^= 1),
+            ),
+            ("packet id disagrees", forge(&|f| f.packet.id.0 += 1)),
+            ("multi-word read", forge(&|f| f.packet.words = 2)),
+            ("not a read", forge(&|f| f.packet.kind = PacketKind::Write)),
+            ("zero attempts", forge(&|f| f.attempts = 0)),
+            ("dest past the modules", forge(&|f| f.packet.dest = modules)),
+            ("reads out of order", vec![reads[1], reads[0]]),
+            ("duplicate read", vec![reads[0], reads[0]]),
+        ];
+        for (what, bad) in bad_reads {
+            assert!(rejected(&bad, &timers), "{what}: restored");
+        }
+        let bad_timers = [
+            ("timer port past the sources", (1_200, 999 << 40)),
+            ("timer past the request count", (1_200, 3 << 40 | count)),
+        ];
+        for (what, bad) in bad_timers {
+            let mut all = timers.clone();
+            all.push(bad);
+            assert!(rejected(&reads, &all), "{what}: restored");
+        }
     }
 
     /// `run_watched_checkpointed` picks an interrupted run back up

@@ -42,10 +42,12 @@
 //! masked outputs ask `output_blocked` and only masked modules ask
 //! `module_stalled` / `module_failed`; masked modules are visited every
 //! cycle, as the generic engine visits every module. Every link hop of
-//! a single-word packet asks `drops_word`. Issue, reply ejection and
-//! the retry timers run the generic recovery code
-//! (`RecoveryState::fire_due`) at the same point of the cycle, so
-//! retries, dedup and abandonment happen in the same order.
+//! a single-word packet asks `drops_on_link` with its link's key, which
+//! import precomputes (`FaultPlan::link_key`), and so gets `drops_word`'s
+//! answer. Issue, reply ejection and the retry timers run the generic
+//! recovery code (`RecoveryState::register`, `resolve` and `fire_due`)
+//! at the same point of the cycle, so retries, dedup and abandonment
+//! happen in the same order.
 //!
 //! Anything else falls back to the generic engine, bumps the
 //! `engine.fallback` obs counter when metrics are live, and — under
@@ -914,19 +916,29 @@ impl CeClock {
 
 /// A network's fault plan as the specialized stepper consults it: the
 /// plan plus a mask, laid out like the event masks, of the outputs that
-/// any stuck window or slowdown names. Only masked outputs pay for the
-/// plan's linear `output_blocked` scan; every hop of a single-word
-/// packet asks `drops_word`, as the generic `link_eats` does.
+/// any stuck window or slowdown names, and each output's link key. Only
+/// masked outputs pay for the plan's linear `output_blocked` scan; every
+/// hop of a single-word packet asks `drops_on_link` with its link's key,
+/// the same decision the generic `link_eats` gets from `drops_word`.
 struct NetFaults {
     dir: NetDirection,
     plan: FaultPlan,
     outputs: Vec<u64>,
+    /// `FaultPlan::link_key` of the link out of each global position.
+    keys: Vec<u64>,
 }
 
 impl NetFaults {
     fn compile(net: &OmegaNetwork, plan: &FaultPlan, d: &Dims) -> NetFaults {
         let mut outputs = vec![0u64; d.mwords];
         let switches = d.ports >> d.rbits;
+        let mut keys = vec![0u64; d.mwords << 6];
+        for stage in 0..net.cfg.stages {
+            for pos in 0..d.ports {
+                keys[d.gpos(stage, pos)] =
+                    plan.link_key(net.direction, stage, pos >> d.rbits, pos & d.rmask);
+            }
+        }
         // Outputs outside this network's shape never match a query.
         for (stage, switch, port) in plan.faulted_outputs(net.direction) {
             if stage < net.cfg.stages && switch < switches && port < net.cfg.radix {
@@ -938,6 +950,7 @@ impl NetFaults {
             dir: net.direction,
             plan: plan.clone(),
             outputs,
+            keys,
         }
     }
 }
@@ -1326,7 +1339,7 @@ impl SpecNet {
             if L {
                 self.census[1] += 1;
             }
-            if F && self.link_drops(d, s, pos, id, meta) {
+            if F && self.link_drops(gpos, id, meta) {
                 continue;
             }
             if elen > self.emask {
@@ -1378,7 +1391,7 @@ impl SpecNet {
             if L {
                 self.census[1] += 1;
             }
-            if F && self.link_drops(d, s, pos, id, meta) {
+            if F && self.link_drops(gpos, id, meta) {
                 continue;
             }
             d.push_input(&mut self.recs, s + 1, gin, id, meta);
@@ -1397,15 +1410,13 @@ impl SpecNet {
         })
     }
 
-    /// Whether the link out of the output at stage position `pos` of
-    /// stage `s` loses the word just popped from it (single-word packets
-    /// only, as in the generic `link_eats`); a lost word leaves the
-    /// network.
+    /// Whether the link out of the output at global position `gpos`
+    /// loses the word just popped from it (single-word packets only, as
+    /// in the generic `link_eats`); a lost word leaves the network.
     #[inline]
-    fn link_drops(&mut self, d: Dims, s: usize, pos: usize, id: u64, meta: u32) -> bool {
-        let (sw, out) = (pos >> d.rbits, pos & d.rmask);
+    fn link_drops(&mut self, gpos: usize, id: u64, meta: u32) -> bool {
         let lost = self.faults.as_ref().is_some_and(|f| {
-            meta_words(meta) == 1 && f.plan.drops_word(f.dir, s, sw, out, id, self.now)
+            meta_words(meta) == 1 && f.plan.drops_on_link(ld(&f.keys, gpos), id, self.now)
         });
         if lost {
             self.words_dropped += 1;
@@ -2265,7 +2276,7 @@ impl RoundTripFabric {
 
     /// `eject_replies` against an SoA reverse network, visiting only
     /// the ports with buffered exit words. Under `F` the recovery
-    /// state's pending map dedups replies, as in the generic engine.
+    /// state's in-flight table dedups replies, as in the generic engine.
     fn spec_eject_replies<const F: bool, const L: bool>(
         rev: &mut SpecNet,
         sources: &mut [CeSource],
@@ -2299,7 +2310,7 @@ impl RoundTripFabric {
                 while let Some((id, meta, arrived)) = rev.pop_output(pos) {
                     debug_assert_eq!(meta_kind(meta), kind_tag(PacketKind::Reply));
                     if let (true, Some(rec)) = (F, rec.as_deref_mut()) {
-                        if rec.pending.remove(&id).is_none() {
+                        if !rec.resolve(id) {
                             continue; // duplicate, or already abandoned
                         }
                     }
@@ -2376,15 +2387,7 @@ impl RoundTripFabric {
                     ledger.useful[Phase::Issue as usize] += u64::from(issued != Issued::Nothing);
                 }
                 if let (true, Issued::Read(packet), Some(rec)) = (F, issued, rec.as_deref_mut()) {
-                    rec.pending.insert(
-                        packet.id.0,
-                        InFlight {
-                            packet,
-                            attempts: 1,
-                        },
-                    );
-                    let due = self.now + self.retry.base_delay_cycles;
-                    rec.timers.push(Reverse((due, packet.id.0)));
+                    rec.register(packet, self.now + self.retry.base_delay_cycles);
                 }
             }
         }
