@@ -8,13 +8,18 @@
 //! a feeling.
 //!
 //! ```text
-//! perf [--smoke] [--out PATH] [--cache DIR] [--track HISTORY]
-//! perf --compare COLD_JSON WARM_JSON [--compare-out PATH]
+//! perf [--smoke] [--out PATH] [--cache DIR]
+//! perf --compare COLD_JSON WARM_JSON
 //! ```
 //!
 //! `--smoke` shrinks every workload to CI-checkable size (seconds, not
 //! minutes); `--out` overrides the output path. All simulated results
-//! are deterministic; only the timings vary run to run.
+//! are deterministic; only the timings vary run to run. Each reference
+//! row records its repeat count and the min, median and max of its
+//! timed repeats; `wall_ms` is the best repeat. The top level records
+//! the host's core count, and the sweep speedup is recorded as `null`,
+//! with the reason, on a host with fewer cores than the parallel pass
+//! has threads.
 //!
 //! `--cache DIR` keys every reference run's full configuration into a
 //! content-addressed snapshot cache: a warm second invocation loads
@@ -26,14 +31,11 @@
 //! this binary, asserts the warm run's reference wall-clock is at
 //! least 5x faster than the cold run's, and asserts every simulated
 //! result field is identical; exits nonzero with a diff on failure.
-//! `--compare-out PATH` additionally writes the cold/warm timings as a
-//! `cedar-bench-compare/1` report `track append --compare` can ingest.
 //!
-//! `--track HISTORY` appends the finished report to the cedar-track
-//! benchmark history (one stamped JSONL line; see `crates/track`).
 //! Every report is stamped with the git commit and an ISO-8601 UTC
 //! timestamp, overridable via `CEDAR_TRACK_COMMIT` /
-//! `CEDAR_TRACK_TIMESTAMP` for hermetic runs.
+//! `CEDAR_TRACK_TIMESTAMP` for hermetic runs. `track append --perf
+//! PATH` adds a report to the benchmark history (see `crates/track`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -42,6 +44,7 @@ use cedar_bench::{hotspot, trace};
 use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar_net::fabric::{FabricConfig, FabricReport, PrefetchTraffic, RoundTripFabric};
 use cedar_net::EngineKind;
+use cedar_obs::json::{self, Json};
 use cedar_obs::{Obs, ObsConfig};
 use cedar_snap::{CacheDir, Snapshot};
 
@@ -54,15 +57,38 @@ struct RefRun {
     /// Which execution engine drove the run: `"specialized"`,
     /// `"generic"`, or `"n/a"` for suites without a single fabric.
     engine: &'static str,
-    wall_ms: f64,
+    /// Wall time of each timed repeat, sorted ascending.
+    times_ms: Vec<f64>,
     /// Simulated network cycles, where the workload has a single
     /// fabric clock to report (the sweep does not).
     sim_cycles: Option<u64>,
 }
 
 impl RefRun {
+    fn new(
+        name: &'static str,
+        engine: &'static str,
+        mut times_ms: Vec<f64>,
+        sim_cycles: Option<u64>,
+    ) -> RefRun {
+        times_ms.sort_by(f64::total_cmp);
+        RefRun {
+            name,
+            engine,
+            times_ms,
+            sim_cycles,
+        }
+    }
+
+    /// The best repeat: the statistic `wall_ms`, the rate and the
+    /// engine-ratio assert use.
+    fn wall_ms(&self) -> f64 {
+        self.times_ms[0]
+    }
+
     fn cycles_per_sec(&self) -> Option<f64> {
-        self.sim_cycles.map(|c| c as f64 / (self.wall_ms / 1000.0))
+        self.sim_cycles
+            .map(|c| c as f64 / (self.wall_ms() / 1000.0))
     }
 }
 
@@ -94,26 +120,20 @@ fn main() {
     let mut out_path = String::from("BENCH_perf.json");
     let mut cache_dir: Option<String> = None;
     let mut compare: Option<(String, String)> = None;
-    let mut compare_out: Option<String> = None;
-    let mut track: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--out" => out_path = args.next().expect("--out requires a path"),
             "--cache" => cache_dir = Some(args.next().expect("--cache requires a directory")),
-            "--track" => track = Some(args.next().expect("--track requires a path")),
             "--compare" => {
                 let cold = args.next().expect("--compare requires COLD and WARM paths");
                 let warm = args.next().expect("--compare requires COLD and WARM paths");
                 compare = Some((cold, warm));
             }
-            "--compare-out" => {
-                compare_out = Some(args.next().expect("--compare-out requires a path"));
-            }
             other => {
                 eprintln!(
-                    "unknown argument {other:?}; usage: perf [--smoke] [--out PATH] [--cache DIR] [--track HISTORY] | perf --compare COLD WARM [--compare-out PATH]"
+                    "unknown argument {other:?}; usage: perf [--smoke] [--out PATH] [--cache DIR] | perf --compare COLD WARM"
                 );
                 std::process::exit(2);
             }
@@ -121,7 +141,7 @@ fn main() {
     }
 
     if let Some((cold, warm)) = compare {
-        std::process::exit(compare_baselines(&cold, &warm, compare_out.as_deref()));
+        std::process::exit(compare_baselines(&cold, &warm));
     }
 
     let cache = cache_dir.map(|dir| CacheDir::new(dir).expect("open cache dir"));
@@ -143,7 +163,7 @@ fn main() {
     // cache, not the engine — one rep is the honest measurement there.
     let reps = if cache.is_none() { 3 } else { 1 };
     let time_engine = |engine: EngineKind, namespace: &str| {
-        let mut best_ms = f64::INFINITY;
+        let mut times_ms = Vec::with_capacity(reps);
         let mut report = None;
         for _ in 0..reps {
             let started = Instant::now();
@@ -165,30 +185,33 @@ fn main() {
                     report
                 },
             );
-            best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1000.0);
+            times_ms.push(started.elapsed().as_secs_f64() * 1000.0);
             report = Some(r);
         }
-        (best_ms, report.expect("at least one rep"))
+        (times_ms, report.expect("at least one rep"))
     };
-    let (spec_ms, spec_report) = time_engine(EngineKind::Specialized, "perf.table2_rk_spec/1");
-    let (gen_ms, gen_report) = time_engine(EngineKind::Generic, "perf.table2_rk/1");
+    let (spec_times, spec_report) = time_engine(EngineKind::Specialized, "perf.table2_rk_spec/1");
+    let (gen_times, gen_report) = time_engine(EngineKind::Generic, "perf.table2_rk/1");
     assert!(spec_report.completed(), "reference traffic must drain");
     assert_eq!(
         spec_report, gen_report,
         "engines disagree on the reference run — bit-identity broken"
     );
-    runs.push(RefRun {
-        name: "table2_rk_prefetch",
-        engine: "specialized",
-        wall_ms: spec_ms,
-        sim_cycles: Some(spec_report.total_net_cycles),
-    });
-    runs.push(RefRun {
-        name: "table2_rk_prefetch_generic",
-        engine: "generic",
-        wall_ms: gen_ms,
-        sim_cycles: Some(gen_report.total_net_cycles),
-    });
+    let spec = RefRun::new(
+        "table2_rk_prefetch",
+        "specialized",
+        spec_times,
+        Some(spec_report.total_net_cycles),
+    );
+    let generic = RefRun::new(
+        "table2_rk_prefetch_generic",
+        "generic",
+        gen_times,
+        Some(gen_report.total_net_cycles),
+    );
+    let (spec_ms, gen_ms) = (spec.wall_ms(), generic.wall_ms());
+    runs.push(spec);
+    runs.push(generic);
     let engine_speedup = gen_ms / spec_ms;
     // The specialized engine's whole reason to exist. The honest
     // measured ratio on this host is ~4.5-5x (the run is memory-module
@@ -236,14 +259,14 @@ fn main() {
         },
     );
     assert!(report.completed(), "faulted trace traffic must drain");
-    runs.push(RefRun {
-        name: "faulted_trace",
+    runs.push(RefRun::new(
+        "faulted_trace",
         // Telemetry is outside the specialized family; this row pins
         // the generic path's cost.
-        engine: "generic",
-        wall_ms: started.elapsed().as_secs_f64() * 1000.0,
-        sim_cycles: Some(report.total_net_cycles),
-    });
+        "generic",
+        vec![started.elapsed().as_secs_f64() * 1000.0],
+        Some(report.total_net_cycles),
+    ));
 
     // The hot-spot sweep, serial then parallel: the executor's
     // speedup on real sweep work, not a microbenchmark. Both passes
@@ -252,36 +275,25 @@ fn main() {
     // parallel run, whatever `CEDAR_THREADS` the environment carries.
     // (With a warm cache both passes serve hits, so the speedup
     // collapses to ~1 — the comparator only checks simulated fields.)
-    let saved_threads = std::env::var(cedar_exec::THREADS_ENV).ok();
-    std::env::set_var(cedar_exec::THREADS_ENV, "1");
     let started = Instant::now();
-    let serial_points = hotspot::run_cached(cache);
+    let serial_points = hotspot::run_cached_on(1, cache);
     let serial_ms = started.elapsed().as_secs_f64() * 1000.0;
-    std::env::set_var(cedar_exec::THREADS_ENV, PARALLEL_THREADS.to_string());
     let started = Instant::now();
-    let parallel_points = hotspot::run_cached(cache);
+    let parallel_points = hotspot::run_cached_on(PARALLEL_THREADS, cache);
     let parallel_ms = started.elapsed().as_secs_f64() * 1000.0;
-    match &saved_threads {
-        Some(v) => std::env::set_var(cedar_exec::THREADS_ENV, v),
-        None => std::env::remove_var(cedar_exec::THREADS_ENV),
-    }
     assert_eq!(
         serial_points, parallel_points,
         "determinism contract broken"
     );
-    runs.push(RefRun {
-        name: "hotspot_sweep",
-        engine: "n/a",
-        wall_ms: parallel_ms,
-        sim_cycles: None,
-    });
+    runs.push(RefRun::new("hotspot_sweep", "n/a", vec![parallel_ms], None));
     let speedup = serial_ms / parallel_ms;
     // The pool must never make a cold sweep slower than serial on real
     // hardware, and with the full PARALLEL_THREADS complement of real
     // cores the batched-stealing deques must deliver real scaling.
     // Only meaningful when the work was actually simulated (cold
-    // cache) on a machine with cores to use; the recorded `cores`
-    // field lets history consumers apply the same gate.
+    // cache) on a machine with cores to use. With fewer cores than
+    // threads the ratio measures the host, not the pool, so the report
+    // records it as unmeasured, with the reason.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cache.is_none() && cores >= PARALLEL_THREADS {
         assert!(
@@ -298,38 +310,25 @@ fn main() {
         );
     }
 
+    let sweep_speedup = if cores < PARALLEL_THREADS {
+        Err(format!("{cores} cores < {PARALLEL_THREADS} threads"))
+    } else {
+        Ok(speedup)
+    };
+
     let peak_rss_kb = peak_rss_kb();
-    let commit = cedar_track::meta::commit_id();
-    let timestamp = cedar_track::meta::timestamp();
     let json = render_json(
         smoke,
-        &commit,
-        &timestamp,
         threads,
+        cores,
         peak_rss_kb,
         &runs,
         engine_speedup,
         serial_ms,
         parallel_ms,
-        speedup,
-        cores,
+        &sweep_speedup,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_perf.json");
-
-    if let Some(history) = &track {
-        let ingested = cedar_track::ingest::perf_report(&json).expect("ingest own report");
-        let entry = cedar_track::ingest::build_entry(
-            &[ingested],
-            commit.clone(),
-            timestamp.clone(),
-            cedar_track::meta::host_fingerprint(),
-            None,
-        )
-        .expect("build history entry");
-        cedar_track::history::append(std::path::Path::new(history), &entry)
-            .expect("append to benchmark history");
-        println!("  tracked {} metrics to {history}", entry.metrics.len());
-    }
 
     println!("perf baseline ({} mode, {threads} threads)", mode(smoke));
     for r in &runs {
@@ -337,17 +336,20 @@ fn main() {
             Some(rate) => println!(
                 "  {:<28} {:>9.1} ms  {:>12} net cycles  {:>10.2e} cycles/s  [{}]",
                 r.name,
-                r.wall_ms,
+                r.wall_ms(),
                 r.sim_cycles.unwrap_or(0),
                 rate,
                 r.engine
             ),
-            None => println!("  {:<28} {:>9.1} ms", r.name, r.wall_ms),
+            None => println!("  {:<28} {:>9.1} ms", r.name, r.wall_ms()),
         }
     }
     println!("  engine specialized vs generic = {engine_speedup:.2}x on the reference run");
     println!(
-        "  sweep serial {serial_ms:.1} ms / parallel {parallel_ms:.1} ms = {speedup:.2}x on {PARALLEL_THREADS} threads ({cores} cores)"
+        "  sweep serial {serial_ms:.1} ms / parallel {parallel_ms:.1} ms = {speedup:.2}x on {PARALLEL_THREADS} threads ({cores} cores{})",
+        sweep_speedup
+            .err()
+            .map_or_else(String::new, |why| format!("; recorded unmeasured: {why}"))
     );
     match peak_rss_kb {
         Some(kb) => println!("  peak RSS {kb} kB"),
@@ -363,45 +365,33 @@ struct ParsedRun {
     sim_cycles: Option<u64>,
 }
 
-/// Extracts the raw value text of `"key": <value>` from a JSON line
-/// written by [`render_json`]. This is not a JSON parser; it only
-/// reads the rigid single-line rows this binary itself emits.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| c == ',' || c == '}')
-        .map_or(rest.len(), |(i, _)| i);
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 fn parse_runs(path: &str) -> Vec<ParsedRun> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    text.lines()
-        .filter(|l| l.contains("\"wall_ms\""))
-        .map(|l| ParsedRun {
-            name: field(l, "name").expect("run row has a name").to_string(),
-            wall_ms: field(l, "wall_ms")
-                .and_then(|v| v.parse().ok())
+    let report = json::parse(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"));
+    let Some(Json::Arr(rows)) = report.get("reference_runs") else {
+        panic!("baseline {path} has no reference_runs");
+    };
+    rows.iter()
+        .map(|r| ParsedRun {
+            name: r
+                .get("name")
+                .and_then(Json::as_str)
+                .expect("run row has a name")
+                .to_owned(),
+            wall_ms: r
+                .get("wall_ms")
+                .and_then(Json::as_f64)
                 .expect("run row has wall_ms"),
-            sim_cycles: match field(l, "sim_cycles") {
-                None | Some("null") => None,
-                Some(v) => Some(v.parse().expect("sim_cycles is integral")),
-            },
+            sim_cycles: r.get("sim_cycles").and_then(Json::as_u64),
         })
         .collect()
 }
 
 /// Compares a cold and a warm baseline: every simulated result field
 /// must be identical, and the warm run's total reference wall-clock
-/// must be at least 5x faster. Returns the process exit code. When
-/// `out` is given, also writes a `cedar-bench-compare/1` report with
-/// the cold/warm timings (regardless of verdict — the history should
-/// record slow caches too).
-fn compare_baselines(cold_path: &str, warm_path: &str, out: Option<&str>) -> i32 {
+/// must be at least 5x faster. Returns the process exit code.
+fn compare_baselines(cold_path: &str, warm_path: &str) -> i32 {
     let cold = parse_runs(cold_path);
     let warm = parse_runs(warm_path);
     let mut failures = 0;
@@ -430,20 +420,12 @@ fn compare_baselines(cold_path: &str, warm_path: &str, out: Option<&str>) -> i32
     let cold_ms: f64 = cold.iter().map(|r| r.wall_ms).sum();
     let warm_ms: f64 = warm.iter().map(|r| r.wall_ms).sum();
     let ratio = cold_ms / warm_ms;
-    if let Some(path) = out {
-        let mode = baseline_mode(cold_path);
-        let report = format!(
-            "{{\n  \"schema\": \"cedar-bench-compare/1\",\n  \"mode\": \"{mode}\",\n  \"cold_ms\": {cold_ms:.3},\n  \"warm_ms\": {warm_ms:.3},\n  \"warm_speedup\": {ratio:.3}\n}}\n"
-        );
-        std::fs::write(path, report).expect("write compare report");
-        println!("  wrote compare report to {path}");
-    }
     if ratio < 5.0 {
         eprintln!(
             "FAIL: warm run only {ratio:.2}x faster ({cold_ms:.1} ms cold vs {warm_ms:.1} ms warm); need >= 5x"
         );
         failures += 1;
-    } else {
+    } else if failures == 0 {
         println!(
             "warm cache is {ratio:.1}x faster ({cold_ms:.1} ms cold vs {warm_ms:.1} ms warm), simulated fields identical"
         );
@@ -453,20 +435,6 @@ fn compare_baselines(cold_path: &str, warm_path: &str, out: Option<&str>) -> i32
     } else {
         0
     }
-}
-
-/// Reads the run mode back out of a written baseline, for stamping the
-/// compare report with the scope its numbers came from.
-fn baseline_mode(path: &str) -> &'static str {
-    let smoke = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.contains("\"smoke\""))
-                .and_then(|l| field(l, "smoke").map(|v| v == "true"))
-        })
-        .unwrap_or(false);
-    mode(smoke)
 }
 
 fn mode(smoke: bool) -> &'static str {
@@ -484,38 +452,38 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Renders the report. `sweep_speedup` is the measured ratio, or the
+/// reason it was not measured.
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     smoke: bool,
-    commit: &str,
-    timestamp: &str,
     threads: usize,
+    cores: usize,
     peak_rss_kb: Option<u64>,
     runs: &[RefRun],
     engine_speedup: f64,
     serial_ms: f64,
     parallel_ms: f64,
-    speedup: f64,
-    cores: usize,
+    sweep_speedup: &Result<f64, String>,
 ) -> String {
+    let escape = cedar_obs::export::escape_json;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"cedar-bench-perf/4\",");
     let _ = writeln!(
         out,
         "  \"commit\": \"{}\",",
-        cedar_obs::export::escape_json(commit)
+        escape(&cedar_track::meta::commit_id())
     );
-    let _ = writeln!(out, "  \"timestamp\": \"{timestamp}\",");
+    let _ = writeln!(
+        out,
+        "  \"timestamp\": \"{}\",",
+        cedar_track::meta::timestamp()
+    );
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(out, "  \"threads\": {threads},");
-    match peak_rss_kb {
-        Some(kb) => {
-            let _ = writeln!(out, "  \"peak_rss_kb\": {kb},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"peak_rss_kb\": null,");
-        }
-    }
+    let _ = writeln!(out, "  \"cores\": {cores},");
+    let rss = peak_rss_kb.map_or_else(|| "null".into(), |kb| kb.to_string());
+    let _ = writeln!(out, "  \"peak_rss_kb\": {rss},");
     let _ = writeln!(out, "  \"reference_runs\": [");
     for (i, r) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
@@ -525,10 +493,20 @@ fn render_json(
         let rate = r
             .cycles_per_sec()
             .map_or_else(|| "null".into(), |c| format!("{c:.0}"));
+        let t = &r.times_ms;
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"wall_ms\": {:.3}, \"sim_cycles\": {}, \"sim_cycles_per_sec\": {}}}{}",
-            r.name, r.engine, r.wall_ms, cycles, rate, comma
+            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"reps\": {}, \"min_ms\": {:.3}, \"median_ms\": {:.3}, \"max_ms\": {:.3}, \"wall_ms\": {:.3}, \"sim_cycles\": {}, \"sim_cycles_per_sec\": {}}}{}",
+            r.name,
+            r.engine,
+            t.len(),
+            t[0],
+            t[t.len() / 2],
+            t[t.len() - 1],
+            r.wall_ms(),
+            cycles,
+            rate,
+            comma
         );
     }
     let _ = writeln!(out, "  ],");
@@ -538,9 +516,16 @@ fn render_json(
     let _ = writeln!(out, "    \"serial_ms\": {serial_ms:.3},");
     let _ = writeln!(out, "    \"serial_threads\": 1,");
     let _ = writeln!(out, "    \"parallel_ms\": {parallel_ms:.3},");
-    let _ = writeln!(out, "    \"threads\": {},", PARALLEL_THREADS);
-    let _ = writeln!(out, "    \"cores\": {cores},");
-    let _ = writeln!(out, "    \"speedup\": {speedup:.3}");
+    let _ = writeln!(out, "    \"threads\": {PARALLEL_THREADS},");
+    match sweep_speedup {
+        Ok(speedup) => {
+            let _ = writeln!(out, "    \"speedup\": {speedup:.3}");
+        }
+        Err(why) => {
+            let _ = writeln!(out, "    \"speedup\": null,");
+            let _ = writeln!(out, "    \"speedup_unmeasured\": \"{}\"", escape(why));
+        }
+    }
     let _ = writeln!(out, "  }}");
     out.push_str("}\n");
     out

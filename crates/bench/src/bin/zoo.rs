@@ -2,7 +2,7 @@
 //! all five Practical Parallelism Tests.
 //!
 //! ```text
-//! zoo [--smoke] [--out PATH] [--cache DIR] [--track HISTORY] [--cells-out PATH]
+//! zoo [--smoke] [--out PATH] [--cache DIR] [--cells-out PATH]
 //! ```
 //!
 //! Runs the full zoo sweep — 8 machines × 4 workloads as a cached
@@ -11,8 +11,8 @@
 //! shrinks the simulated workloads to CI size; `--cache DIR` serves
 //! warm cells from the content-addressed cache; `--cells-out PATH`
 //! dumps the raw cell snapshots so CI can `cmp` a warm run against a
-//! cold one byte for byte; `--track HISTORY` appends the report to
-//! the cedar-track benchmark history.
+//! cold one byte for byte. `track append --zoo PATH` adds the report
+//! to the benchmark history.
 //!
 //! Every judged number is deterministic; only the timing fields
 //! (`wall_ms`, `points_per_sec`) vary run to run.
@@ -28,7 +28,6 @@ fn main() {
     let mut smoke = false;
     let mut out_path = String::from("BENCH_zoo.json");
     let mut cache_dir: Option<String> = None;
-    let mut track: Option<String> = None;
     let mut cells_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -36,11 +35,10 @@ fn main() {
             "--smoke" => smoke = true,
             "--out" => out_path = args.next().expect("--out requires a path"),
             "--cache" => cache_dir = Some(args.next().expect("--cache requires a directory")),
-            "--track" => track = Some(args.next().expect("--track requires a path")),
             "--cells-out" => cells_out = Some(args.next().expect("--cells-out requires a path")),
             other => {
                 eprintln!(
-                    "unknown argument {other:?}; usage: zoo [--smoke] [--out PATH] [--cache DIR] [--track HISTORY] [--cells-out PATH]"
+                    "unknown argument {other:?}; usage: zoo [--smoke] [--out PATH] [--cache DIR] [--cells-out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -73,12 +71,10 @@ fn main() {
         "combining network failed to beat the plain omega on the hotspot ({gain:.2}x)"
     );
 
-    let commit = cedar_track::meta::commit_id();
-    let timestamp = cedar_track::meta::timestamp();
     let json = render_json(
         smoke,
-        &commit,
-        &timestamp,
+        &cedar_track::meta::commit_id(),
+        &cedar_track::meta::timestamp(),
         threads,
         cells.len(),
         wall_ms,
@@ -87,21 +83,6 @@ fn main() {
         &verdicts,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_zoo.json");
-
-    if let Some(history) = &track {
-        let ingested = cedar_track::ingest::zoo_report(&json).expect("ingest own report");
-        let entry = cedar_track::ingest::build_entry(
-            &[ingested],
-            commit.clone(),
-            timestamp.clone(),
-            cedar_track::meta::host_fingerprint(),
-            None,
-        )
-        .expect("build history entry");
-        cedar_track::history::append(std::path::Path::new(history), &entry)
-            .expect("append to benchmark history");
-        println!("  tracked {} metrics to {history}", entry.metrics.len());
-    }
 
     println!(
         "machine zoo ({} mode, {threads} threads): {} cells in {wall_ms:.1} ms\n",

@@ -53,20 +53,28 @@ cedar_snap::snapshot_struct!(HotspotPoint {
 /// hot fraction under [`CACHE_NAMESPACE`].
 #[must_use]
 pub fn run_cached(cache: Option<&cedar_snap::CacheDir>) -> Vec<HotspotPoint> {
-    cedar_exec::run_sweep_cached(cache, CACHE_NAMESPACE, FRACTIONS.to_vec(), |fraction| {
-        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-        let report = fabric.run_prefetch_experiment(
-            32,
-            PrefetchTraffic::sync_hotspot(8, fraction),
-            32_000_000,
-        );
-        HotspotPoint {
-            hot_fraction: fraction,
-            latency: report.mean_first_word_latency_ce(),
-            interarrival: report.mean_interarrival_ce(),
-            bandwidth: report.words_per_ce_cycle(),
-        }
-    })
+    run_cached_on(cedar_exec::threads(), cache)
+}
+
+/// [`run_cached`] on exactly `threads` threads, whatever
+/// `CEDAR_THREADS` says.
+#[must_use]
+pub fn run_cached_on(threads: usize, cache: Option<&cedar_snap::CacheDir>) -> Vec<HotspotPoint> {
+    let fractions = FRACTIONS.to_vec();
+    cedar_exec::run_sweep_cached_on(threads, cache, CACHE_NAMESPACE, fractions, point)
+}
+
+/// One hot fraction's point: a fresh fabric on 32 CEs.
+fn point(fraction: f64) -> HotspotPoint {
+    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+    let report =
+        fabric.run_prefetch_experiment(32, PrefetchTraffic::sync_hotspot(8, fraction), 32_000_000);
+    HotspotPoint {
+        hot_fraction: fraction,
+        latency: report.mean_first_word_latency_ce(),
+        interarrival: report.mean_interarrival_ce(),
+        bandwidth: report.words_per_ce_cycle(),
+    }
 }
 
 /// Prints the study.

@@ -5,7 +5,7 @@
 //! cluster_chaos [--workers N] [--points N] [--seed N]
 //!               [--kills N] [--stalls N] [--corrupts N]
 //!               [--cache DIR] [--expect-warm]
-//!               [--report PATH] [--track HISTORY] [--metrics-addr ADDR]
+//!               [--report PATH] [--metrics-addr ADDR]
 //! ```
 //!
 //! Runs the reference sweep twice, in one process tree: serially
@@ -21,10 +21,11 @@
 //! `CEDAR_CLUSTER_WORKER` set, and [`cedar_cluster::maybe_worker`]
 //! diverts those copies before argument parsing.
 //!
-//! `--report PATH` writes the chaos run's timings and supervision
-//! counters as a `cedar-bench-cluster/1` JSON report; `--track
-//! HISTORY` appends the same numbers to the cedar-track benchmark
-//! history. `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the
+//! `--report PATH` writes the chaos run's timings, supervision counters
+//! and `failures` count (broken invariants) as a
+//! `cedar-bench-cluster/1` JSON report; `track append --cluster PATH`
+//! adds it to the benchmark history, and refuses a report whose
+//! `failures` count is nonzero. `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the
 //! coordinator's metrics as a Prometheus `/metrics` endpoint for the
 //! duration of the run, with the same HTTP reply as the serving tier.
 
@@ -42,7 +43,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cluster_chaos [--workers N] [--points N] [--seed N] [--kills N] \
          [--stalls N] [--corrupts N] [--cache DIR] [--expect-warm] \
-         [--report PATH] [--track HISTORY] [--metrics-addr ADDR]"
+         [--report PATH] [--metrics-addr ADDR]"
     );
     std::process::exit(2)
 }
@@ -56,7 +57,6 @@ fn main() -> ExitCode {
     let mut cache_dir: Option<String> = None;
     let mut expect_warm = false;
     let mut report_path: Option<String> = None;
-    let mut track: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -71,7 +71,6 @@ fn main() -> ExitCode {
             "--cache" => cache_dir = Some(value()),
             "--expect-warm" => expect_warm = true,
             "--report" => report_path = Some(value()),
-            "--track" => track = Some(value()),
             "--metrics-addr" => metrics_addr = Some(value()),
             _ => usage(),
         }
@@ -219,41 +218,15 @@ fn main() -> ExitCode {
     }
 
     // Timing/supervision report: written win or lose (a failing run's
-    // numbers are exactly what a postmortem wants), but only tracked
-    // into the benchmark history when the run held its invariants.
-    let bench_json = render_bench_json(stats, wall_ms, &obs);
+    // numbers are exactly what a postmortem wants); its `failures`
+    // count keeps a failing run out of the benchmark history.
+    let bench_json = render_bench_json(stats, wall_ms, failures.len(), &obs);
     if let Some(path) = &report_path {
         if let Err(e) = std::fs::write(path, &bench_json) {
             eprintln!("cluster_chaos: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!("cluster_chaos: wrote report to {path}");
-    }
-    if failures.is_empty() {
-        if let Some(history) = &track {
-            let appended = cedar_track::ingest::cluster_report(&bench_json)
-                .and_then(|ing| {
-                    cedar_track::ingest::build_entry(
-                        &[ing],
-                        cedar_track::meta::commit_id(),
-                        cedar_track::meta::timestamp(),
-                        cedar_track::meta::host_fingerprint(),
-                        None,
-                    )
-                })
-                .and_then(|entry| {
-                    cedar_track::history::append(std::path::Path::new(history), &entry)
-                        .map(|()| entry.metrics.len())
-                        .map_err(|e| e.to_string())
-                });
-            match appended {
-                Ok(n) => eprintln!("cluster_chaos: tracked {n} metrics to {history}"),
-                Err(e) => {
-                    eprintln!("cluster_chaos: cannot track to {history}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
     }
     drop(metrics_server);
 
@@ -269,9 +242,14 @@ fn main() -> ExitCode {
 }
 
 /// Renders the `cedar-bench-cluster/1` timing report: the chaos run's
-/// wall clock, throughput, supervision stats and the coordinator's
-/// observability counters.
-fn render_bench_json(stats: &cedar_cluster::ClusterStats, wall_ms: f64, obs: &SharedObs) -> String {
+/// broken-invariant count, wall clock, throughput, supervision stats
+/// and the coordinator's observability counters.
+fn render_bench_json(
+    stats: &cedar_cluster::ClusterStats,
+    wall_ms: f64,
+    failures: usize,
+    obs: &SharedObs,
+) -> String {
     use std::fmt::Write as _;
     let points_per_sec = if wall_ms > 0.0 {
         stats.jobs as f64 / (wall_ms / 1000.0)
@@ -290,6 +268,7 @@ fn render_bench_json(stats: &cedar_cluster::ClusterStats, wall_ms: f64, obs: &Sh
         cedar_track::meta::timestamp()
     );
     out.push_str("  \"mode\": \"chaos\",\n");
+    let _ = writeln!(out, "  \"failures\": {failures},");
     let _ = writeln!(out, "  \"workers\": {},", stats.workers);
     let _ = writeln!(out, "  \"points\": {},", stats.jobs);
     let _ = writeln!(out, "  \"wall_ms\": {wall_ms:.3},");

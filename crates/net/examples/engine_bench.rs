@@ -11,8 +11,8 @@
 //! cargo run --release -p cedar-net --example engine_bench -- --faulted [--smoke|--floor]
 //! ```
 //!
-//! The full report prints, in order:
-//! - generic against specialized on the RK 32-CE × 16-block reference;
+//! The full report prints, in order (the generic-vs-specialized ratio
+//! on the RK 32-CE × 16-block reference is `perf`'s `engine_speedup`):
 //! - the suite's production-loop time, best of 40 runs per cell, summed;
 //! - a specialized drive in 1-cycle chunks, which re-imports the lanes
 //!   every cycle;
@@ -347,23 +347,6 @@ fn main() {
     }
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     println!("nproc {nproc}");
-
-    let traffic = PrefetchTraffic::rk_aggressive(16);
-    for (name, kind) in [
-        ("generic", EngineKind::Generic),
-        ("specialized", EngineKind::Specialized),
-    ] {
-        let mut fabric = fabric(kind);
-        let start = Instant::now();
-        let report = fabric.run_prefetch_experiment(32, traffic, MAX_NET_CYCLES);
-        let elapsed = start.elapsed();
-        let cycles = report.total_net_cycles;
-        println!(
-            "RK 32x16 {name:12} {:>8.1} ms  {cycles} cycles  {:.0} cycles/s",
-            elapsed.as_secs_f64() * 1e3,
-            cycles as f64 / elapsed.as_secs_f64(),
-        );
-    }
 
     // Production loop, ledger off: best of 40 per cell, summed.
     let (floor, _) = suite_floor(&suite, 40);

@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen [--addr HOST:PORT] [--addr-file PATH] [--smoke]
 //!         [--seed N] [--conns N] [--shutdown] [--out PATH]
-//!         [--adversarial] [--line-timeout-ms N] [--track HISTORY]
+//!         [--adversarial] [--line-timeout-ms N]
 //! ```
 //!
 //! Drives the server through the dedup-burst, fault-mix, closed-loop,
@@ -13,8 +13,8 @@
 //! writes the report to `--out`. `--conns N` caps the binary-protocol
 //! connection sweep (default: 64 in smoke mode, 10000 in full mode)
 //! (default `BENCH_serve.json`). Exits non-zero the moment any
-//! invariant is violated. `--track HISTORY` additionally appends the
-//! finished report to the cedar-track benchmark history.
+//! invariant is violated. `track append --serve PATH` adds the report
+//! to the benchmark history.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,8 +24,7 @@ use cedar_serve::loadgen::{run, LoadgenConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT] [--addr-file PATH] [--smoke] [--seed N] \
-         [--conns N] [--shutdown] [--out PATH] [--adversarial] [--line-timeout-ms N] \
-         [--track HISTORY]"
+         [--conns N] [--shutdown] [--out PATH] [--adversarial] [--line-timeout-ms N]"
     );
     std::process::exit(2)
 }
@@ -33,7 +32,6 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut cfg = LoadgenConfig::default();
     let mut out = PathBuf::from("BENCH_serve.json");
-    let mut track: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -70,7 +68,6 @@ fn main() -> ExitCode {
                 cfg.line_timeout_ms = value().parse().unwrap_or_else(|_| usage())
             }
             "--out" => out = PathBuf::from(value()),
-            "--track" => track = Some(PathBuf::from(value())),
             _ => usage(),
         }
     }
@@ -80,30 +77,6 @@ fn main() -> ExitCode {
             if let Err(e) = std::fs::write(&out, &text) {
                 eprintln!("loadgen: cannot write {}: {e}", out.display());
                 return ExitCode::FAILURE;
-            }
-            if let Some(history) = &track {
-                let appended = cedar_track::ingest::serve_report(&text)
-                    .and_then(|ing| {
-                        cedar_track::ingest::build_entry(
-                            &[ing],
-                            report.commit.clone(),
-                            report.timestamp.clone(),
-                            cedar_track::meta::host_fingerprint(),
-                            None,
-                        )
-                    })
-                    .and_then(|entry| {
-                        cedar_track::history::append(history, &entry)
-                            .map(|()| entry.metrics.len())
-                            .map_err(|e| e.to_string())
-                    });
-                match appended {
-                    Ok(n) => eprintln!("loadgen: tracked {n} metrics to {}", history.display()),
-                    Err(e) => {
-                        eprintln!("loadgen: cannot track to {}: {e}", history.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
             }
             eprintln!(
                 "loadgen: {} mode — dedup {}x→{} exec, mix {} req ({} degraded), \

@@ -1,38 +1,41 @@
-//! `track` — the cedar-track command line.
+//! `track` — the cedar-track command line, and the only writer of the
+//! benchmark history.
 //!
 //! ```text
 //! track append --history bench/history.jsonl --perf BENCH_perf.json \
 //!              [--serve BENCH_serve.json] [--cluster BENCH_cluster.json] \
-//!              [--compare BENCH_compare.json] [--notes TEXT]
-//! track check  --history bench/history.jsonl [--threshold-pct 10] \
-//!              [--window 5] [--any-host]
-//! track render --history bench/history.jsonl --out bench/dashboard.html \
-//!              [--threshold-pct 10] [--window 5] [--any-host]
+//!              [--zoo BENCH_zoo.json] [--notes TEXT]
+//! track append --history bench/history.jsonl --perfbench RUN.txt... [--notes TEXT]
+//! track check  --history bench/history.jsonl [--any-host]
+//! track render --history bench/history.jsonl --out bench/dashboard.html [--any-host]
 //! ```
 //!
 //! `append` ingests one or more benchmark reports, stamps them with
 //! the git commit / timestamp / host fingerprint (overridable via
 //! `CEDAR_TRACK_COMMIT` and `CEDAR_TRACK_TIMESTAMP`), and appends one
-//! history line. `check` gates the newest entry against the trailing
-//! median of comparable history and exits 1 on any regression, naming
-//! the metric. `render` writes the standalone HTML dashboard (with the
-//! gate verdict embedded as a callout).
+//! history line. `--perfbench` takes the captured stdout of one or more
+//! `python3 perfbench/run.py` runs of one workload at one commit and
+//! records each metric's median over them. `check` gates the newest
+//! entry against the spread of comparable history and exits 1 on any
+//! regression, naming the metric. `render` writes the standalone HTML
+//! dashboard (with the gate verdict embedded as a callout).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use cedar_track::gate::{check, default_gates, GateOptions};
+use cedar_track::gate::{check, default_gates};
 use cedar_track::history::{append, load, HistoryEntry};
 use cedar_track::ingest::{
-    build_entry, cluster_report, compare_report, perf_report, serve_report, Ingested,
+    build_entry, cluster_report, perf_report, perfbench_runs, serve_report, zoo_report, Ingested,
 };
 use cedar_track::meta;
 use cedar_track::render::render_dashboard;
 
 const USAGE: &str = "usage:
-  track append --history FILE (--perf FILE | --serve FILE | --cluster FILE | --compare FILE)... [--notes TEXT]
-  track check  --history FILE [--threshold-pct N] [--window N] [--any-host]
-  track render --history FILE --out FILE [--threshold-pct N] [--window N] [--any-host]";
+  track append --history FILE (--perf FILE | --serve FILE | --cluster FILE | --zoo FILE)... [--notes TEXT]
+  track append --history FILE --perfbench FILE... [--notes TEXT]
+  track check  --history FILE [--any-host]
+  track render --history FILE --out FILE [--any-host]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,10 +69,9 @@ struct Flags {
     perf: Vec<PathBuf>,
     serve: Vec<PathBuf>,
     cluster: Vec<PathBuf>,
-    compare: Vec<PathBuf>,
+    zoo: Vec<PathBuf>,
+    perfbench: Vec<PathBuf>,
     notes: Option<String>,
-    threshold_pct: f64,
-    window: usize,
     any_host: bool,
 }
 
@@ -80,13 +82,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         perf: Vec::new(),
         serve: Vec::new(),
         cluster: Vec::new(),
-        compare: Vec::new(),
+        zoo: Vec::new(),
+        perfbench: Vec::new(),
         notes: None,
-        threshold_pct: 10.0,
-        window: 5,
         any_host: false,
     };
-    let mut it = args.iter();
+    let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
             it.next()
@@ -99,18 +100,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--perf" => f.perf.push(PathBuf::from(value("--perf")?)),
             "--serve" => f.serve.push(PathBuf::from(value("--serve")?)),
             "--cluster" => f.cluster.push(PathBuf::from(value("--cluster")?)),
-            "--compare" => f.compare.push(PathBuf::from(value("--compare")?)),
+            "--zoo" => f.zoo.push(PathBuf::from(value("--zoo")?)),
+            "--perfbench" => {
+                f.perfbench.push(PathBuf::from(value("--perfbench")?));
+                while let Some(more) = it.next_if(|a| !a.starts_with("--")) {
+                    f.perfbench.push(PathBuf::from(more));
+                }
+            }
             "--notes" => f.notes = Some(value("--notes")?),
-            "--threshold-pct" => {
-                f.threshold_pct = value("--threshold-pct")?
-                    .parse()
-                    .map_err(|e| format!("bad --threshold-pct: {e}"))?;
-            }
-            "--window" => {
-                f.window = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("bad --window: {e}"))?;
-            }
             "--any-host" => f.any_host = true,
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
@@ -124,6 +121,10 @@ fn require_history(f: &Flags) -> Result<PathBuf, String> {
         .ok_or_else(|| "--history is required".to_owned())
 }
 
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))
+}
+
 fn cmd_append(args: &[String]) -> Result<ExitCode, String> {
     let f = parse_flags(args)?;
     let history = require_history(&f)?;
@@ -133,18 +134,25 @@ fn cmd_append(args: &[String]) -> Result<ExitCode, String> {
         (&f.perf, perf_report),
         (&f.serve, serve_report),
         (&f.cluster, cluster_report),
-        (&f.compare, compare_report),
+        (&f.zoo, zoo_report),
     ];
     for (paths, ingest) in groups {
         for path in paths {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            reports.push(ingest(&text).map_err(|e| format!("{}: {e}", path.display()))?);
+            reports.push(ingest(&read(path)?).map_err(|e| format!("{}: {e}", path.display()))?);
         }
+    }
+    if !f.perfbench.is_empty() {
+        let runs = f
+            .perfbench
+            .iter()
+            .map(|p| Ok((p.display().to_string(), read(p)?)))
+            .collect::<Result<Vec<_>, String>>()?;
+        reports.push(perfbench_runs(&runs)?);
     }
     if reports.is_empty() {
         return Err(
-            "append needs at least one report (--perf/--serve/--cluster/--compare)".to_owned(),
+            "append needs at least one report (--perf/--serve/--cluster/--zoo/--perfbench)"
+                .to_owned(),
         );
     }
     let entry = build_entry(
@@ -175,11 +183,7 @@ fn load_history(path: &Path) -> Result<Vec<HistoryEntry>, String> {
 }
 
 fn run_gate(f: &Flags, entries: &[HistoryEntry]) -> Result<cedar_track::GateReport, String> {
-    let opts = GateOptions {
-        window: f.window,
-        same_host_only: !f.any_host,
-    };
-    check(entries, &default_gates(f.threshold_pct), &opts)
+    check(entries, &default_gates(), !f.any_host)
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -188,21 +192,25 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let entries = load_history(&history)?;
     let report = run_gate(&f, &entries)?;
     println!(
-        "gating commit {} (mode {}, {} gates ran, {} skipped)",
+        "gating commit {} (mode {}, {} gates ran, {} unresolved, {} skipped)",
         report.commit,
         report.mode,
         report.outcomes.len(),
+        report.unresolved.len(),
         report.skipped.len()
     );
     for o in report.worst_first() {
         println!("  {}", o.describe());
+    }
+    for u in &report.unresolved {
+        println!("  unresolved {u}");
     }
     for s in &report.skipped {
         println!("  skip {s}");
     }
     let regressions = report.regressions();
     if regressions > 0 {
-        eprintln!("track: {regressions} regression(s) beyond threshold — failing");
+        eprintln!("track: {regressions} regression(s) beyond the band — failing");
         return Ok(ExitCode::FAILURE);
     }
     println!("gate passed");

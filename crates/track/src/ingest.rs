@@ -1,32 +1,37 @@
-//! Report ingestion: turning the benchmark bins' JSON reports into
-//! flat history metrics.
+//! Report ingestion: turning the benchmark reports into flat history
+//! metrics.
 //!
 //! Each ingester accepts the report text its producer writes —
 //! `cedar-bench-perf/4` (`perf`), `cedar-bench-serve/4` (`loadgen`),
 //! `cedar-bench-cluster/1` (`cluster_chaos`), `cedar-bench-zoo/1`
-//! (`zoo`), `cedar-bench-compare/1` (`perf --compare --compare-out`)
-//! — and returns an [`Ingested`] bundle: the run mode, a source tag,
+//! (`zoo`), and the captured stdout of `python3 perfbench/run.py` —
+//! and returns an [`Ingested`] bundle: the run mode, a source tag,
 //! and `metric → value` pairs under a stable dotted namespace
-//! (`perf.*`, `serve.*`, `cluster.*`, `zoo.*`,
-//! `cache.*`). Each ingester accepts exactly its producer's current
-//! schema; history entries are stored flattened, so older report
-//! schemas never need re-reading.
+//! (`perf.*`, `serve.*`, `cluster.*`, `zoo.*`, `perfbench.*`). Each
+//! ingester accepts exactly its producer's current schema; history
+//! entries are stored flattened, so older report schemas never need
+//! re-reading.
 
 use std::collections::BTreeMap;
 
 use cedar_obs::json::{self, Json};
 
+use crate::gate::median;
 use crate::history::{HistoryEntry, HostFingerprint, SCHEMA};
 
 /// One report's contribution to a history entry.
 #[derive(Debug, Clone)]
 pub struct Ingested {
-    /// Source tag (`perf`, `serve`, `cluster`, `compare`).
+    /// Source tag (`perf`, `serve`, `cluster`, `zoo`, `perfbench`).
     pub source: &'static str,
-    /// Run mode the report declares (`full`, `smoke`, `chaos`).
+    /// Run mode the report declares (`full`, `smoke`, `chaos`,
+    /// `perfbench`).
     pub mode: String,
     /// Flat metrics extracted from the report.
     pub metrics: BTreeMap<String, f64>,
+    /// Notes for the entry, e.g. `"<metric> unmeasured: <reason>"` for
+    /// a number the report declined to measure.
+    pub notes: Vec<String>,
 }
 
 fn parse_report(text: &str, schema: &str) -> Result<Json, String> {
@@ -55,6 +60,13 @@ fn put(metrics: &mut BTreeMap<String, f64>, key: &str, value: Option<f64>) {
     }
 }
 
+/// Puts each numeric `v.<key>` as `<prefix><key>`.
+fn put_all(metrics: &mut BTreeMap<String, f64>, v: &Json, prefix: &str, keys: &[&str]) {
+    for key in keys {
+        put(metrics, &format!("{prefix}{key}"), num(v, key));
+    }
+}
+
 /// Folds a report's `obs` object (flat `series → value`) into the
 /// metric map under `prefix`.
 fn put_obs(metrics: &mut BTreeMap<String, f64>, v: &Json, prefix: &str) {
@@ -67,6 +79,36 @@ fn put_obs(metrics: &mut BTreeMap<String, f64>, v: &Json, prefix: &str) {
     }
 }
 
+/// The report's mode: its `mode` field, or `smoke`/`full` from its
+/// `smoke` flag, or `default`.
+fn mode_of(v: &Json, default: &str) -> String {
+    match (v.get("mode").and_then(Json::as_str), v.get("smoke")) {
+        (Some(mode), _) => mode,
+        (None, Some(Json::Bool(true))) => "smoke",
+        (None, Some(Json::Bool(false))) => "full",
+        (None, _) => default,
+    }
+    .to_owned()
+}
+
+/// Wraps one report's metrics, refusing a report that yielded none.
+fn ingested(
+    source: &'static str,
+    mode: String,
+    metrics: BTreeMap<String, f64>,
+    notes: Vec<String>,
+) -> Result<Ingested, String> {
+    if metrics.is_empty() {
+        return Err(format!("{source} report contains no ingestible metrics"));
+    }
+    Ok(Ingested {
+        source,
+        mode,
+        metrics,
+        notes,
+    })
+}
+
 /// Ingests a `BENCH_perf.json` report.
 ///
 /// # Errors
@@ -76,53 +118,76 @@ fn put_obs(metrics: &mut BTreeMap<String, f64>, v: &Json, prefix: &str) {
 pub fn perf_report(text: &str) -> Result<Ingested, String> {
     let v = parse_report(text, "cedar-bench-perf/4")?;
     let mut metrics = BTreeMap::new();
-    let smoke = v.get("smoke").and_then(Json::as_bool).unwrap_or(false);
-    // The specialized-vs-generic engine ratio on the reference run.
-    put(
+    // `engine_speedup` is the specialized-vs-generic engine ratio on
+    // the reference run.
+    put_all(
         &mut metrics,
-        "perf.engine_speedup",
-        num(&v, "engine_speedup"),
+        &v,
+        "perf.",
+        &["engine_speedup", "cores", "peak_rss_kb"],
     );
     if let Some(Json::Arr(runs)) = v.get("reference_runs") {
         for run in runs {
             let Some(name) = run.get("name").and_then(Json::as_str) else {
                 continue;
             };
-            put(
-                &mut metrics,
-                &format!("perf.{name}.wall_ms"),
-                num(run, "wall_ms"),
-            );
-            put(
-                &mut metrics,
-                &format!("perf.{name}.sim_cycles_per_sec"),
-                num(run, "sim_cycles_per_sec"),
-            );
+            let keys = [
+                "wall_ms",
+                "sim_cycles_per_sec",
+                "reps",
+                "min_ms",
+                "median_ms",
+                "max_ms",
+            ];
+            put_all(&mut metrics, run, &format!("perf.{name}."), &keys);
         }
     }
+    let mut notes = Vec::new();
     if let Some(sweep) = v.get("sweep_suite") {
-        put(
+        put_all(
             &mut metrics,
-            "perf.sweep.serial_ms",
-            num(sweep, "serial_ms"),
+            sweep,
+            "perf.sweep.",
+            &["serial_ms", "parallel_ms", "speedup"],
         );
-        put(
-            &mut metrics,
-            "perf.sweep.parallel_ms",
-            num(sweep, "parallel_ms"),
+        if let Some(why) = sweep.get("speedup_unmeasured").and_then(Json::as_str) {
+            notes.push(format!("perf.sweep.speedup unmeasured: {why}"));
+        }
+    }
+    ingested("perf", mode_of(&v, "full"), metrics, notes)
+}
+
+/// Flattens one load curve (`closed_loop` or the binary `conn_curve`):
+/// each level's rate and percentiles under `<prefix>.c<width>.`, keyed
+/// by its `width_key` (clients or connections). Returns the highest
+/// throughput and the p99 at the widest level.
+fn put_curve(
+    metrics: &mut BTreeMap<String, f64>,
+    levels: &[Json],
+    prefix: &str,
+    width_key: &str,
+) -> (Option<f64>, Option<f64>) {
+    let (mut max_rps, mut widest, mut widest_p99) = (None::<f64>, 0.0f64, None);
+    for level in levels {
+        let Some(width) = num(level, width_key) else {
+            continue;
+        };
+        let tag = format!("{prefix}.c{}.", width as u64);
+        put_all(
+            metrics,
+            level,
+            &tag,
+            &["throughput_rps", "p50_us", "p99_us"],
         );
-        put(&mut metrics, "perf.sweep.speedup", num(sweep, "speedup"));
-        put(&mut metrics, "perf.sweep.cores", num(sweep, "cores"));
+        if let Some(rps) = num(level, "throughput_rps") {
+            max_rps = Some(max_rps.map_or(rps, |m| m.max(rps)));
+        }
+        if width >= widest {
+            widest = width;
+            widest_p99 = num(level, "p99_us");
+        }
     }
-    put(&mut metrics, "perf.peak_rss_kb", num(&v, "peak_rss_kb"));
-    if metrics.is_empty() {
-        return Err("perf report contains no ingestible metrics".to_owned());
-    }
-    Ok(Ingested {
-        source: "perf",
-        mode: if smoke { "smoke" } else { "full" }.to_owned(),
-        metrics,
-    })
+    (max_rps, widest_p99)
 }
 
 /// Ingests a `BENCH_serve.json` report.
@@ -134,139 +199,73 @@ pub fn perf_report(text: &str) -> Result<Ingested, String> {
 pub fn serve_report(text: &str) -> Result<Ingested, String> {
     let v = parse_report(text, "cedar-bench-serve/4")?;
     let mut metrics = BTreeMap::new();
-    let mode = v
-        .get("mode")
-        .and_then(Json::as_str)
-        .unwrap_or("full")
-        .to_owned();
     if let Some(dedup) = v.get("dedup") {
-        put(&mut metrics, "serve.dedup.executed", num(dedup, "executed"));
-        put(
+        put_all(
             &mut metrics,
-            "serve.dedup.coalesced",
-            num(dedup, "coalesced"),
+            dedup,
+            "serve.dedup.",
+            &["executed", "coalesced"],
         );
     }
     if let Some(mix) = v.get("fault_mix") {
-        put(
-            &mut metrics,
-            "serve.mix.healthy_dropped",
-            num(mix, "healthy_dropped"),
-        );
+        put_all(&mut metrics, mix, "serve.mix.", &["healthy_dropped"]);
     }
     if let Some(Json::Arr(levels)) = v.get("closed_loop") {
-        let mut max_rps = f64::NEG_INFINITY;
-        let mut peak_p99 = None;
-        let mut peak_clients = 0.0f64;
-        for level in levels {
-            let Some(clients) = num(level, "clients") else {
-                continue;
-            };
-            let tag = format!("serve.closed.c{}", clients as u64);
-            put(
-                &mut metrics,
-                &format!("{tag}.throughput_rps"),
-                num(level, "throughput_rps"),
-            );
-            put(&mut metrics, &format!("{tag}.p50_us"), num(level, "p50_us"));
-            put(&mut metrics, &format!("{tag}.p99_us"), num(level, "p99_us"));
-            if let Some(rps) = num(level, "throughput_rps") {
-                max_rps = max_rps.max(rps);
-            }
-            if clients >= peak_clients {
-                peak_clients = clients;
-                peak_p99 = num(level, "p99_us");
-            }
-        }
-        if max_rps.is_finite() {
-            metrics.insert("serve.closed.max_throughput_rps".to_owned(), max_rps);
-        }
+        let (max_rps, peak_p99) = put_curve(&mut metrics, levels, "serve.closed", "clients");
+        put(&mut metrics, "serve.closed.max_throughput_rps", max_rps);
         put(&mut metrics, "serve.closed.peak_p99_us", peak_p99);
     }
     if let Some(open) = v.get("open_loop") {
-        put(
+        put_all(
             &mut metrics,
-            "serve.open.achieved_rps",
-            num(open, "achieved_rps"),
+            open,
+            "serve.open.",
+            &["achieved_rps", "p50_us", "p99_us"],
         );
-        put(&mut metrics, "serve.open.p50_us", num(open, "p50_us"));
-        put(&mut metrics, "serve.open.p99_us", num(open, "p99_us"));
     }
     // The binary-protocol phase: a lockstep warm pass followed by a
     // connections-vs-latency sweep on the `b"CSRV"` wire format. The
     // curve flattens per level; the peak level (most connections)
     // feeds the `serve.conn.peak_p99_us` gate.
     if let Some(bin) = v.get("binary") {
-        put(&mut metrics, "serve.binary.warm_rps", num(bin, "warm_rps"));
-        put(&mut metrics, "serve.binary.peak_rps", num(bin, "peak_rps"));
-        put(
-            &mut metrics,
-            "serve.binary.peak_p50_us",
-            num(bin, "peak_p50_us"),
-        );
-        put(
-            &mut metrics,
-            "serve.binary.peak_p99_us",
-            num(bin, "peak_p99_us"),
-        );
+        let keys = ["warm_rps", "peak_rps", "peak_p50_us", "peak_p99_us"];
+        put_all(&mut metrics, bin, "serve.binary.", &keys);
         if let Some(Json::Arr(levels)) = bin.get("conn_curve") {
-            let mut peak_conns = 0.0f64;
-            let mut peak_p99 = None;
-            for level in levels {
-                let Some(conns) = num(level, "conns") else {
-                    continue;
-                };
-                let tag = format!("serve.conn.c{}", conns as u64);
-                put(
-                    &mut metrics,
-                    &format!("{tag}.throughput_rps"),
-                    num(level, "throughput_rps"),
-                );
-                put(&mut metrics, &format!("{tag}.p50_us"), num(level, "p50_us"));
-                put(&mut metrics, &format!("{tag}.p99_us"), num(level, "p99_us"));
-                if conns >= peak_conns {
-                    peak_conns = conns;
-                    peak_p99 = num(level, "p99_us");
-                }
-            }
+            let (_, peak_p99) = put_curve(&mut metrics, levels, "serve.conn", "conns");
             put(&mut metrics, "serve.conn.peak_p99_us", peak_p99);
         }
     }
-    put(&mut metrics, "serve.conns", num(&v, "conns"));
-    put(&mut metrics, "serve.fd_limit", num(&v, "fd_limit"));
+    put_all(&mut metrics, &v, "serve.", &["conns", "fd_limit"]);
     if let Some(adv) = v.get("adversarial") {
-        put(
+        put_all(
             &mut metrics,
-            "serve.adv.reaped_read",
-            num(adv, "reaped_read"),
-        );
-        put(
-            &mut metrics,
-            "serve.adv.loris_conns",
-            num(adv, "loris_conns"),
+            adv,
+            "serve.adv.",
+            &["reaped_read", "loris_conns"],
         );
     }
     put_obs(&mut metrics, &v, "serve.obs.");
-    if metrics.is_empty() {
-        return Err("serve report contains no ingestible metrics".to_owned());
-    }
-    Ok(Ingested {
-        source: "serve",
-        mode,
-        metrics,
-    })
+    ingested("serve", mode_of(&v, "full"), metrics, Vec::new())
 }
 
-/// Ingests a `BENCH_cluster.json` chaos-timing report.
+/// Ingests a `BENCH_cluster.json` chaos-timing report. Only a run that
+/// held its invariants may enter the history, so a report must carry a
+/// `failures` count of zero.
 ///
 /// # Errors
 ///
 /// Returns a description when the text is not a well-formed cluster
-/// report.
+/// report, or its run broke an invariant.
 pub fn cluster_report(text: &str) -> Result<Ingested, String> {
     let v = parse_report(text, "cedar-bench-cluster/1")?;
+    let failures = num(&v, "failures").ok_or("cluster report has no failures count")?;
+    if failures > 0.0 {
+        return Err(format!(
+            "cluster run broke {failures} invariant(s); not ingested"
+        ));
+    }
     let mut metrics = BTreeMap::new();
-    for key in [
+    let keys = [
         "workers",
         "points",
         "wall_ms",
@@ -279,22 +278,10 @@ pub fn cluster_report(text: &str) -> Result<Ingested, String> {
         "stale_results",
         "cache_hits",
         "workers_lost",
-    ] {
-        put(&mut metrics, &format!("cluster.{key}"), num(&v, key));
-    }
+    ];
+    put_all(&mut metrics, &v, "cluster.", &keys);
     put_obs(&mut metrics, &v, "cluster.obs.");
-    if metrics.is_empty() {
-        return Err("cluster report contains no ingestible metrics".to_owned());
-    }
-    Ok(Ingested {
-        source: "cluster",
-        mode: v
-            .get("mode")
-            .and_then(Json::as_str)
-            .unwrap_or("chaos")
-            .to_owned(),
-        metrics,
-    })
+    ingested("cluster", mode_of(&v, "chaos"), metrics, Vec::new())
 }
 
 /// Ingests a `BENCH_zoo.json` machine-zoo report: sweep throughput,
@@ -308,76 +295,105 @@ pub fn cluster_report(text: &str) -> Result<Ingested, String> {
 pub fn zoo_report(text: &str) -> Result<Ingested, String> {
     let v = parse_report(text, "cedar-bench-zoo/1")?;
     let mut metrics = BTreeMap::new();
-    let smoke = v.get("smoke").and_then(Json::as_bool).unwrap_or(false);
-    put(&mut metrics, "zoo.cells", num(&v, "cells"));
-    put(&mut metrics, "zoo.wall_ms", num(&v, "wall_ms"));
-    put(
-        &mut metrics,
-        "zoo.points_per_sec",
-        num(&v, "points_per_sec"),
-    );
-    put(
-        &mut metrics,
-        "zoo.combining_gain",
-        num(&v, "combining_gain"),
-    );
+    let keys = ["cells", "wall_ms", "points_per_sec", "combining_gain"];
+    put_all(&mut metrics, &v, "zoo.", &keys);
     if let Some(Json::Arr(machines)) = v.get("machines") {
         for m in machines {
             let Some(name) = m.get("name").and_then(Json::as_str) else {
                 continue;
             };
-            for key in [
+            let keys = [
                 "passed",
                 "efficiency_score",
                 "instability",
                 "ppt5_score",
                 "hotspot_retention",
                 "words_combined",
-            ] {
-                put(&mut metrics, &format!("zoo.{name}.{key}"), num(m, key));
-            }
+            ];
+            put_all(&mut metrics, m, &format!("zoo.{name}."), &keys);
         }
     }
-    if metrics.is_empty() {
-        return Err("zoo report contains no ingestible metrics".to_owned());
-    }
-    Ok(Ingested {
-        source: "zoo",
-        mode: if smoke { "smoke" } else { "full" }.to_owned(),
-        metrics,
-    })
+    ingested("zoo", mode_of(&v, "full"), metrics, Vec::new())
 }
 
-/// Ingests a `perf --compare --compare-out` cold/warm cache report.
+/// Ingests the captured stdout of one or more `python3 perfbench/run.py`
+/// runs, given as `(name, text)` pairs: each run's
+/// `# cedar-perfbench workload=… commit=…` stamp line and final JSON
+/// result line. Every metric becomes `perfbench.<workload>.<metric>`,
+/// the median over the runs, and `perfbench.<workload>.reps` counts
+/// the runs.
 ///
 /// # Errors
 ///
-/// Returns a description when the text is not a well-formed compare
-/// report.
-pub fn compare_report(text: &str) -> Result<Ingested, String> {
-    let v = parse_report(text, "cedar-bench-compare/1")?;
-    let mut metrics = BTreeMap::new();
-    put(&mut metrics, "cache.cold_ms", num(&v, "cold_ms"));
-    put(&mut metrics, "cache.warm_ms", num(&v, "warm_ms"));
-    put(&mut metrics, "cache.warm_speedup", num(&v, "warm_speedup"));
-    if metrics.is_empty() {
-        return Err("compare report contains no ingestible metrics".to_owned());
+/// Returns a description naming the run when a run lacks its stamp or
+/// result line, is not `correct`, failed operations, or differs from
+/// the first run in workload, commit or trace mode.
+pub fn perfbench_runs(runs: &[(String, String)]) -> Result<Ingested, String> {
+    let mut identity: Option<(&str, [&str; 3])> = None;
+    let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for (name, text) in runs {
+        let stamp = text
+            .lines()
+            .find_map(|l| l.strip_prefix("# cedar-perfbench "))
+            .ok_or_else(|| format!("{name}: no `# cedar-perfbench` stamp line"))?;
+        let field = |key: &str| {
+            stamp
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or("")
+        };
+        let id = [field("workload"), field("commit"), field("trace")];
+        match identity {
+            None => identity = Some((name, id)),
+            Some((first, want)) if want != id => {
+                return Err(format!(
+                    "{name} is workload={} commit={} trace={} but {first} is workload={} \
+                     commit={} trace={}; runs of one entry must not mix",
+                    id[0], id[1], id[2], want[0], want[1], want[2]
+                ));
+            }
+            Some(_) => {}
+        }
+        let last = text.lines().rev().find(|l| !l.trim().is_empty());
+        let v = json::parse(last.unwrap_or_default())
+            .map_err(|e| format!("{name}: bad result line: {e}"))?;
+        if v.get("correct").and_then(Json::as_bool) != Some(true) {
+            return Err(format!("{name}: run is not correct"));
+        }
+        let failed = num(&v, "failed").ok_or_else(|| format!("{name}: no failed count"))?;
+        if failed > 0.0 {
+            return Err(format!("{name}: {failed} operations failed"));
+        }
+        let Some(Json::Obj(metrics)) = v.get("metrics") else {
+            return Err(format!("{name}: result has no metrics"));
+        };
+        for (metric, m) in metrics {
+            let value = num(m, "value").ok_or_else(|| format!("{name}: {metric} has no value"))?;
+            samples.entry(metric.clone()).or_default().push(value);
+        }
     }
-    Ok(Ingested {
-        source: "compare",
-        mode: v
-            .get("mode")
-            .and_then(Json::as_str)
-            .unwrap_or("full")
-            .to_owned(),
-        metrics,
-    })
+    let (_, [workload, ..]) = identity.ok_or("no perfbench runs to ingest")?;
+    if workload.is_empty() {
+        return Err("perfbench stamp names no workload".to_owned());
+    }
+    let mut metrics = BTreeMap::new();
+    for (metric, mut values) in samples {
+        if values.len() != runs.len() {
+            return Err(format!("{metric} is missing from some runs"));
+        }
+        metrics.insert(
+            format!("perfbench.{workload}.{metric}"),
+            median(&mut values),
+        );
+    }
+    metrics.insert(format!("perfbench.{workload}.reps"), runs.len() as f64);
+    ingested("perfbench", "perfbench".to_owned(), metrics, Vec::new())
 }
 
 /// Combines one or more ingested reports into a single stamped history
-/// entry. The entry's mode is the first report's; a mode clash among
-/// the reports is an error (smoke and full numbers must never share a
-/// gating scope).
+/// entry. A mode clash among the reports is an error (smoke and full
+/// numbers must never share a gating scope). The reports' notes follow
+/// `notes`, joined by `"; "`.
 ///
 /// # Errors
 ///
@@ -390,37 +406,29 @@ pub fn build_entry(
     notes: Option<String>,
 ) -> Result<HistoryEntry, String> {
     let first = reports.first().ok_or("no reports to ingest")?;
-    // `compare` reports inherit whatever mode the benchmark runs had;
-    // only benchmark-bearing sources participate in the clash check.
-    let bench: Vec<&Ingested> = reports.iter().filter(|r| r.source != "compare").collect();
-    let mode = bench
-        .first()
-        .map_or_else(|| first.mode.clone(), |r| r.mode.clone());
-    for r in &bench {
-        if r.mode != mode {
-            return Err(format!(
-                "mode clash: {} report is {mode:?} but {} report is {:?}",
-                bench[0].source, r.source, r.mode
-            ));
-        }
+    if let Some(r) = reports.iter().find(|r| r.mode != first.mode) {
+        return Err(format!(
+            "mode clash: {} report is {:?} but {} report is {:?}",
+            first.source, first.mode, r.source, r.mode
+        ));
     }
     let mut metrics = BTreeMap::new();
     let mut sources = Vec::new();
+    let mut notes: Vec<String> = notes.into_iter().collect();
     for r in reports {
         sources.push(r.source.to_owned());
-        for (k, v) in &r.metrics {
-            metrics.insert(k.clone(), *v);
-        }
+        metrics.extend(r.metrics.iter().map(|(k, v)| (k.clone(), *v)));
+        notes.extend(r.notes.iter().cloned());
     }
     Ok(HistoryEntry {
         schema: SCHEMA.to_owned(),
         commit,
         timestamp,
         host,
-        mode,
+        mode: first.mode.clone(),
         sources,
         metrics,
-        notes,
+        notes: (!notes.is_empty()).then(|| notes.join("; ")),
     })
 }
 
@@ -434,14 +442,15 @@ mod tests {
   "timestamp": "2026-08-08T00:00:00Z",
   "smoke": false,
   "threads": 1,
+  "cores": 4,
   "peak_rss_kb": 9512,
   "reference_runs": [
-    {"name": "table2_rk_prefetch", "engine": "specialized", "wall_ms": 45.875, "sim_cycles": 16949, "sim_cycles_per_sec": 369452},
-    {"name": "table2_rk_prefetch_generic", "engine": "generic", "wall_ms": 210.1, "sim_cycles": 16949, "sim_cycles_per_sec": 80671},
-    {"name": "hotspot_sweep", "engine": "n/a", "wall_ms": 138.794, "sim_cycles": null, "sim_cycles_per_sec": null}
+    {"name": "table2_rk_prefetch", "engine": "specialized", "reps": 3, "min_ms": 45.875, "median_ms": 46.1, "max_ms": 50.2, "wall_ms": 45.875, "sim_cycles": 16949, "sim_cycles_per_sec": 369452},
+    {"name": "table2_rk_prefetch_generic", "engine": "generic", "reps": 3, "min_ms": 210.1, "median_ms": 211.0, "max_ms": 215.0, "wall_ms": 210.1, "sim_cycles": 16949, "sim_cycles_per_sec": 80671},
+    {"name": "hotspot_sweep", "engine": "n/a", "reps": 1, "min_ms": 138.794, "median_ms": 138.794, "max_ms": 138.794, "wall_ms": 138.794, "sim_cycles": null, "sim_cycles_per_sec": null}
   ],
   "engine_speedup": 4.580,
-  "sweep_suite": {"name": "hotspot_sweep", "serial_ms": 133.5, "serial_threads": 1, "parallel_ms": 138.8, "threads": 4, "cores": 4, "speedup": 0.962}
+  "sweep_suite": {"name": "hotspot_sweep", "serial_ms": 133.5, "serial_threads": 1, "parallel_ms": 138.8, "threads": 4, "speedup": 0.962}
 }"#;
 
     #[test]
@@ -456,15 +465,33 @@ mod tests {
             ing.metrics["perf.table2_rk_prefetch_generic.sim_cycles_per_sec"],
             80_671.0
         );
+        assert_eq!(ing.metrics["perf.table2_rk_prefetch.reps"], 3.0);
+        assert_eq!(ing.metrics["perf.table2_rk_prefetch.median_ms"], 46.1);
+        assert_eq!(ing.metrics["perf.table2_rk_prefetch.max_ms"], 50.2);
         assert_eq!(ing.metrics["perf.engine_speedup"], 4.58);
-        assert_eq!(ing.metrics["perf.sweep.cores"], 4.0);
+        assert_eq!(ing.metrics["perf.cores"], 4.0);
         assert_eq!(ing.metrics["perf.sweep.speedup"], 0.962);
         assert_eq!(ing.metrics["perf.peak_rss_kb"], 9512.0);
+        assert!(ing.notes.is_empty());
         // A null rate must simply be absent, not zero.
         assert!(!ing
             .metrics
             .contains_key("perf.hotspot_sweep.sim_cycles_per_sec"));
         assert!(ing.metrics.contains_key("perf.hotspot_sweep.wall_ms"));
+    }
+
+    #[test]
+    fn unmeasured_sweep_speedup_is_absent_with_its_reason() {
+        let text = PERF.replace(
+            "\"speedup\": 0.962}",
+            "\"speedup\": null, \"speedup_unmeasured\": \"1 core < 4 threads\"}",
+        );
+        let ing = perf_report(&text).unwrap();
+        assert!(!ing.metrics.contains_key("perf.sweep.speedup"));
+        assert_eq!(
+            ing.notes,
+            vec!["perf.sweep.speedup unmeasured: 1 core < 4 threads"]
+        );
     }
 
     #[test]
@@ -532,15 +559,61 @@ mod tests {
     }
 
     #[test]
-    fn cluster_and_compare_reports_ingest() {
-        let cluster = r#"{"schema":"cedar-bench-cluster/1","mode":"chaos","workers":4,"points":32,"wall_ms":900.5,"points_per_sec":35.5,"worker_exits":2,"hangs_reaped":1,"garbage_frames":1,"restarts":3,"reissues":5,"stale_results":0,"cache_hits":0,"obs":{"cluster.jobs.committed":32}}"#;
+    fn cluster_report_ingests_and_refuses_failures() {
+        let cluster = r#"{"schema":"cedar-bench-cluster/1","mode":"chaos","failures":0,"workers":4,"points":32,"wall_ms":900.5,"points_per_sec":35.5,"worker_exits":2,"hangs_reaped":1,"garbage_frames":1,"restarts":3,"reissues":5,"stale_results":0,"cache_hits":0,"obs":{"cluster.jobs.committed":32}}"#;
         let ing = cluster_report(cluster).unwrap();
         assert_eq!(ing.metrics["cluster.points_per_sec"], 35.5);
         assert_eq!(ing.metrics["cluster.obs.cluster.jobs.committed"], 32.0);
 
-        let compare = r#"{"schema":"cedar-bench-compare/1","mode":"smoke","cold_ms":500.0,"warm_ms":1.2,"warm_speedup":416.6}"#;
-        let ing = compare_report(compare).unwrap();
-        assert_eq!(ing.metrics["cache.warm_speedup"], 416.6);
+        let failed = cluster.replace("\"failures\":0", "\"failures\":2");
+        let err = cluster_report(&failed).unwrap_err();
+        assert!(err.contains("2 invariant"), "{err}");
+        let uncounted = cluster.replace("\"failures\":0,", "");
+        assert!(cluster_report(&uncounted).is_err());
+    }
+
+    /// A short `table2` run's captured stdout.
+    const PERFBENCH: &str = include_str!("../tests/fixtures/perfbench_table2.txt");
+
+    fn runs(texts: &[&str]) -> Vec<(String, String)> {
+        texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (format!("run{i}"), (*t).to_owned()))
+            .collect()
+    }
+
+    #[test]
+    fn perfbench_runs_record_the_median_and_reps() {
+        let ops = |v: f64| {
+            PERFBENCH.replace(
+                "\"ops_per_s\": {\"value\": ",
+                &format!("\"ops_per_s\": {{\"value\": {v}, \"was\": "),
+            )
+        };
+        let ing = perfbench_runs(&runs(&[&ops(30.0), &ops(10.0), &ops(20.0)])).unwrap();
+        assert_eq!(ing.source, "perfbench");
+        assert_eq!(ing.mode, "perfbench");
+        assert_eq!(ing.metrics["perfbench.table2.ops_per_s"], 20.0);
+        assert_eq!(ing.metrics["perfbench.table2.reps"], 3.0);
+        assert!(ing.metrics["perfbench.table2.sim_cycles_per_s"] > 0.0);
+        assert!(ing.metrics.contains_key("perfbench.table2.setup_s"));
+    }
+
+    #[test]
+    fn perfbench_runs_refuse_mixes_and_bad_runs() {
+        let degraded = PERFBENCH.replace("workload=table2", "workload=degraded");
+        let err = perfbench_runs(&runs(&[PERFBENCH, &degraded])).unwrap_err();
+        assert!(err.contains("must not mix"), "{err}");
+        let other = PERFBENCH.replace(" commit=", " commit=f00");
+        assert!(perfbench_runs(&runs(&[PERFBENCH, &other])).is_err());
+        let wrong = PERFBENCH.replace("\"correct\": true", "\"correct\": false");
+        let err = perfbench_runs(&runs(&[&wrong])).unwrap_err();
+        assert!(err.contains("run0: run is not correct"), "{err}");
+        let failed = PERFBENCH.replace("\"failed\": 0", "\"failed\": 1");
+        assert!(perfbench_runs(&runs(&[&failed])).is_err());
+        assert!(perfbench_runs(&runs(&["no stamp\n{}"])).is_err());
+        assert!(perfbench_runs(&[]).is_err());
     }
 
     const ZOO: &str = r#"{
@@ -575,7 +648,7 @@ mod tests {
 
     #[test]
     fn zoo_gate_metrics_are_in_the_default_set() {
-        let gates = crate::gate::default_gates(10.0);
+        let gates = crate::gate::default_gates();
         let ing = zoo_report(ZOO).unwrap();
         let gated: Vec<&str> = gates
             .iter()
@@ -615,6 +688,22 @@ mod tests {
         assert_eq!(entry.mode, "full");
         assert_eq!(entry.sources, vec!["perf"]);
         assert!(entry.metrics.len() >= 5);
+        assert_eq!(entry.notes, None);
+
+        let mut noted = perf.clone();
+        noted.notes = vec!["perf.sweep.speedup unmeasured: 1 core".to_owned()];
+        let entry = build_entry(
+            &[noted],
+            "sha".to_owned(),
+            "t".to_owned(),
+            host.clone(),
+            Some("nightly".to_owned()),
+        )
+        .unwrap();
+        assert_eq!(
+            entry.notes.as_deref(),
+            Some("nightly; perf.sweep.speedup unmeasured: 1 core")
+        );
 
         let mut smoke = perf.clone();
         smoke.mode = "smoke".to_owned();

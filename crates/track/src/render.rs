@@ -53,22 +53,24 @@ pub fn render_data_blob(
                 }
                 let _ = write!(
                     out,
-                    "{{\"metric\":\"{}\",\"newest\":{},\"baseline\":{},\"change_pct\":{},\"threshold_pct\":{},\"samples\":{},\"regressed\":{}}}",
+                    "{{\"metric\":\"{}\",\"newest\":{},\"baseline\":{},\"change_pct\":{},\"band\":{},\"samples\":{},\"regressed\":{}}}",
                     escape_json(&o.metric),
                     finite(o.newest),
                     finite(o.baseline),
                     finite(o.change_pct),
-                    finite(o.threshold_pct),
+                    finite(o.band),
                     o.samples,
                     o.regressed
                 );
             }
-            out.push_str("],\"skipped\":[");
-            for (i, s) in g.skipped.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            for (key, list) in [("unresolved", &g.unresolved), ("skipped", &g.skipped)] {
+                let _ = write!(out, "],\"{key}\":[");
+                for (i, s) in list.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "\"{}\"", escape_json(s));
                 }
-                let _ = write!(out, "\"{}\"", escape_json(s));
             }
             out.push_str("]}");
         }
@@ -172,8 +174,9 @@ const TEMPLATE_TAIL: &str = r##";
       list.appendChild(el("li", {},
         (o.regressed ? "REGRESSION " : "ok ") + o.metric + ": " + fmt(o.newest) +
         " vs median " + fmt(o.baseline) + " (" + sign + o.change_pct.toFixed(2) +
-        "%, threshold " + o.threshold_pct + "%, " + o.samples + " samples)"));
+        "%, band \u00b1" + fmt(o.band) + ", " + o.samples + " samples)"));
     });
+    g.unresolved.forEach(function (u) { list.appendChild(el("li", {}, "unresolved " + u)); });
     box.appendChild(list);
     callouts.appendChild(box);
   }
@@ -251,7 +254,7 @@ const TEMPLATE_TAIL: &str = r##";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::{check, default_gates, GateOptions};
+    use crate::gate::{check, default_gates};
     use crate::history::{HostFingerprint, SCHEMA};
     use std::collections::BTreeMap;
 
@@ -293,7 +296,7 @@ mod tests {
     #[test]
     fn dashboard_is_standalone_html_with_data_island() {
         let entries = vec![entry("aaa", 1.0), entry("bbb", 2.0)];
-        let report = check(&entries, &default_gates(10.0), &GateOptions::default()).unwrap();
+        let report = check(&entries, &default_gates(), true).unwrap();
         let html = render_dashboard(&entries, Some(&report)).unwrap();
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("window.BENCHMARK_DATA = {"));
@@ -316,9 +319,9 @@ mod tests {
 
     #[test]
     fn gate_report_lands_in_the_blob_worst_first() {
-        let mut entries = vec![entry("aaa", 10.0), entry("bbb", 10.0)];
-        entries.push(entry("ccc", 1.0)); // 90% drop on both gated metrics
-        let report = check(&entries, &default_gates(10.0), &GateOptions::default()).unwrap();
+        let mut entries = vec![entry("aaa", 10.0), entry("bbb", 10.0), entry("ccc", 10.0)];
+        entries.push(entry("ddd", 1.0)); // 90% drop on both gated metrics
+        let report = check(&entries, &default_gates(), true).unwrap();
         assert!(report.regressions() >= 1);
         let blob = render_data_blob(&entries, Some(&report)).unwrap();
         assert!(blob.contains("\"regressed\":true"));
