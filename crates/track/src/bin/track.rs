@@ -75,7 +75,20 @@ struct Flags {
     any_host: bool,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags each subcommand accepts; any other is an error.
+const APPEND_FLAGS: &[&str] = &[
+    "--history",
+    "--perf",
+    "--serve",
+    "--cluster",
+    "--zoo",
+    "--perfbench",
+    "--notes",
+];
+const CHECK_FLAGS: &[&str] = &["--history", "--any-host"];
+const RENDER_FLAGS: &[&str] = &["--history", "--out", "--any-host"];
+
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
     let mut f = Flags {
         history: None,
         out: None,
@@ -89,6 +102,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
+        if !accepted.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg:?}\n{USAGE}"));
+        }
         let mut value = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
@@ -109,7 +125,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--notes" => f.notes = Some(value("--notes")?),
             "--any-host" => f.any_host = true,
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            _ => unreachable!("every accepted flag is handled"),
         }
     }
     Ok(f)
@@ -126,7 +142,7 @@ fn read(path: &Path) -> Result<String, String> {
 }
 
 fn cmd_append(args: &[String]) -> Result<ExitCode, String> {
-    let f = parse_flags(args)?;
+    let f = parse_flags(args, APPEND_FLAGS)?;
     let history = require_history(&f)?;
     let mut reports: Vec<Ingested> = Vec::new();
     type IngestFn = fn(&str) -> Result<Ingested, String>;
@@ -187,7 +203,7 @@ fn run_gate(f: &Flags, entries: &[HistoryEntry]) -> Result<cedar_track::GateRepo
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let f = parse_flags(args)?;
+    let f = parse_flags(args, CHECK_FLAGS)?;
     let history = require_history(&f)?;
     let entries = load_history(&history)?;
     let report = run_gate(&f, &entries)?;
@@ -218,7 +234,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_render(args: &[String]) -> Result<ExitCode, String> {
-    let f = parse_flags(args)?;
+    let f = parse_flags(args, RENDER_FLAGS)?;
     let history = require_history(&f)?;
     let out = f
         .out

@@ -332,6 +332,32 @@ fn append_refuses_mixed_incorrect_and_failed_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each subcommand accepts only its own flags: the removed threshold
+/// knobs and report flags outside `append` are usage errors.
+#[test]
+fn subcommands_refuse_flags_they_do_not_take() {
+    for args in [
+        &["check", "--history", "h.jsonl", "--threshold-pct", "10"][..],
+        &["check", "--history", "h.jsonl", "--window", "5"],
+        &[
+            "render",
+            "--history",
+            "h.jsonl",
+            "--out",
+            "d.html",
+            "--perf",
+            "p.json",
+        ],
+        &["append", "--history", "h.jsonl", "--compare", "c.json"],
+        &["append", "--history", "h.jsonl", "--any-host"],
+    ] {
+        let out = track_bin().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
+}
+
 /// A corrupt line in the history warns but neither `check` nor
 /// `render` crashes over it.
 #[test]
