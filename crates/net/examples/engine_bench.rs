@@ -40,7 +40,7 @@
 
 use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar_net::fabric::{FabricConfig, FabricReport, RoundTripFabric};
-use cedar_net::{EngineKind, Phase, PhaseLedger, PrefetchTraffic};
+use cedar_net::{Phase, PhaseLedger, PrefetchTraffic};
 use cedar_snap::Snapshot;
 use std::time::Instant;
 
@@ -66,8 +66,9 @@ struct Cell {
 }
 
 impl Cell {
-    fn fabric(&self, kind: EngineKind) -> RoundTripFabric {
-        let mut fabric = fabric(kind);
+    /// A default-engine Cedar fabric with this cell's fault plan.
+    fn fabric(&self) -> RoundTripFabric {
+        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
         if let Some(plan) = &self.faults {
             fabric.attach_faults(plan.clone(), RetryPolicy::fabric());
         }
@@ -129,18 +130,12 @@ fn degraded() -> Suite {
     }
 }
 
-fn fabric(kind: EngineKind) -> RoundTripFabric {
-    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-    fabric.set_engine(kind);
-    fabric
-}
-
 /// One suite pass with the ledger on; also returns the reports.
 fn ledger_pass(suite: &Suite) -> (PhaseLedger, Vec<FabricReport>) {
     let mut ledger = PhaseLedger::default();
     let mut reports = Vec::new();
     for cell in &suite.cells {
-        let mut fabric = cell.fabric(EngineKind::Specialized);
+        let mut fabric = cell.fabric();
         let mut exp = fabric.begin_experiment(cell.ces, cell.traffic, MAX_NET_CYCLES);
         fabric
             .drive_with_ledger(&mut exp, None, &mut ledger)
@@ -277,7 +272,7 @@ fn smoke(suite: &Suite) {
     check_books(&b);
     for (cell, ledgered) in suite.cells.iter().zip(&reports) {
         let plain = cell
-            .fabric(EngineKind::Specialized)
+            .fabric()
             .run_prefetch_experiment(cell.ces, cell.traffic, MAX_NET_CYCLES);
         if &plain != ledgered {
             eprintln!(
@@ -299,7 +294,7 @@ fn suite_floor(suite: &Suite, runs: usize) -> (f64, Vec<FabricReport>) {
         let mut best = f64::INFINITY;
         let mut report = None;
         for _ in 0..runs {
-            let mut fabric = cell.fabric(EngineKind::Specialized);
+            let mut fabric = cell.fabric();
             let start = Instant::now();
             report = Some(std::hint::black_box(fabric.run_prefetch_experiment(
                 cell.ces,
@@ -307,6 +302,12 @@ fn suite_floor(suite: &Suite, runs: usize) -> (f64, Vec<FabricReport>) {
                 MAX_NET_CYCLES,
             )));
             best = best.min(start.elapsed().as_secs_f64());
+            assert_eq!(
+                fabric.last_run_engine(),
+                Some("specialized"),
+                "{}",
+                cell.name
+            );
         }
         best_sum += best;
         reports.extend(report);
@@ -354,7 +355,7 @@ fn main() {
 
     // Chunked drive: every call re-imports and re-exports the lanes.
     let small = PrefetchTraffic::rk_aggressive(1);
-    let mut fabric = fabric(EngineKind::Specialized);
+    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
     let mut exp = fabric.begin_experiment(32, small, MAX_NET_CYCLES);
     let start = Instant::now();
     let mut chunks = 0u64;
@@ -365,6 +366,7 @@ fn main() {
             .expect("no watchdog attached");
         chunks += 1;
     }
+    assert_eq!(fabric.last_run_engine(), Some("specialized"));
     let elapsed = start.elapsed().as_secs_f64();
     println!(
         "RK 32x1 in 1-cycle chunks: {chunks} drives, {:.2} us per drive",

@@ -407,7 +407,7 @@ pub struct RoundTripFabric {
     /// leaves every code path bit-identical to the un-instrumented
     /// fabric.
     obs: Option<FabricObs>,
-    /// Execution-engine selection (from `CEDAR_ENGINE` at
+    /// Execution-engine selection ([`EngineKind::Auto`] at
     /// construction, or [`set_engine`](Self::set_engine)). Not part of
     /// the simulated state: engines are bit-identical, so none of the
     /// engine fields below are snapshotted.
@@ -416,8 +416,6 @@ pub struct RoundTripFabric {
     last_run_engine: Option<&'static str>,
     /// Why the most recent drive fell back to generic, if it did.
     last_fallback: Option<&'static str>,
-    /// Whether the explicit-specialized fallback warning has fired.
-    fallback_logged: bool,
 }
 
 /// A request awaiting its reply under fault injection, as checkpoints
@@ -735,17 +733,15 @@ impl RoundTripFabric {
             fast_forward: true,
             ff_cycles: 0,
             obs: None,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::Auto,
             last_run_engine: None,
             last_fallback: None,
-            fallback_logged: false,
         })
     }
 
-    /// Overrides the execution-engine selection (the default comes
-    /// from the `CEDAR_ENGINE` environment variable at construction).
-    /// Engines are bit-identical; this only changes how fast the
-    /// answer arrives.
+    /// Overrides the execution-engine selection (the default is
+    /// [`EngineKind::Auto`]). Engines are bit-identical; this only
+    /// changes how fast the answer arrives.
     pub fn set_engine(&mut self, engine: EngineKind) {
         self.engine = engine;
     }
@@ -1248,38 +1244,24 @@ impl RoundTripFabric {
         mut watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
     ) -> Result<(), CedarError> {
-        if self.engine != EngineKind::Generic {
+        self.last_fallback = None;
+        if self.engine == EngineKind::Auto {
             match self.specialization_blocker() {
                 None => {
                     self.last_run_engine = Some("specialized");
-                    self.last_fallback = None;
                     return self.drive_specialized(exp, watchdog, stop_at);
                 }
-                Some(reason) => self.note_fallback(reason),
+                Some(reason) => {
+                    self.last_fallback = Some(reason);
+                    self.metric_add(|ids| ids.engine_fallback, 1);
+                }
             }
-        } else {
-            self.last_run_engine = Some("generic");
-            self.last_fallback = None;
         }
+        self.last_run_engine = Some("generic");
         while self.experiment_running(exp) && stop_at.is_none_or(|c| self.now < c) {
             self.step_experiment(exp, watchdog.as_deref_mut())?;
         }
         Ok(())
-    }
-
-    /// Records a fall-back to the generic engine: counter, diagnostic
-    /// state, and — when the user explicitly demanded
-    /// `CEDAR_ENGINE=specialized` — one log line naming the reason.
-    fn note_fallback(&mut self, reason: &'static str) {
-        self.last_run_engine = Some("generic");
-        self.last_fallback = Some(reason);
-        self.metric_add(|ids| ids.engine_fallback, 1);
-        if self.engine == EngineKind::Specialized && !self.fallback_logged {
-            self.fallback_logged = true;
-            eprintln!(
-                "cedar-net: CEDAR_ENGINE=specialized fell back to the generic engine: {reason}"
-            );
-        }
     }
 
     fn run_experiment_inner(
@@ -2160,12 +2142,11 @@ impl cedar_snap::Snapshot for RoundTripFabric {
             ff_cycles: Snapshot::restore(r)?,
             obs: None,
             // Engine selection is not simulated state (engines are
-            // bit-identical); a restored fabric re-reads the
-            // environment, like a fresh one.
-            engine: EngineKind::from_env(),
+            // bit-identical); a restored fabric starts on the default,
+            // like a fresh one.
+            engine: EngineKind::Auto,
             last_run_engine: None,
             last_fallback: None,
-            fallback_logged: false,
         })
     }
 }
@@ -2228,6 +2209,15 @@ mod tests {
         (Ok(fabric.finish_experiment(exp)), recovery_skips)
     }
 
+    /// The engine name `last_run_engine` reports for an eligible run
+    /// under `kind`.
+    fn expected_engine(kind: EngineKind) -> Option<&'static str> {
+        Some(match kind {
+            EngineKind::Generic => "generic",
+            EngineKind::Auto => "specialized",
+        })
+    }
+
     /// A fabric with `cfg`'s fault plan and `retry` on `engine`.
     fn faulted(
         cfg: &cedar_faults::FaultConfig,
@@ -2266,10 +2256,11 @@ mod tests {
             (FaultConfig::link_noise(3, 1.0), hopeless),
         ] {
             let mut reports = Vec::new();
-            for engine in [EngineKind::Generic, EngineKind::Specialized] {
+            for engine in [EngineKind::Generic, EngineKind::Auto] {
                 for fast_forward in [true, false] {
                     let mut fabric = faulted(&cfg, retry, engine, fast_forward);
                     let (report, recovery_skips) = drive_stepwise(&mut fabric, gapped, None);
+                    assert_eq!(fabric.last_run_engine(), expected_engine(engine));
                     if fast_forward {
                         assert!(recovery_skips > 0, "{engine:?}: no skip during recovery");
                     } else {
@@ -2299,11 +2290,12 @@ mod tests {
     fn fast_forward_keeps_watchdog_stalls_under_faults() {
         let cfg = cedar_faults::FaultConfig::link_noise(0xBAD, 0.05);
         let mut stalls = Vec::new();
-        for engine in [EngineKind::Generic, EngineKind::Specialized] {
+        for engine in [EngineKind::Generic, EngineKind::Auto] {
             for fast_forward in [true, false] {
                 let mut fabric = faulted(&cfg, RetryPolicy::fabric(), engine, fast_forward);
                 let (outcome, recovery_skips) =
                     drive_stepwise(&mut fabric, small_traffic(), Some(1_000));
+                assert_eq!(fabric.last_run_engine(), expected_engine(engine));
                 assert_eq!(recovery_skips > 0, fast_forward, "{engine:?}");
                 let stall = outcome.expect_err("a 1000-cycle watchdog trips first");
                 assert!(stall.starts_with("Stalled"), "{stall}");
@@ -2438,13 +2430,14 @@ mod tests {
             (1_100, 0x04ab_4c36_3379_70b3),
             (2_000, 0x4a00_7340_fa70_44c2),
         ];
-        for kind in [EngineKind::Generic, EngineKind::Specialized] {
+        for kind in [EngineKind::Generic, EngineKind::Auto] {
             let (mut fabric, mut exp) = harsh_degraded(kind);
             for (cycle, pin) in pins {
                 fabric
                     .drive_experiment(&mut exp, None, Some(cycle))
                     .unwrap();
                 assert_eq!(fabric.now(), cycle);
+                assert_eq!(fabric.last_run_engine(), expected_engine(kind));
                 let rec = exp.recovery.as_ref().unwrap();
                 let flights = || rec.flights.iter().flatten();
                 let stale = rec

@@ -83,7 +83,7 @@ pub use combining::{
     run_hotspot, CombiningConfig, CombiningFabric, CombiningReport, HotspotTraffic,
 };
 pub use config::NetworkConfig;
-pub use fabric::specialized::{EngineKind, Phase, PhaseLedger, ENGINE_ENV};
+pub use fabric::specialized::{EngineKind, Phase, PhaseLedger};
 pub use fabric::{AddressPattern, FabricReport, PrefetchTraffic, RoundTripFabric};
 pub use network::{Delivery, OmegaNetwork};
 pub use packet::{Packet, PacketId, PacketKind};

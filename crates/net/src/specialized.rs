@@ -17,9 +17,9 @@
 //! # Eligibility and fallback
 //!
 //! [`RoundTripFabric::drive_experiment`](super::RoundTripFabric::drive_experiment)
-//! consults [`EngineKind`] (set from the [`ENGINE_ENV`] variable at
-//! construction) and the private eligibility check. A run specializes
-//! when:
+//! consults [`EngineKind`] ([`Auto`](EngineKind::Auto) unless a test
+//! or benchmark sets [`Generic`](EngineKind::Generic)) and the private
+//! eligibility check. A run specializes when:
 //!
 //! - no telemetry handle is attached (obs hooks are compiled out, so
 //!   an attached `Obs` would silently go blind), and
@@ -50,9 +50,8 @@
 //! happen in the same order.
 //!
 //! Anything else falls back to the generic engine, bumps the
-//! `engine.fallback` obs counter when metrics are live, and — under
-//! `CEDAR_ENGINE=specialized`, where the user explicitly demanded the
-//! fast path — logs the reason once per fabric.
+//! `engine.fallback` obs counter when metrics are live, and records
+//! the reason in `last_fallback`.
 //!
 //! # Record layout and event masks
 //!
@@ -147,33 +146,15 @@ use super::*;
 use crate::network::INJECT_FIFO_WORDS;
 use std::time::Instant;
 
-/// Environment variable selecting the execution engine:
-/// `generic`, `specialized`, or `auto` (the default).
-pub const ENGINE_ENV: &str = "CEDAR_ENGINE";
-
 /// Which execution engine a fabric uses for experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Always interpret with the generic engine.
+    /// Always interpret with the generic engine: the reference the
+    /// differential tests and `perf`'s engine ratio compare against.
     Generic,
-    /// Demand the specialized engine; ineligible configurations still
-    /// fall back to generic, but loudly (one log line per fabric).
-    Specialized,
-    /// Specialize when eligible, fall back silently otherwise.
+    /// Specialize when eligible, fall back to generic otherwise (the
+    /// default).
     Auto,
-}
-
-impl EngineKind {
-    /// Reads the engine selection from [`ENGINE_ENV`]. Unset or
-    /// unrecognized values select [`EngineKind::Auto`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(ENGINE_ENV).as_deref() {
-            Ok("generic") => EngineKind::Generic,
-            Ok("specialized") => EngineKind::Specialized,
-            _ => EngineKind::Auto,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2934,7 +2915,6 @@ mod tests {
         let expected = generic.run_prefetch_experiment(8, traffic, 64_000_000);
 
         let mut fast = RoundTripFabric::new(FabricConfig::cedar());
-        fast.set_engine(EngineKind::Specialized);
         let got = fast.run_prefetch_experiment(8, traffic, 64_000_000);
         assert_eq!(fast.last_run_engine(), Some("specialized"));
         assert_eq!(got, expected);

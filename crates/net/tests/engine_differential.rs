@@ -115,7 +115,7 @@ fn reference_shapes_match_across_engines() {
         let (gen_bytes, gen_report, gen_engine) =
             run_with_engine(cfg.clone(), EngineKind::Generic, 32, traffic, 5_000);
         let (spec_bytes, spec_report, spec_engine) =
-            run_with_engine(cfg, EngineKind::Specialized, 32, traffic, 5_000);
+            run_with_engine(cfg, EngineKind::Auto, 32, traffic, 5_000);
         assert_eq!(gen_engine, Some("generic"), "case {case}");
         assert_eq!(spec_engine, Some("specialized"), "case {case}");
         assert!(gen_report.completed(), "case {case} must drain");
@@ -138,7 +138,7 @@ fn random_machines_match_across_engines() {
         let (gen_bytes, gen_report, _) =
             run_with_engine(cfg.clone(), EngineKind::Generic, n_ces, traffic, cut);
         let (spec_bytes, spec_report, spec_engine) =
-            run_with_engine(cfg, EngineKind::Specialized, n_ces, traffic, cut);
+            run_with_engine(cfg, EngineKind::Auto, n_ces, traffic, cut);
         assert_eq!(
             spec_engine,
             Some("specialized"),
@@ -278,7 +278,7 @@ fn faulted_runs_specialize_and_match() {
         let (cut, gen_bytes) =
             cut.unwrap_or_else(|| panic!("case {case} ({name}): nothing in flight"));
 
-        let mut fabric = build(EngineKind::Specialized);
+        let mut fabric = build(EngineKind::Auto);
         let mut exp = fabric.begin_experiment(n_ces, traffic, MAX_NET_CYCLES);
         fabric.drive_experiment(&mut exp, None, Some(cut)).unwrap();
         assert!(exp.retry_in_flight(), "case {case} ({name}): cut {cut}");
@@ -301,14 +301,14 @@ fn faulted_runs_specialize_and_match() {
         );
 
         for (first, second) in [
-            (&gen_bytes, EngineKind::Specialized),
+            (&gen_bytes, EngineKind::Auto),
             (&spec_bytes, EngineKind::Generic),
         ] {
             let (mut resumed, mut exp) =
                 RoundTripFabric::restore_experiment(first).expect("checkpoint decodes");
             resumed.set_engine(second);
             resumed.drive_experiment(&mut exp, None, None).unwrap();
-            if second == EngineKind::Specialized {
+            if second == EngineKind::Auto {
                 assert_eq!(resumed.last_run_engine(), Some("specialized"));
             }
             assert_eq!(
@@ -343,13 +343,11 @@ fn faulted_runs_specialize_and_match() {
 #[test]
 fn fallback_is_obs_visible() {
     // Telemetry itself blocks specialization (the hooks are compiled
-    // out of the fast path), so an obs-attached fabric asked for the
-    // specialized engine falls back — and says so on the
-    // `engine.fallback` counter.
+    // out of the fast path), so an obs-attached fabric on the default
+    // engine falls back — and says so on the `engine.fallback` counter.
     let obs = Obs::new(ObsConfig::metrics_only());
     let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
     fabric.set_obs(&obs);
-    fabric.set_engine(EngineKind::Specialized);
     let mut traffic = PrefetchTraffic::rk_aggressive(1);
     traffic.block_len = 16;
     let with_obs = fabric.run_prefetch_experiment(8, traffic, MAX_NET_CYCLES);
@@ -363,7 +361,6 @@ fn fallback_is_obs_visible() {
     // Attaching telemetry must not change the simulation itself, and
     // the bare fabric runs specialized.
     let mut bare = RoundTripFabric::new(FabricConfig::cedar());
-    bare.set_engine(EngineKind::Specialized);
     let without_obs = bare.run_prefetch_experiment(8, traffic, MAX_NET_CYCLES);
     assert_eq!(bare.last_run_engine(), Some("specialized"));
     assert_eq!(with_obs, without_obs, "telemetry perturbed the simulation");
@@ -374,7 +371,6 @@ fn structural_fallback_names_the_blocker() {
     let mut cfg = FabricConfig::cedar();
     cfg.module_buffer_requests = 65; // past the specialized bound
     let mut fabric = RoundTripFabric::new(cfg);
-    fabric.set_engine(EngineKind::Specialized);
     let mut traffic = PrefetchTraffic::rk_aggressive(1);
     traffic.block_len = 16;
     fabric.run_prefetch_experiment(8, traffic, MAX_NET_CYCLES);
@@ -403,7 +399,7 @@ fn watchdog_stalls_identically_across_engines() {
             .expect_err("the gap must out-wait the watchdog");
         format!("{err:?}")
     };
-    assert_eq!(stall(EngineKind::Generic), stall(EngineKind::Specialized));
+    assert_eq!(stall(EngineKind::Generic), stall(EngineKind::Auto));
 }
 
 #[test]
@@ -420,8 +416,8 @@ fn checkpoints_resume_across_engines() {
         reference.set_engine(EngineKind::Generic);
         let expected = reference.run_prefetch_experiment(n_ces, traffic, MAX_NET_CYCLES);
         for (first, second) in [
-            (EngineKind::Generic, EngineKind::Specialized),
-            (EngineKind::Specialized, EngineKind::Generic),
+            (EngineKind::Generic, EngineKind::Auto),
+            (EngineKind::Auto, EngineKind::Generic),
         ] {
             let mut fabric = RoundTripFabric::new(cfg.clone());
             fabric.set_engine(first);
@@ -429,6 +425,7 @@ fn checkpoints_resume_across_engines() {
             fabric
                 .drive_experiment(&mut exp, None, Some(cut))
                 .expect("no watchdog attached");
+            assert_eq!(fabric.last_run_engine(), Some(engine_name(first)));
             let bytes = fabric.checkpoint_experiment(&exp);
             let (mut resumed, mut exp2) =
                 RoundTripFabric::restore_experiment(&bytes).expect("checkpoint decodes");
@@ -436,6 +433,7 @@ fn checkpoints_resume_across_engines() {
             resumed
                 .drive_experiment(&mut exp2, None, None)
                 .expect("no watchdog attached");
+            assert_eq!(resumed.last_run_engine(), Some(engine_name(second)));
             let report = resumed.finish_experiment(exp2);
             assert_eq!(
                 expected, report,
@@ -473,7 +471,7 @@ fn assert_engines_agree(
         (bytes, fabric.finish_experiment(exp))
     };
     let (gen_bytes, expected) = run(EngineKind::Generic);
-    let (spec_bytes, report) = run(EngineKind::Specialized);
+    let (spec_bytes, report) = run(EngineKind::Auto);
     assert!(expected.resolved(), "{case} must resolve");
     for (i, cut) in cuts.iter().enumerate() {
         assert!(
@@ -484,7 +482,7 @@ fn assert_engines_agree(
     assert_eq!(report, expected, "{case}: reports diverged");
     for (i, cut) in cuts.iter().enumerate() {
         for (bytes, second) in [
-            (&gen_bytes[i], EngineKind::Specialized),
+            (&gen_bytes[i], EngineKind::Auto),
             (&spec_bytes[i], EngineKind::Generic),
         ] {
             let (mut resumed, mut exp) =
@@ -504,7 +502,7 @@ fn assert_engines_agree(
 fn engine_name(engine: EngineKind) -> &'static str {
     match engine {
         EngineKind::Generic => "generic",
-        _ => "specialized",
+        EngineKind::Auto => "specialized",
     }
 }
 

@@ -7,7 +7,8 @@
 //! compatible server must reproduce the reply stream byte-identically.
 //!
 //! Regenerate (only when the wire format intentionally changes) with
-//! `CEDAR_GOLDEN_REGEN=1 cargo test -p cedar-serve --test golden_transcript`.
+//! `CEDAR_BLESS=1 cargo test -p cedar-serve --test golden_transcript`, the
+//! switch the workspace's other goldens use.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -57,13 +58,12 @@ fn line_json_session_is_byte_identical_to_the_committed_golden() {
     let _ = std::fs::remove_dir_all(&cache);
 
     let golden_path = golden_dir().join("line_session.replies.txt");
-    if std::env::var_os("CEDAR_GOLDEN_REGEN").is_some() {
+    if std::env::var_os("CEDAR_BLESS").is_some() {
         std::fs::write(&golden_path, &replies).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&golden_path).expect(
-        "missing golden replies — run once with CEDAR_GOLDEN_REGEN=1 to record the transcript",
-    );
+    let golden = std::fs::read_to_string(&golden_path)
+        .expect("missing golden replies — run once with CEDAR_BLESS=1 to record the transcript");
     assert_eq!(
         replies, golden,
         "line-JSON replies drifted from the recorded PR-5 session"

@@ -17,10 +17,9 @@
 //!    garbage, or stall into the reap path; every healthy request gets
 //!    a terminal reply and every unique job executes exactly once.
 //!
-//! Everything here must pass unchanged under `CEDAR_THREADS=1` and
-//! `CEDAR_THREADS=4`; the server's pool width is pinned by config, so
-//! the only nondeterminism is scheduling, which the assertions are
-//! insensitive to.
+//! The server's pool width is `ServeConfig::workers`, not the
+//! environment, so the only nondeterminism is scheduling, which the
+//! assertions are insensitive to.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -31,13 +31,21 @@ fn status(reply: &cedar_serve::json::Json) -> String {
         .to_owned()
 }
 
+/// Dispatcher pool widths the memo tests run under: reactors (disk
+/// hits) and workers (fresh stores) both insert into the memo, so each
+/// memo test runs with one worker and with several.
+const WORKER_COUNTS: [usize; 2] = [1, 4];
+
 #[test]
 fn burst_of_identical_requests_executes_exactly_once() {
-    let cache = scratch("dedup");
-    let (handle, addr) = start_on_any_port(ServeConfig {
-        cache_dir: Some(cache.clone()),
-        ..ServeConfig::default()
-    });
+    for workers in WORKER_COUNTS {
+        burst_executes_once(workers);
+    }
+}
+
+fn burst_executes_once(workers: usize) {
+    let cache = scratch(&format!("dedup-{workers}"));
+    let (handle, addr) = caching_server(&cache, workers);
     const BURST: usize = 12;
     let line = r#"{"op":"run","job":{"type":"table2","kernel":"RK","ces":4,"blocks":2}}"#;
     let statuses: Vec<String> = std::thread::scope(|scope| {
@@ -57,7 +65,7 @@ fn burst_of_identical_requests_executes_exactly_once() {
     assert_eq!(
         obs.counter_value("serve.jobs.executed"),
         1,
-        "identical burst must collapse to one execution \
+        "{workers} workers: identical burst must collapse to one execution \
          (coalesced={}, cache hits={})",
         obs.counter_value("serve.dedup.coalesced"),
         obs.counter_value("serve.cache.hits"),
@@ -65,7 +73,7 @@ fn burst_of_identical_requests_executes_exactly_once() {
     assert_eq!(
         obs.counter_value("serve.dedup.coalesced") + obs.counter_value("serve.cache.hits"),
         (BURST - 1) as u64,
-        "every other request was coalesced or served from cache"
+        "{workers} workers: every other request was coalesced or served from cache"
     );
 
     // A second burst after completion is pure cache: the execution's
@@ -405,22 +413,29 @@ fn run_binary(c: &mut BinClient, corr: u64, spec: &JobSpec) -> (bool, Vec<u8>) {
     }
 }
 
-fn caching_server(dir: &std::path::Path) -> (ServerHandle, String) {
+fn caching_server(dir: &std::path::Path, workers: usize) -> (ServerHandle, String) {
     start_on_any_port(ServeConfig {
         cache_dir: Some(dir.to_path_buf()),
+        workers,
         ..ServeConfig::default()
     })
 }
 
 #[test]
 fn restarted_server_answers_the_first_hit_from_disk_and_repeats_from_memory() {
-    let cache = scratch("memo-restart");
+    for workers in WORKER_COUNTS {
+        restart_hits_disk_then_memory(workers);
+    }
+}
+
+fn restart_hits_disk_then_memory(workers: usize) {
+    let cache = scratch(&format!("memo-restart-{workers}"));
     let spec = hotspot(250_000);
     let expected = expected_envelope(&spec);
 
     // Fill the directory: one execution, one store, and the repeat
     // is already a memo hit (the only disk read was the first miss).
-    let (handle, addr) = caching_server(&cache);
+    let (handle, addr) = caching_server(&cache, workers);
     let mut c = BinClient::connect(&addr).unwrap();
     assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
     assert_eq!(run_binary(&mut c, 1, &spec), (true, expected.clone()));
@@ -431,7 +446,7 @@ fn restarted_server_answers_the_first_hit_from_disk_and_repeats_from_memory() {
 
     // A fresh server on the filled directory: one disk read, then
     // memory only; nothing executes.
-    let (handle, addr) = caching_server(&cache);
+    let (handle, addr) = caching_server(&cache, workers);
     let mut c = BinClient::connect(&addr).unwrap();
     let obs = handle.obs();
     assert_eq!(run_binary(&mut c, 0, &spec), (true, expected.clone()));
@@ -448,11 +463,17 @@ fn restarted_server_answers_the_first_hit_from_disk_and_repeats_from_memory() {
 
 #[test]
 fn corrupt_disk_entry_is_quarantined_reexecuted_and_never_memoized() {
-    let cache = scratch("memo-corrupt");
+    for workers in WORKER_COUNTS {
+        corrupt_entry_is_reexecuted(workers);
+    }
+}
+
+fn corrupt_entry_is_reexecuted(workers: usize) {
+    let cache = scratch(&format!("memo-corrupt-{workers}"));
     let spec = hotspot(125_000);
     let expected = expected_envelope(&spec);
 
-    let (handle, addr) = caching_server(&cache);
+    let (handle, addr) = caching_server(&cache, workers);
     let mut c = BinClient::connect(&addr).unwrap();
     assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
     handle.shutdown();
@@ -464,7 +485,7 @@ fn corrupt_disk_entry_is_quarantined_reexecuted_and_never_memoized() {
     bytes[ENVELOPE_HEADER_LEN] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
 
-    let (handle, addr) = caching_server(&cache);
+    let (handle, addr) = caching_server(&cache, workers);
     let mut c = BinClient::connect(&addr).unwrap();
     let obs = handle.obs();
     assert_eq!(run_binary(&mut c, 0, &spec), (false, expected.clone()));
