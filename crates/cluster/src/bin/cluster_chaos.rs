@@ -8,12 +8,14 @@
 //!               [--report PATH] [--metrics-addr ADDR]
 //! ```
 //!
-//! Runs the reference sweep twice, in one process tree: serially
-//! in-process for the golden result, then across a supervised fleet of
-//! re-exec'd workers under a seeded fault plan. Exits non-zero unless
-//! the merged cluster sweep is bit-identical to the serial golden, the
-//! journal shows exactly one commit per point, and (with `--cache`) no
-//! corrupt entry was left behind. `--expect-warm` additionally demands
+//! Runs [`cedar_cluster::reference_sweep`] — `--points` Table-2
+//! cells, degraded-mode points and hot-spot fractions — twice, in one
+//! process tree: serially in-process for the golden result, then
+//! across a supervised fleet of re-exec'd workers under a seeded fault
+//! plan. Exits non-zero unless the merged cluster sweep is
+//! bit-identical to the serial golden, the journal shows exactly one
+//! commit per point, and (with `--cache`) no corrupt entry was left
+//! behind. `--expect-warm` additionally demands
 //! the run was served entirely from a pre-warmed cache with zero
 //! dispatches — the second CI invocation.
 //!
@@ -33,10 +35,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, MetricsServer, METRICS};
+use cedar_cluster::{reference_sweep, run_cluster_sweep, ClusterConfig, MetricsServer, METRICS};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultPlan};
 use cedar_obs::SharedObs;
+use cedar_serve::job::MAX_NET_CYCLES;
 use cedar_snap::{CacheDir, Snapshot};
 
 fn usage() -> ! {
@@ -50,9 +53,9 @@ fn usage() -> ! {
 
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
-    cedar_cluster::maybe_worker(&families::default_registry());
+    cedar_cluster::maybe_worker();
 
-    let (mut workers, mut points, mut seed) = (4u32, 32u64, 0xC1A05u64);
+    let (mut workers, mut points, mut seed) = (4u32, 32usize, 0xC1A05u64);
     let (mut kills, mut stalls, mut corrupts) = (2u32, 1u32, 1u32);
     let mut cache_dir: Option<String> = None;
     let mut expect_warm = false;
@@ -76,8 +79,17 @@ fn main() -> ExitCode {
         }
     }
 
-    let inputs: Vec<u64> = (0..points).collect();
-    let golden = run_sweep_on(1, inputs.clone(), families::slow_mix);
+    let specs = reference_sweep(points);
+    let golden: Vec<Vec<u8>> = match run_sweep_on(1, specs.clone(), |s| s.execute(MAX_NET_CYCLES))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(outcomes) => outcomes.iter().map(Snapshot::to_snapshot_bytes).collect(),
+        Err(e) => {
+            eprintln!("cluster_chaos: serial golden failed: {}", e.reason());
+            return ExitCode::FAILURE;
+        }
+    };
 
     let plan = match WorkerFaultPlan::generate(&WorkerFaultConfig {
         seed,
@@ -103,7 +115,6 @@ fn main() -> ExitCode {
     };
     cfg.seed = seed;
     cfg.chaos = Some(plan);
-    cfg.cache_namespace = "cluster.chaos/1".to_owned();
     let cache = match &cache_dir {
         Some(dir) => match CacheDir::new(dir.clone()) {
             Ok(c) => Some(c),
@@ -131,8 +142,7 @@ fn main() -> ExitCode {
         None => None,
     };
     let sweep_started = Instant::now();
-    let report = match run_cluster_sweep::<u64, u64>(&cfg, families::SLOW_MIX, &inputs, Some(&*obs))
-    {
+    let report = match run_cluster_sweep(&cfg, &specs, Some(&*obs)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cluster_chaos: sweep failed: {e}");
@@ -156,7 +166,12 @@ fn main() -> ExitCode {
     );
 
     let mut failures = Vec::new();
-    if report.results != golden {
+    let results: Vec<Vec<u8>> = report
+        .results
+        .iter()
+        .map(Snapshot::to_snapshot_bytes)
+        .collect();
+    if results != golden {
         failures.push("merged sweep is NOT bit-identical to the serial golden".to_owned());
     }
     for (i, r) in stats.journal.iter().enumerate() {
@@ -173,19 +188,19 @@ fn main() -> ExitCode {
             Ok(list) => failures.push(format!("{} corrupt cache entries left behind", list.len())),
             Err(e) => failures.push(format!("cannot list corrupt entries: {e}")),
         }
-        for (i, input) in inputs.iter().enumerate() {
-            if cache.load::<u64>(&input.snapshot_key("cluster.chaos/1")) != Some(golden[i]) {
+        for (i, spec) in specs.iter().enumerate() {
+            if cache.load_bytes(&spec.key()).as_ref() != Some(&golden[i]) {
                 failures.push(format!("cache entry for point {i} missing or wrong"));
                 break;
             }
         }
     }
     if expect_warm {
-        if stats.cache_hits != inputs.len() {
+        if stats.cache_hits != specs.len() {
             failures.push(format!(
                 "expected a fully warm run, got {}/{} cache hits",
                 stats.cache_hits,
-                inputs.len()
+                specs.len()
             ));
         }
         if stats.dispatched != 0 {

@@ -1,14 +1,13 @@
 //! Cluster harness binary: worker, and crash-test helper modes.
 //!
 //! * **Worker mode** — when `CEDAR_CLUSTER_WORKER` is set (the
-//!   coordinator sets it on spawn), serves the reference job families
-//!   and never returns.
+//!   coordinator sets it on spawn), runs the coordinator's `JobSpec`
+//!   jobs and never returns.
 //! * **`writer <dir> <key>`** — writes the same snapshot entry through
 //!   [`cedar_snap::write_atomic`] in a tight loop forever. The
 //!   atomicity integration test SIGKILLs this process at random points
 //!   and asserts a concurrent reader never observes a partial entry.
 
-use cedar_cluster::families;
 use cedar_snap::{CacheDir, Snapshot};
 
 /// The value the `writer` mode stores, over and over. The reader side
@@ -35,24 +34,17 @@ fn writer_mode(dir: &str, key: &str) -> ! {
 }
 
 fn main() {
-    let registry = families::default_registry();
-    cedar_cluster::maybe_worker(&registry);
+    cedar_cluster::maybe_worker();
 
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
         Some("writer") if args.len() == 4 => writer_mode(&args[2], &args[3]),
-        Some("families") => {
-            for family in registry.families() {
-                println!("{family}");
-            }
-        }
         _ => {
             eprintln!(
                 "cluster_node: worker harness for cedar-cluster\n\
                  usage:\n\
                  \x20 CEDAR_CLUSTER_WORKER=<addr> cluster_node   (worker mode)\n\
-                 \x20 cluster_node writer <dir> <key>            (crash-test writer)\n\
-                 \x20 cluster_node families                      (list job families)"
+                 \x20 cluster_node writer <dir> <key>            (crash-test writer)"
             );
             std::process::exit(2);
         }

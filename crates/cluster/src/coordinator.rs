@@ -1,11 +1,12 @@
 //! The coordinator: spawn, supervise, dispatch, merge.
 //!
-//! [`run_cluster_sweep`] is the cluster twin of
-//! [`cedar_exec::run_sweep_cached`]: same inputs, same
-//! content-addressed keys, same bit-identical results — but the points
-//! execute in N re-exec'd worker *processes* that are expected to
-//! crash, hang, or write garbage, and the coordinator's job is to make
-//! none of that observable in the output.
+//! [`run_cluster_sweep`] runs a list of [`JobSpec`]s — the experiments
+//! a `cedar-serve` server answers — and returns their outcomes,
+//! bit-identical to calling [`JobSpec::execute`] on each in turn and
+//! cached under the same [`JobSpec::key`] a caching server uses. The
+//! points execute in N re-exec'd worker *processes* that are expected
+//! to crash, hang, or write garbage, and the coordinator's job is to
+//! make none of that observable in the output.
 //!
 //! Supervision is a single-threaded event loop over a fixed tick.
 //! Reader threads (one per live worker connection) translate the wire
@@ -23,16 +24,16 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cedar_exec::sweep_keys;
 use cedar_faults::{RetryPolicy, WorkerFaultPlan};
 use cedar_obs::SharedObs;
+use cedar_serve::job::{JobOutcome, JobSpec};
 use cedar_sim::watchdog::Watchdog;
-use cedar_snap::{fnv1a, read_frame, unseal, write_frame, CacheDir, FrameError, Snapshot};
+use cedar_snap::{fnv1a, read_frame, write_frame, CacheDir, FrameError, Snapshot};
 
 use crate::journal::{JobJournal, JobRecord, JobState};
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
-use crate::registry::{CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 use crate::ring::HashRing;
+use crate::worker::{CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 
 /// Fleet shape, timing and robustness knobs.
 #[derive(Debug)]
@@ -61,13 +62,11 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Optional deterministic chaos plan (first incarnations only).
     pub chaos: Option<WorkerFaultPlan>,
-    /// Optional shared content-addressed cache; hits skip dispatch and
-    /// fresh commits are stored back, interoperating byte-for-byte
-    /// with [`cedar_exec::run_sweep_cached`] on the same namespace.
+    /// Optional shared content-addressed cache, keyed by
+    /// [`JobSpec::key`]; hits skip dispatch and fresh commits are
+    /// stored back, the same sealed [`JobOutcome`] entries a caching
+    /// `cedar-serve` server reads and writes.
     pub cache: Option<CacheDir>,
-    /// Namespace for sweep keys (must match any cached sweep sharing
-    /// the cache).
-    pub cache_namespace: String,
     /// Hard wall on supervision ticks; exceeded means
     /// [`ClusterError::Timeout`].
     pub max_ticks: u64,
@@ -93,7 +92,6 @@ impl ClusterConfig {
             seed: 0xCEDA_C1A5,
             chaos: None,
             cache: None,
-            cache_namespace: "cedar.cluster/0".to_owned(),
             max_ticks: 6_000,
         }
     }
@@ -117,8 +115,8 @@ pub enum ClusterError {
         /// Jobs still uncommitted at the time of loss.
         pending: usize,
     },
-    /// A worker reported a deterministic job failure (panicking family
-    /// function, undecodable input, unknown family). Retrying a
+    /// A worker reported a deterministic job failure (an out-of-bound
+    /// spec, a watchdog-stalled simulation, a panic). Retrying a
     /// deterministic failure elsewhere cannot help, so it is fatal.
     JobFailed {
         /// The failing job's input index.
@@ -132,12 +130,6 @@ pub enum ClusterError {
         ticks: u64,
         /// Jobs still uncommitted.
         pending: usize,
-    },
-    /// A committed result failed to decode as the sweep's output type
-    /// — a family/type mismatch between coordinator and worker.
-    BadResult {
-        /// The job whose result bytes did not decode.
-        job: usize,
     },
 }
 
@@ -158,12 +150,6 @@ impl std::fmt::Display for ClusterError {
                 write!(
                     f,
                     "sweep incomplete after {ticks} ticks ({pending} jobs pending)"
-                )
-            }
-            ClusterError::BadResult { job } => {
-                write!(
-                    f,
-                    "job {job} committed bytes that do not decode as the output type"
                 )
             }
         }
@@ -215,8 +201,7 @@ pub struct ClusterStats {
 #[derive(Debug)]
 pub struct ClusterReport<T> {
     /// One result per input, in input order — bit-identical to a
-    /// serial [`run_sweep`](cedar_exec::run_sweep) of the same family
-    /// function.
+    /// serial sweep of the same points.
     pub results: Vec<T>,
     /// Supervision accounting.
     pub stats: ClusterStats,
@@ -284,12 +269,11 @@ fn count(obs: Option<&SharedObs>, name: &str, n: u64) {
     }
 }
 
-/// Runs `inputs` through the worker fleet and returns results in input
-/// order, bit-identical to a serial sweep of the same family function.
+/// Runs `specs` through the worker fleet and returns their outcomes in
+/// input order, bit-identical to `spec.execute(MAX_NET_CYCLES)` on
+/// each ([`MAX_NET_CYCLES`](cedar_serve::job::MAX_NET_CYCLES)).
 ///
-/// `family` names a function registered in the worker binary's
-/// [`JobRegistry`](crate::JobRegistry); `obs`, when provided, receives
-/// live supervision metrics.
+/// `obs`, when provided, receives live supervision metrics.
 ///
 /// # Errors
 ///
@@ -297,29 +281,23 @@ fn count(obs: Option<&SharedObs>, name: &str, n: u64) {
 /// *not* errors — they are recovered by re-issue and restart; only an
 /// unrunnable configuration, a deterministic job failure, total fleet
 /// loss or timeout surface here.
-pub fn run_cluster_sweep<I, T>(
+pub fn run_cluster_sweep(
     config: &ClusterConfig,
-    family: &str,
-    inputs: &[I],
+    specs: &[JobSpec],
     obs: Option<&SharedObs>,
-) -> Result<ClusterReport<T>, ClusterError>
-where
-    I: Snapshot,
-    T: Snapshot,
-{
+) -> Result<ClusterReport<JobOutcome>, ClusterError> {
     validate(config)?;
-    let n = inputs.len();
-    let keys = sweep_keys(&config.cache_namespace, inputs);
-    let input_bytes: Vec<Vec<u8>> = inputs.iter().map(Snapshot::to_snapshot_bytes).collect();
+    let n = specs.len();
+    let keys: Vec<String> = specs.iter().map(JobSpec::key).collect();
 
     let mut journal = JobJournal::new(n);
-    let mut result_bytes: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut results: Vec<Option<JobOutcome>> = vec![None; n];
     let mut cache_hits = 0usize;
     if let Some(cache) = &config.cache {
         for i in 0..n {
-            if let Some(v) = cache.load::<T>(&keys[i]) {
+            if let Some(outcome) = cache.load::<JobOutcome>(&keys[i]) {
                 journal.commit_from_cache(i);
-                result_bytes[i] = Some(v.to_snapshot_bytes());
+                results[i] = Some(outcome);
                 cache_hits += 1;
             }
         }
@@ -336,12 +314,11 @@ where
     if !journal.all_committed() {
         let supervisor = Supervisor {
             config,
-            family,
+            specs,
             keys: &keys,
-            input_bytes: &input_bytes,
             ring: HashRing::new(config.workers),
             journal: &mut journal,
-            result_bytes: &mut result_bytes,
+            results: &mut results,
             stats: &mut stats,
             obs,
             slots: (0..config.workers)
@@ -354,11 +331,10 @@ where
     }
 
     stats.journal = journal.records();
-    let mut results = Vec::with_capacity(n);
-    for (job, bytes) in result_bytes.into_iter().enumerate() {
-        let bytes = bytes.ok_or(ClusterError::BadResult { job })?;
-        results.push(T::from_snapshot_bytes(&bytes).map_err(|_| ClusterError::BadResult { job })?);
-    }
+    let results = results
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .expect("a fully committed journal holds every result");
     Ok(ClusterReport { results, stats })
 }
 
@@ -403,12 +379,11 @@ fn validate(config: &ClusterConfig) -> Result<(), ClusterError> {
 
 struct Supervisor<'a> {
     config: &'a ClusterConfig,
-    family: &'a str,
+    specs: &'a [JobSpec],
     keys: &'a [String],
-    input_bytes: &'a [Vec<u8>],
     ring: HashRing,
     journal: &'a mut JobJournal,
-    result_bytes: &'a mut Vec<Option<Vec<u8>>>,
+    results: &'a mut Vec<Option<JobOutcome>>,
     stats: &'a mut ClusterStats,
     obs: Option<&'a SharedObs>,
     slots: Vec<Slot>,
@@ -598,20 +573,23 @@ impl Supervisor<'_> {
                     self.fail_slot(slot, now_tick);
                     return Ok(());
                 };
-                if job >= self.journal.len() || unseal(&result).is_err() {
+                let outcome = match JobOutcome::from_snapshot_bytes(&result) {
+                    Ok(outcome) if job < self.journal.len() => outcome,
                     // A job index we never issued, or result bytes
-                    // failing their own checksum: the worker is not
+                    // that are not a sealed outcome: the worker is not
                     // trustworthy.
-                    self.stats.garbage_frames += 1;
-                    self.fail_slot(slot, now_tick);
-                    return Ok(());
-                }
+                    _ => {
+                        self.stats.garbage_frames += 1;
+                        self.fail_slot(slot, now_tick);
+                        return Ok(());
+                    }
+                };
                 match self.journal.offer_commit(job, slot, incarnation) {
                     Some(first_issue_tick) => {
                         if let Some(cache) = &self.config.cache {
                             let _ = cache.store_bytes(&self.keys[job], &result);
                         }
-                        self.result_bytes[job] = Some(result);
+                        self.results[job] = Some(outcome);
                         let s = &mut self.slots[slot as usize];
                         s.inflight = s.inflight.saturating_sub(1);
                         self.stats.committed += 1;
@@ -738,8 +716,7 @@ impl Supervisor<'_> {
             };
             let msg = ToWorker::Job {
                 job: job as u64,
-                family: self.family.to_owned(),
-                input: self.input_bytes[job].clone(),
+                spec: self.specs[job].clone(),
             };
             if self.send_to(w as usize, &msg) {
                 let incarnation = self.slots[w as usize].incarnation;
@@ -1020,12 +997,10 @@ mod tests {
                 ticks: 100,
                 pending: 2,
             },
-            ClusterError::BadResult { job: 1 },
         ];
         let texts: Vec<String> = errors.iter().map(ToString::to_string).collect();
         assert!(texts[0].contains("all workers lost"));
         assert!(texts[1].contains("job 7"));
         assert!(texts[2].contains("100 ticks"));
-        assert!(texts[3].contains("do not decode"));
     }
 }

@@ -2,28 +2,29 @@
 //!
 //! Every message travels as one [`cedar_snap::frame`] — a sealed
 //! envelope whose payload is the message's [`Snapshot`] encoding, so
-//! the transport inherits the codec's checksum and version checks. Job
-//! inputs and results are carried as *nested* sealed envelopes (the
-//! exact bytes [`Snapshot::to_snapshot_bytes`] produces), which is
-//! what lets the coordinator commit a worker's result straight into a
-//! [`CacheDir`](cedar_snap::CacheDir) entry byte-for-byte identical to
-//! what a local cached sweep would have stored.
+//! the transport inherits the codec's checksum and version checks. A
+//! job carries its [`JobSpec`] in that encoding; a result travels as a
+//! *nested* sealed envelope (the exact bytes
+//! [`Snapshot::to_snapshot_bytes`] produces for the [`JobOutcome`]),
+//! which is what lets the coordinator commit a worker's result
+//! straight into a [`CacheDir`](cedar_snap::CacheDir) entry
+//! byte-for-byte identical to what a caching server stores.
+//!
+//! [`JobOutcome`]: cedar_serve::job::JobOutcome
 
+use cedar_serve::job::JobSpec;
 use cedar_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ToWorker {
-    /// Run one job: decode `input`, apply the named family's function,
-    /// reply [`FromWorker::Done`] (or [`FromWorker::Fail`]).
+    /// Run one job: validate and execute `spec`, reply
+    /// [`FromWorker::Done`] (or [`FromWorker::Fail`]).
     Job {
         /// Coordinator-side job index.
         job: u64,
-        /// Registered job-family name (see
-        /// [`JobRegistry`](crate::JobRegistry)).
-        family: String,
-        /// The input as a sealed snapshot envelope.
-        input: Vec<u8>,
+        /// The experiment to run.
+        spec: JobSpec,
     },
     /// Liveness probe; the worker echoes the nonce back as
     /// [`FromWorker::Pong`].
@@ -51,15 +52,15 @@ pub enum FromWorker {
         pid: u32,
     },
     /// A job completed; `result` is the sealed snapshot envelope of
-    /// the output value.
+    /// its `JobOutcome`.
     Done {
         /// The job index echoed from [`ToWorker::Job`].
         job: u64,
         /// The result as a sealed snapshot envelope.
         result: Vec<u8>,
     },
-    /// A job failed deterministically (unknown family, undecodable
-    /// input, or the family function panicked).
+    /// A job failed deterministically (an out-of-bound spec, a
+    /// watchdog-stalled simulation, or a panic).
     Fail {
         /// The job index echoed from [`ToWorker::Job`].
         job: u64,
@@ -84,11 +85,10 @@ const TAG_PONG: u8 = 19;
 impl Snapshot for ToWorker {
     fn snap(&self, w: &mut SnapWriter) {
         match self {
-            ToWorker::Job { job, family, input } => {
+            ToWorker::Job { job, spec } => {
                 w.put_u8(TAG_JOB);
                 w.put_u64(*job);
-                w.put_str(family);
-                w.put_bytes(input);
+                spec.snap(w);
             }
             ToWorker::Ping { nonce } => {
                 w.put_u8(TAG_PING);
@@ -102,8 +102,7 @@ impl Snapshot for ToWorker {
         match r.get_u8()? {
             TAG_JOB => Ok(ToWorker::Job {
                 job: r.get_u64()?,
-                family: r.get_string()?,
-                input: r.get_bytes()?.to_vec(),
+                spec: JobSpec::restore(r)?,
             }),
             TAG_PING => Ok(ToWorker::Ping {
                 nonce: r.get_u64()?,
@@ -194,14 +193,19 @@ pub fn decode_msg<M: Snapshot>(payload: &[u8]) -> Result<M, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_serve::job::JobOutcome;
 
     #[test]
     fn every_message_round_trips() {
         let to: Vec<ToWorker> = vec![
             ToWorker::Job {
                 job: 42,
-                family: "cedar.mix/1".to_owned(),
-                input: 7u64.to_snapshot_bytes(),
+                spec: JobSpec::Degraded {
+                    rate_ppm: 2_000,
+                    ces: 8,
+                    blocks: 1,
+                    seed: 7,
+                },
             },
             ToWorker::Ping { nonce: 0xDEAD },
             ToWorker::Shutdown,
@@ -222,7 +226,7 @@ mod tests {
             },
             FromWorker::Fail {
                 job: 42,
-                reason: "family panicked".to_owned(),
+                reason: "job panicked".to_owned(),
             },
             FromWorker::Pong { nonce: 0xDEAD },
         ];
@@ -247,8 +251,17 @@ mod tests {
     #[test]
     fn nested_result_envelope_is_cache_identical() {
         // The bytes a worker ships inside Done must be exactly what a
-        // local store would have written for the same value.
-        let value = (3u64, 1.5f64);
+        // local store would have written for the same outcome.
+        let value = JobOutcome {
+            degraded: true,
+            latency: 1.5,
+            interarrival: 0.25,
+            bandwidth: 0.75,
+            net_cycles: 4_397,
+            words_dropped: 3,
+            retries: 2,
+            failed: 0,
+        };
         let msg = FromWorker::Done {
             job: 0,
             result: value.to_snapshot_bytes(),
@@ -257,6 +270,6 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(result, value.to_snapshot_bytes());
-        assert_eq!(<(u64, f64)>::from_snapshot_bytes(&result).unwrap(), value);
+        assert_eq!(JobOutcome::from_snapshot_bytes(&result).unwrap(), value);
     }
 }

@@ -1,27 +1,27 @@
-//! The worker side: job families and the worker process main loop.
+//! The worker side: the worker process main loop and the one job it
+//! runs.
 //!
 //! A cluster worker is the *same binary* as its coordinator, re-exec'd
 //! with `CEDAR_CLUSTER_WORKER` set to the coordinator's address. Any
-//! binary that wants to serve as a worker builds a [`JobRegistry`] of
-//! named job families and calls [`maybe_worker`] first thing in
-//! `main`; in coordinator (or ordinary CLI) invocations the call is a
-//! no-op, and in worker invocations it connects back, serves jobs
-//! until told to stop, and exits without returning.
+//! binary that wants to serve as a worker calls [`maybe_worker`] first
+//! thing in `main`; in coordinator (or ordinary CLI) invocations the
+//! call is a no-op, and in worker invocations it connects back, serves
+//! jobs until told to stop, and exits without returning.
 //!
-//! Families are keyed by stable versioned names (`"cedar.mix/1"`), and
-//! their functions must honour the same determinism contract as
-//! [`cedar_exec::run_sweep`] points: the result must be a pure
-//! function of the input, because the coordinator asserts cluster
-//! results bit-identical to a serial sweep and commits them to the
-//! shared content-addressed cache.
+//! Every job is a [`JobSpec`], the experiment type the serving tier
+//! runs, executed with the server's cycle budget
+//! ([`MAX_NET_CYCLES`]). Execution is a pure function of the spec, so
+//! the coordinator can assert fleet results bit-identical to a serial
+//! sweep and commit them under [`JobSpec::key`], where a caching server
+//! finds them.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use cedar_faults::{parse_directive, WorkerFaultKind};
+use cedar_serve::job::{JobError, JobOutcome, JobSpec, MAX_NET_CYCLES};
 use cedar_snap::{read_frame, write_frame, FrameError, Snapshot};
 
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
@@ -43,74 +43,31 @@ pub const CHAOS_ENV: &str = "CEDAR_CLUSTER_CHAOS";
 /// outlive its test run by much.
 const STALL_CAP: Duration = Duration::from_secs(30);
 
-type FamilyFn = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, String> + Send + Sync>;
-
-/// A table of named job families a worker can execute.
-#[derive(Default)]
-pub struct JobRegistry {
-    families: BTreeMap<String, FamilyFn>,
+/// Runs one job as a worker does. The spec arrived as outside bytes,
+/// so its bounds are checked before the simulation runs. The result
+/// is the sealed [`JobOutcome`] envelope, or the reason the worker
+/// reports as [`FromWorker::Fail`].
+fn run_job(spec: &JobSpec) -> Result<Vec<u8>, String> {
+    caught(|| {
+        spec.validate()?;
+        spec.execute(MAX_NET_CYCLES)
+    })
 }
 
-impl std::fmt::Debug for JobRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobRegistry")
-            .field("families", &self.families.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl JobRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        JobRegistry::default()
-    }
-
-    /// Registers `f` as the function behind `family`. Inputs arrive
-    /// and results leave as sealed snapshot envelopes; a panicking
-    /// `f` is reported as a job failure, not a worker crash.
-    pub fn register<I, T, F>(&mut self, family: &str, f: F)
-    where
-        I: Snapshot,
-        T: Snapshot,
-        F: Fn(I) -> T + Send + Sync + 'static,
-    {
-        self.families.insert(
-            family.to_owned(),
-            Box::new(move |input_bytes| {
-                let input = I::from_snapshot_bytes(input_bytes)
-                    .map_err(|e| format!("undecodable input: {e}"))?;
-                match catch_unwind(AssertUnwindSafe(|| f(input))) {
-                    Ok(result) => Ok(result.to_snapshot_bytes()),
-                    Err(panic) => {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic".to_owned());
-                        Err(format!("family function panicked: {msg}"))
-                    }
-                }
-            }),
-        );
-    }
-
-    /// Executes one job: envelope bytes in, envelope bytes out.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the family is unknown, the input
-    /// does not decode, or the family function panics.
-    pub fn run(&self, family: &str, input: &[u8]) -> Result<Vec<u8>, String> {
-        match self.families.get(family) {
-            Some(f) => f(input),
-            None => Err(format!("unknown job family {family:?}")),
+/// Runs `job`, turning a panic into a failure reason so that a
+/// panicking job is a typed job failure, not a worker crash.
+fn caught(job: impl FnOnce() -> Result<JobOutcome, JobError>) -> Result<Vec<u8>, String> {
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Ok(Ok(outcome)) => Ok(outcome.to_snapshot_bytes()),
+        Ok(Err(e)) => Err(e.reason()),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic".to_owned());
+            Err(format!("job panicked: {msg}"))
         }
-    }
-
-    /// Registered family names, sorted.
-    pub fn families(&self) -> impl Iterator<Item = &str> {
-        self.families.keys().map(String::as_str)
     }
 }
 
@@ -118,9 +75,9 @@ impl JobRegistry {
 /// runs the worker loop and **exits the process**; otherwise returns
 /// immediately. Call this first thing in `main` of any binary that
 /// should be spawnable as a cluster worker.
-pub fn maybe_worker(registry: &JobRegistry) {
+pub fn maybe_worker() {
     if let Ok(addr) = std::env::var(WORKER_ENV) {
-        let code = worker_main(registry, &addr);
+        let code = worker_main(&addr);
         std::process::exit(code);
     }
 }
@@ -134,7 +91,7 @@ fn env_u32(name: &str) -> u32 {
 
 /// The worker process main loop: connect, introduce ourselves, serve
 /// jobs until shutdown or coordinator loss. Returns the exit code.
-fn worker_main(registry: &JobRegistry, addr: &str) -> i32 {
+fn worker_main(addr: &str) -> i32 {
     let worker = env_u32(ID_ENV);
     let incarnation = env_u32(INCARNATION_ENV);
     let chaos = std::env::var(CHAOS_ENV)
@@ -167,7 +124,7 @@ fn worker_main(registry: &JobRegistry, addr: &str) -> i32 {
             return 4;
         };
         match msg {
-            ToWorker::Job { job, family, input } => {
+            ToWorker::Job { job, spec } => {
                 if let Some((kind, after_jobs)) = chaos {
                     if jobs_done == after_jobs {
                         match kind {
@@ -193,7 +150,7 @@ fn worker_main(registry: &JobRegistry, addr: &str) -> i32 {
                         }
                     }
                 }
-                let reply = match registry.run(&family, &input) {
+                let reply = match run_job(&spec) {
                     Ok(result) => {
                         jobs_done += 1;
                         FromWorker::Done { job, result }
@@ -219,46 +176,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_runs_registered_families() {
-        let mut reg = JobRegistry::new();
-        reg.register("sq/1", |x: u64| x * x);
-        reg.register("neg/1", |x: i64| -x);
+    fn valid_spec_runs_to_its_outcome_envelope() {
+        let spec = JobSpec::Hotspot {
+            hot_ppm: 250_000,
+            ces: 4,
+            blocks: 1,
+        };
+        let bytes = run_job(&spec).unwrap();
         assert_eq!(
-            reg.families().collect::<Vec<_>>(),
-            vec!["neg/1", "sq/1"],
-            "sorted names"
+            bytes,
+            spec.execute(MAX_NET_CYCLES).unwrap().to_snapshot_bytes(),
+            "the worker ships exactly the envelope the server stores"
         );
-        let out = reg.run("sq/1", &7u64.to_snapshot_bytes()).unwrap();
-        assert_eq!(u64::from_snapshot_bytes(&out).unwrap(), 49);
     }
 
     #[test]
-    fn unknown_family_and_bad_input_are_typed_failures() {
-        let mut reg = JobRegistry::new();
-        reg.register("sq/1", |x: u64| x * x);
-        assert!(reg
-            .run("nope/1", &1u64.to_snapshot_bytes())
-            .unwrap_err()
-            .contains("unknown job family"));
-        assert!(reg
-            .run("sq/1", b"not an envelope")
-            .unwrap_err()
-            .contains("undecodable input"));
+    fn out_of_bound_spec_is_a_typed_failure() {
+        let err = run_job(&JobSpec::Table2 {
+            kernel: 7,
+            ces: 4,
+            blocks: 2,
+        })
+        .unwrap_err();
+        assert!(err.contains("job.kernel must be in 0..=3"), "{err}");
     }
 
     #[test]
-    fn panicking_family_is_a_job_failure_not_a_crash() {
-        let mut reg = JobRegistry::new();
-        reg.register("boom/1", |x: u64| {
-            assert!(x != 13, "unlucky input");
-            x
-        });
-        assert_eq!(
-            u64::from_snapshot_bytes(&reg.run("boom/1", &7u64.to_snapshot_bytes()).unwrap())
-                .unwrap(),
-            7
-        );
-        let err = reg.run("boom/1", &13u64.to_snapshot_bytes()).unwrap_err();
+    fn panicking_job_is_a_job_failure_not_a_crash() {
+        let err = caught(|| panic!("unlucky input")).unwrap_err();
         assert!(err.contains("panicked"), "{err}");
         assert!(err.contains("unlucky input"), "{err}");
     }

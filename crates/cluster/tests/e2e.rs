@@ -1,21 +1,28 @@
 //! End-to-end cluster tests against real re-exec'd worker processes.
 //!
 //! The worker binary is the crate's `cluster_node` harness; Cargo
-//! hands its path to integration tests via `CARGO_BIN_EXE_*`. These
-//! tests cover the full acceptance story: a clean fleet matching the
-//! serial sweep bit-for-bit, a chaos fleet (kills, a hang, a corrupt
-//! frame) recovering to the same bytes with an exactly-once journal,
-//! typed fleet loss, cache interop with the in-process cached sweep,
-//! and SIGKILL-mid-write atomicity of the cache itself.
+//! hands its path to integration tests via `CARGO_BIN_EXE_*`. The
+//! fleet runs real Cedar points — [`reference_sweep`]'s Table-2,
+//! degraded-mode and hot-spot `JobSpec`s. These tests cover the full
+//! acceptance story: a clean fleet matching the serial sweep
+//! bit-for-bit, a chaos fleet (kills, a hang, a corrupt frame)
+//! recovering to the same bytes with an exactly-once journal, typed
+//! fleet loss and job failure, cache interop with the in-process
+//! cached sweep and with a caching `cedar-serve` server, and
+//! SIGKILL-mid-write atomicity of the cache itself.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-use cedar_cluster::{families, run_cluster_sweep, ClusterConfig, ClusterError, METRICS};
+use cedar_cluster::{reference_sweep, run_cluster_sweep, ClusterConfig, ClusterError, METRICS};
 use cedar_exec::run_sweep_on;
 use cedar_faults::{RetryPolicy, WorkerFaultConfig, WorkerFaultKind, WorkerFaultPlan};
 use cedar_obs::SharedObs;
+use cedar_serve::job::{JobOutcome, JobSpec, CACHE_NAMESPACE, MAX_NET_CYCLES};
+use cedar_serve::loadgen::BinClient;
+use cedar_serve::proto::{Request, Response};
+use cedar_serve::ServeConfig;
 use cedar_snap::{CacheDir, Snapshot};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_cluster_node");
@@ -42,13 +49,26 @@ fn config(workers: u32) -> ClusterConfig {
     c
 }
 
+/// The serial golden: every spec executed in-process, in order, as
+/// sealed outcome bytes so comparisons are bit for bit.
+fn serial(specs: &[JobSpec]) -> Vec<Vec<u8>> {
+    run_sweep_on(1, specs.to_vec(), |s| s.execute(MAX_NET_CYCLES))
+        .into_iter()
+        .map(|o| o.expect("reference specs execute").to_snapshot_bytes())
+        .collect()
+}
+
+fn sealed(outcomes: &[JobOutcome]) -> Vec<Vec<u8>> {
+    outcomes.iter().map(Snapshot::to_snapshot_bytes).collect()
+}
+
 #[test]
 fn clean_fleet_matches_serial_sweep() {
-    let inputs: Vec<u64> = (0..24).collect();
-    let serial = run_sweep_on(1, inputs.clone(), families::mix);
-    let report = run_cluster_sweep::<u64, u64>(&config(3), families::MIX, &inputs, None).unwrap();
+    let specs = reference_sweep(24);
+    let report = run_cluster_sweep(&config(3), &specs, None).unwrap();
     assert_eq!(
-        report.results, serial,
+        sealed(&report.results),
+        serial(&specs),
         "cluster must equal serial, bit for bit"
     );
     assert_eq!(report.stats.jobs, 24);
@@ -87,16 +107,14 @@ fn chaos_fleet_recovers_bit_identical_with_exactly_once_journal() {
     let mut c = config(4);
     c.chaos = Some(plan);
     c.cache = Some(cache.clone());
-    c.cache_namespace = "cluster.e2e.chaos/1".to_owned();
     let obs = SharedObs::new(&METRICS);
 
-    let inputs: Vec<u64> = (0..24).collect();
-    let serial = run_sweep_on(1, inputs.clone(), families::slow_mix);
-    let report =
-        run_cluster_sweep::<u64, u64>(&c, families::SLOW_MIX, &inputs, Some(&obs)).unwrap();
+    let specs = reference_sweep(24);
+    let serial = serial(&specs);
+    let report = run_cluster_sweep(&c, &specs, Some(&obs)).unwrap();
 
     // Bit-identical to the serial sweep.
-    assert_eq!(report.results, serial);
+    assert_eq!(sealed(&report.results), serial);
 
     // The failure modes all actually happened...
     let stats = &report.stats;
@@ -124,14 +142,14 @@ fn chaos_fleet_recovers_bit_identical_with_exactly_once_journal() {
     }
 
     // Zero corrupt cache entries left behind, and every point's entry
-    // decodes to the serial value.
+    // holds the serial outcome's bytes.
     assert!(cache.corrupt_entries().unwrap().is_empty());
-    for (i, input) in inputs.iter().enumerate() {
-        let key = input.snapshot_key("cluster.e2e.chaos/1");
+    for (i, spec) in specs.iter().enumerate() {
         assert_eq!(
-            cache.load::<u64>(&key),
-            Some(serial[i]),
-            "cache entry for input {input} must hold the serial result"
+            cache.load_bytes(&spec.key()).as_ref(),
+            Some(&serial[i]),
+            "cache entry for {} must hold the serial result",
+            spec.describe()
         );
     }
 
@@ -166,8 +184,7 @@ fn losing_every_worker_is_a_typed_error_not_a_hang() {
         max_retries: 0,
         max_delay_cycles: 10,
     };
-    let inputs: Vec<u64> = (0..8).collect();
-    match run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None) {
+    match run_cluster_sweep(&c, &reference_sweep(8), None) {
         Err(ClusterError::FleetLost { pending }) => {
             assert!(pending > 0, "jobs must still be pending at fleet loss")
         }
@@ -179,30 +196,77 @@ fn losing_every_worker_is_a_typed_error_not_a_hang() {
 fn cluster_and_cached_sweep_share_the_same_cache_entries() {
     let dir = scratch("interop");
     let cache = CacheDir::new(&dir).unwrap();
-    let namespace = "cluster.e2e.interop/1";
-    let inputs: Vec<u64> = (100..120).collect();
+    let specs = reference_sweep(20);
 
     // Cold cluster run computes and stores every point.
     let mut c = config(2);
     c.cache = Some(cache.clone());
-    c.cache_namespace = namespace.to_owned();
-    let report = run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None).unwrap();
+    let report = run_cluster_sweep(&c, &specs, None).unwrap();
     assert_eq!(report.stats.cache_hits, 0);
 
     // The in-process cached sweep hits every entry the fleet wrote —
     // the closure proves it by refusing to compute anything.
-    let warm = cedar_exec::run_sweep_cached(Some(&cache), namespace, inputs.clone(), |_| -> u64 {
-        panic!("every point must be served from the cluster's cache")
-    });
-    assert_eq!(warm, report.results);
+    let warm = cedar_exec::run_sweep_cached(
+        Some(&cache),
+        CACHE_NAMESPACE,
+        specs.clone(),
+        |_| -> JobOutcome { panic!("every point must be served from the cluster's cache") },
+    );
+    assert_eq!(sealed(&warm), sealed(&report.results));
 
     // And a warm cluster run commits everything from cache without
     // dispatching a single job.
-    let rerun = run_cluster_sweep::<u64, u64>(&c, families::MIX, &inputs, None).unwrap();
-    assert_eq!(rerun.results, report.results);
-    assert_eq!(rerun.stats.cache_hits, inputs.len());
+    let rerun = run_cluster_sweep(&c, &specs, None).unwrap();
+    assert_eq!(sealed(&rerun.results), sealed(&report.results));
+    assert_eq!(rerun.stats.cache_hits, specs.len());
     assert_eq!(rerun.stats.dispatched, 0);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_results_are_cache_hits_for_a_caching_server() {
+    let dir = scratch("serve");
+    let specs = reference_sweep(12);
+    let serial = serial(&specs);
+
+    let mut c = config(2);
+    c.cache = Some(CacheDir::new(&dir).unwrap());
+    let report = run_cluster_sweep(&c, &specs, None).unwrap();
+    assert_eq!(report.stats.committed, specs.len() as u64);
+
+    // A server started on the fleet's cache directory answers every
+    // spec from disk: nothing executes, and each reply envelope is the
+    // serial outcome's bytes verbatim.
+    let server = cedar_serve::start(ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = BinClient::connect(&server.addr().to_string()).unwrap();
+    for (i, spec) in specs.iter().enumerate() {
+        let reply = client
+            .request(&Request::Run {
+                corr: i as u64,
+                priority: 0,
+                deadline_ms: None,
+                spec: spec.clone(),
+            })
+            .unwrap();
+        match reply {
+            Response::Outcome { envelope, .. } => {
+                assert_eq!(envelope, serial[i], "{}", spec.describe());
+            }
+            other => panic!("{}: expected Outcome, got {other:?}", spec.describe()),
+        }
+    }
+    let obs = server.obs();
+    assert_eq!(obs.counter_value("serve.jobs.executed"), 0);
+    assert_eq!(
+        obs.counter_value("serve.cache.disk_reads"),
+        specs.len() as u64
+    );
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -248,12 +312,20 @@ fn sigkill_mid_write_never_exposes_a_partial_entry() {
 
 #[test]
 fn deterministic_job_failure_is_fatal_and_typed() {
-    // An unregistered family is a deterministic failure: re-running it
-    // elsewhere cannot help, so the coordinator must fail fast.
-    let inputs: Vec<u64> = (0..4).collect();
-    match run_cluster_sweep::<u64, u64>(&config(2), "no.such.family/1", &inputs, None) {
-        Err(ClusterError::JobFailed { reason, .. }) => {
-            assert!(reason.contains("unknown job family"), "{reason}")
+    // A spec past its bounds is a deterministic failure: re-running
+    // it elsewhere cannot help, so the coordinator must fail fast. The
+    // worker checks bounds before executing, so the bad kernel index
+    // is a typed failure rather than a panic.
+    let mut specs = reference_sweep(3);
+    specs.push(JobSpec::Table2 {
+        kernel: 7,
+        ces: 4,
+        blocks: 2,
+    });
+    match run_cluster_sweep(&config(2), &specs, None) {
+        Err(ClusterError::JobFailed { job, reason }) => {
+            assert_eq!(job, 3);
+            assert!(reason.contains("job.kernel must be in 0..=3"), "{reason}");
         }
         other => panic!("expected JobFailed, got {other:?}"),
     }

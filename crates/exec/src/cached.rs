@@ -15,19 +15,6 @@ use cedar_snap::{CacheDir, Snapshot};
 
 use crate::pool::run_sweep_on;
 
-/// Content-addressed cache keys for a sweep: each input's
-/// [`snapshot_key`](Snapshot::snapshot_key) under `namespace`, in input
-/// order. This is the *single* key derivation shared by the cached
-/// sweep runners here and by the cluster coordinator, so a point
-/// computed by either is a cache hit for the other.
-#[must_use]
-pub fn sweep_keys<I: Snapshot>(namespace: &str, inputs: &[I]) -> Vec<String> {
-    inputs
-        .iter()
-        .map(|input| input.snapshot_key(namespace))
-        .collect()
-}
-
 /// Runs `f` over every input, serving points from `cache` when their
 /// key is present and storing freshly computed results back.
 ///
@@ -87,7 +74,10 @@ where
         return run_sweep_on(threads, inputs, f);
     };
 
-    let keys = sweep_keys(namespace, &inputs);
+    let keys: Vec<String> = inputs
+        .iter()
+        .map(|input| input.snapshot_key(namespace))
+        .collect();
     let mut slots: Vec<Option<T>> = keys.iter().map(|key| cache.load(key)).collect();
     let misses: Vec<(usize, I)> = inputs
         .into_iter()

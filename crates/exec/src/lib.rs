@@ -48,7 +48,7 @@
 mod cached;
 mod pool;
 
-pub use cached::{run_sweep_cached, run_sweep_cached_on, sweep_keys};
+pub use cached::{run_sweep_cached, run_sweep_cached_on};
 pub use pool::{run_sweep_on, run_sweep_streaming_on, CancelToken, Cancelled};
 
 /// The environment variable that pins the sweep pool size.

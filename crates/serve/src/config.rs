@@ -47,7 +47,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             workers: 4,
             batch_max: 8,
-            max_net_cycles: 16_000_000,
+            max_net_cycles: crate::job::MAX_NET_CYCLES,
             cache_dir: None,
             reply_timeout: Duration::from_secs(60),
             line_timeout: Duration::from_secs(10),

@@ -32,6 +32,11 @@ pub const MAX_BLOCKS: u32 = 64;
 /// genuinely wedged, which the server reports as a typed error.
 pub const WATCHDOG_BUDGET: u64 = 4_000_000;
 
+/// Simulated-network cycle budget per job: the server's default and
+/// the one a cluster worker runs every job with, so both tiers compute
+/// (and cache) the same outcome for a spec.
+pub const MAX_NET_CYCLES: u64 = 16_000_000;
+
 /// Cache/dedup namespace for job outcomes. Bump the suffix when the
 /// execution recipe changes so stale entries self-invalidate.
 pub const CACHE_NAMESPACE: &str = "serve.job/1";
@@ -42,6 +47,10 @@ pub const KERNELS: [&str; 4] = ["TM", "CG", "VF", "RK"];
 /// Hard cap on a `zoo` job's per-CE request count, bounding the
 /// simulated machines' per-job cost.
 pub const MAX_ZOO_REQUESTS: u32 = 256;
+
+/// A rate or fraction of 1, in parts per million: the largest value
+/// `rate_ppm` and `hot_ppm` may carry.
+const PPM_ONE: u32 = 1_000_000;
 
 /// One request's simulation work. Rates and fractions are carried in
 /// parts-per-million so specs hash and compare exactly — two requests
@@ -232,47 +241,57 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Checks the structural bounds the fabric enforces by panicking.
+    /// Checks every bound [`JobSpec::from_json`] enforces, so a spec
+    /// decoded from bytes (a binary `Run` frame, a cluster job) is held
+    /// to the same limits as one parsed from JSON.
     ///
     /// # Errors
     ///
     /// Returns a [`JobError::Invalid`] naming the offending field.
     pub fn validate(&self) -> Result<(), JobError> {
-        let ces = match *self {
-            JobSpec::Table2 { ces, .. }
-            | JobSpec::Degraded { ces, .. }
-            | JobSpec::Hotspot { ces, .. }
-            | JobSpec::Zoo { ces, .. } => ces,
-        };
-        if ces == 0 || ces > MAX_CES {
-            return Err(JobError::Invalid(format!(
-                "job.ces must be in 1..={MAX_CES}, got {ces}"
-            )));
-        }
         match *self {
-            JobSpec::Table2 { blocks, .. }
-            | JobSpec::Degraded { blocks, .. }
-            | JobSpec::Hotspot { blocks, .. } => {
-                if blocks == 0 || blocks > MAX_BLOCKS {
-                    return Err(JobError::Invalid(format!(
-                        "job.blocks must be in 1..={MAX_BLOCKS}, got {blocks}"
-                    )));
-                }
+            JobSpec::Table2 {
+                kernel,
+                ces,
+                blocks,
+            } => {
+                within("ces", ces, 1, MAX_CES)?;
+                within("blocks", blocks, 1, MAX_BLOCKS)?;
+                within("kernel", u32::from(kernel), 0, KERNELS.len() as u32 - 1)
+            }
+            JobSpec::Degraded {
+                rate_ppm,
+                ces,
+                blocks,
+                ..
+            } => {
+                within("ces", ces, 1, MAX_CES)?;
+                within("blocks", blocks, 1, MAX_BLOCKS)?;
+                within("rate_ppm", rate_ppm, 0, PPM_ONE)
+            }
+            JobSpec::Hotspot {
+                hot_ppm,
+                ces,
+                blocks,
+            } => {
+                within("ces", ces, 1, MAX_CES)?;
+                within("blocks", blocks, 1, MAX_BLOCKS)?;
+                within("hot_ppm", hot_ppm, 0, PPM_ONE)
             }
             JobSpec::Zoo {
-                machine, requests, ..
+                machine,
+                ces,
+                requests,
+                hot_ppm,
             } => {
+                within("ces", ces, 1, MAX_CES)?;
                 if cedar_zoo::Machine::from_tag(machine).is_none() {
                     return Err(JobError::Invalid(format!("unknown machine tag {machine}")));
                 }
-                if requests == 0 || requests > MAX_ZOO_REQUESTS {
-                    return Err(JobError::Invalid(format!(
-                        "job.requests must be in 1..={MAX_ZOO_REQUESTS}, got {requests}"
-                    )));
-                }
+                within("requests", requests, 1, MAX_ZOO_REQUESTS)?;
+                within("hot_ppm", hot_ppm, 0, PPM_ONE)
             }
         }
-        Ok(())
     }
 
     /// The job's content-addressed dedup/memoization key. Identical
@@ -416,6 +435,17 @@ impl JobSpec {
             retries: report.retries(),
             failed: report.failed_requests(),
         })
+    }
+}
+
+/// Rejects `value` outside `lo..=hi`, naming the spec field.
+fn within(field: &str, value: u32, lo: u32, hi: u32) -> Result<(), JobError> {
+    if (lo..=hi).contains(&value) {
+        Ok(())
+    } else {
+        Err(JobError::Invalid(format!(
+            "job.{field} must be in {lo}..={hi}, got {value}"
+        )))
     }
 }
 
@@ -598,6 +628,126 @@ mod tests {
             let err = spec(bad).expect_err(bad);
             assert!(matches!(err, JobError::Invalid(_)), "{bad}: {err:?}");
         }
+    }
+
+    /// The JSON request that asks for `s`: names stand for indices
+    /// (an index past the table has none) and fractions for ppm.
+    fn as_json(s: &JobSpec) -> String {
+        let frac = |ppm: u32| f64::from(ppm) / 1e6;
+        match *s {
+            JobSpec::Table2 {
+                kernel,
+                ces,
+                blocks,
+            } => format!(
+                r#"{{"type":"table2","kernel":"{}","ces":{ces},"blocks":{blocks}}}"#,
+                KERNELS.get(usize::from(kernel)).unwrap_or(&"?")
+            ),
+            JobSpec::Degraded {
+                rate_ppm,
+                ces,
+                blocks,
+                seed,
+            } => format!(
+                r#"{{"type":"degraded","rate":{},"ces":{ces},"blocks":{blocks},"seed":{seed}}}"#,
+                frac(rate_ppm)
+            ),
+            JobSpec::Hotspot {
+                hot_ppm,
+                ces,
+                blocks,
+            } => format!(
+                r#"{{"type":"hotspot","fraction":{},"ces":{ces},"blocks":{blocks}}}"#,
+                frac(hot_ppm)
+            ),
+            JobSpec::Zoo {
+                machine,
+                ces,
+                requests,
+                hot_ppm,
+            } => format!(
+                r#"{{"type":"zoo","machine":"{}","ces":{ces},"requests":{requests},"fraction":{}}}"#,
+                cedar_zoo::Machine::from_tag(machine).map_or("?", cedar_zoo::Machine::name),
+                frac(hot_ppm)
+            ),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_exactly_what_the_json_path_rejects() {
+        // Every bounded field at 0, its bound, bound + 1 and its type's
+        // max, one field at a time, on every variant that carries it.
+        let edges = |bound: u32| [0, bound, bound + 1, u32::MAX];
+        let edges_u8 = |bound: u8| [0, bound, bound + 1, u8::MAX];
+        let table2 = |kernel, ces, blocks| JobSpec::Table2 {
+            kernel,
+            ces,
+            blocks,
+        };
+        let degraded = |rate_ppm, ces, blocks| JobSpec::Degraded {
+            rate_ppm,
+            ces,
+            blocks,
+            seed: 7,
+        };
+        let hotspot = |hot_ppm, ces, blocks| JobSpec::Hotspot {
+            hot_ppm,
+            ces,
+            blocks,
+        };
+        let zoo = |machine, ces, requests, hot_ppm| JobSpec::Zoo {
+            machine,
+            ces,
+            requests,
+            hot_ppm,
+        };
+        let mut specs = Vec::new();
+        for kernel in edges_u8(KERNELS.len() as u8 - 1) {
+            specs.push(table2(kernel, 8, 2));
+        }
+        for machine in edges_u8(cedar_zoo::MACHINES.len() as u8 - 1) {
+            specs.push(zoo(machine, 8, 16, 250_000));
+        }
+        for ces in edges(MAX_CES) {
+            specs.extend([
+                table2(0, ces, 2),
+                degraded(20_000, ces, 2),
+                hotspot(50_000, ces, 2),
+                zoo(5, ces, 16, 250_000),
+            ]);
+        }
+        for blocks in edges(MAX_BLOCKS) {
+            specs.extend([
+                table2(0, 8, blocks),
+                degraded(20_000, 8, blocks),
+                hotspot(50_000, 8, blocks),
+            ]);
+        }
+        for ppm in edges(PPM_ONE) {
+            specs.extend([degraded(ppm, 8, 2), hotspot(ppm, 8, 2), zoo(5, 8, 16, ppm)]);
+        }
+        for requests in edges(MAX_ZOO_REQUESTS) {
+            specs.push(zoo(5, 8, requests, 250_000));
+        }
+
+        let mut rejected = 0;
+        for s in &specs {
+            let line = as_json(s);
+            match s.validate() {
+                Ok(()) => assert_eq!(spec(&line).as_ref(), Ok(s), "{line}"),
+                Err(e) => {
+                    assert!(matches!(e, JobError::Invalid(_)), "{s:?}: {e:?}");
+                    assert!(
+                        spec(&line).is_err(),
+                        "JSON accepts what validate rejects: {line}"
+                    );
+                    rejected += 1;
+                }
+            }
+        }
+        // Per field: bound + 1 and the type max, plus 0 for the fields
+        // whose range starts at 1 (ces x4, blocks x3, requests).
+        assert_eq!(rejected, 2 * (specs.len() / 4) + 8);
     }
 
     #[test]

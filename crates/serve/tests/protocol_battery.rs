@@ -376,6 +376,75 @@ fn pipelined_requests_on_one_connection_all_complete() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// Sends one `Run` on a fresh connection and reads its reply, giving
+/// up after `patience` instead of blocking on a server that never
+/// answers.
+fn run_once(addr: &str, corr: u64, spec: JobSpec, patience: Duration) -> Result<Response, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(patience))
+        .map_err(|e| format!("timeout: {e}"))?;
+    let req = Request::Run {
+        corr,
+        priority: 0,
+        deadline_ms: None,
+        spec,
+    };
+    stream
+        .write_all(&req.encode())
+        .map_err(|e| format!("send: {e}"))?;
+    let mut scanner = FrameScanner::new(MAX_RESPONSE_PAYLOAD);
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(p) = scanner.next_frame().map_err(|e| format!("frame: {e}"))? {
+            return Response::decode(&p).map_err(|e| format!("decode: {e}"));
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Err("closed without a reply".to_owned()),
+            Ok(n) => scanner.extend(&buf[..n]),
+            Err(e) => return Err(format!("no reply: {e}")),
+        }
+    }
+}
+
+#[test]
+fn out_of_bound_binary_spec_is_a_typed_invalid_and_the_server_keeps_serving() {
+    // The frame codec restores any kernel index; only `validate`
+    // stands between index 7 and an out-of-bounds panic that would
+    // take the dispatcher down with every later job.
+    let (handle, addr) = start_on_any_port(ServeConfig::default());
+    let bad = JobSpec::Table2 {
+        kernel: 7,
+        ces: 4,
+        blocks: 2,
+    };
+    let patience = Duration::from_secs(5);
+    let first = run_once(&addr, 1, bad, patience);
+    let second = run_once(&addr, 2, hotspot(250_000), patience);
+    let executed = handle.obs().counter_value("serve.jobs.executed");
+    let healthy = matches!(
+        (&first, &second),
+        (
+            Ok(Response::Error {
+                corr: 1,
+                status: ErrStatus::Invalid,
+                ..
+            }),
+            Ok(Response::Outcome { corr: 2, .. })
+        )
+    ) && executed == 1;
+    if !healthy {
+        // A server whose dispatcher died cannot drain; do not wait on
+        // it while reporting.
+        std::mem::forget(handle);
+        panic!("bad spec: {first:?}; valid spec after it: {second:?}; executed {executed}");
+    }
+    if let Ok(Response::Error { reason, .. }) = &first {
+        assert!(reason.contains("job.kernel must be in 0..=3"), "{reason}");
+    }
+    handle.shutdown();
+}
+
 /// Waits until `counter` reaches `want` or the deadline passes.
 fn await_counter(handle: &ServerHandle, counter: &str, want: u64, patience: Duration) -> u64 {
     let deadline = Instant::now() + patience;
