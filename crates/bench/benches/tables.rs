@@ -41,7 +41,13 @@ fn main() {
     bench("ablation_io_bdna", 3, cedar_bench::ablation_io::run);
     bench("ablation_hotspot", 3, cedar_bench::hotspot::run);
     bench("loop_overheads", 3, cedar_bench::overheads::run);
+    let point = cedar_serve::job::JobSpec::Degraded {
+        rate_ppm: 20_000,
+        ces: 8,
+        blocks: 8,
+        seed: cedar_serve::job::DEFAULT_SEED,
+    };
     bench("degraded_sweep_point", 3, || {
-        cedar_bench::degraded::measure(0.02, 8)
+        cedar_bench::study_point(&point)
     });
 }

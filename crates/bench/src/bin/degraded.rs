@@ -3,7 +3,9 @@
 //! `cargo run --release -p cedar-bench --bin degraded -- [--cache DIR] [--resume DIR]`.
 //!
 //! `--cache DIR` serves already-measured `(rate, CEs)` grid points from
-//! a content-addressed result cache and stores fresh ones. `--resume
+//! a content-addressed result cache and stores fresh ones; the entries
+//! are the serving tier's, so a caching `serve` or a cluster sweep on
+//! the same directory shares them. `--resume
 //! DIR` runs each point through the auto-checkpointing runner: the
 //! experiment checkpoints into DIR periodically and a killed
 //! invocation picks up from its last checkpoint instead of restarting.
@@ -29,25 +31,19 @@ fn main() {
 
     if let Some(dir) = resume_dir {
         // Resumable mode runs the grid serially so each point owns one
-        // stable checkpoint file named by its coordinates; if a point's
+        // stable checkpoint file named by its job key; if a point's
         // result is already cached, its checkpointed run is skipped
         // like any other hit.
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("create resume dir");
-        let mut grid = Vec::new();
-        for &rate in &cedar_bench::degraded::RATES {
-            for &ces in &cedar_bench::degraded::CES {
-                grid.push((rate, ces));
-            }
-        }
         let points = cedar_exec::run_sweep_cached_on(
             1,
             cache.as_ref(),
-            cedar_bench::degraded::CACHE_NAMESPACE,
-            grid,
-            |(rate, ces)| {
-                let ckpt = dir.join(format!("degraded-r{rate}-c{ces}.ckpt"));
-                cedar_bench::degraded::measure_resumable(rate, ces, &ckpt)
+            cedar_serve::job::CACHE_NAMESPACE,
+            cedar_bench::degraded::specs(),
+            |spec| {
+                let ckpt = dir.join(format!("degraded-{}.ckpt", spec.key()));
+                cedar_bench::degraded::run_resumable(&spec, &ckpt)
             },
         );
         print!("{}", cedar_bench::degraded::render(&points));

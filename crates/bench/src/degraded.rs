@@ -11,95 +11,36 @@
 //!
 //! Rate 0 attaches a benign plan, which the fabric discards — that row
 //! is the healthy baseline, bit-identical to a run with no plan at all.
+//!
+//! Each point is a `degraded` job of the serving tier, run and cached
+//! exactly as the server and the worker fleet run it.
 
-use cedar_faults::{FaultConfig, FaultPlan, MachineShape, RetryPolicy};
-use cedar_net::fabric::{FabricConfig, PrefetchTraffic, RoundTripFabric};
-use cedar_sim::watchdog::Watchdog;
+use cedar_serve::job::{JobOutcome, JobSpec, Recipe, DEFAULT_SEED, MAX_NET_CYCLES};
 
-/// The link-drop / sync-loss rates swept (rate 0 = healthy baseline).
-pub const RATES: [f64; 4] = [0.0, 0.01, 0.02, 0.05];
+/// The link-drop / sync-loss rates swept, in parts per million
+/// (0 = healthy baseline).
+pub const RATES_PPM: [u32; 4] = [0, 10_000, 20_000, 50_000];
 
 /// The CE counts of the study (Table 2's columns).
-pub const CES: [usize; 3] = [8, 16, 32];
+pub const CES: [u32; 3] = [8, 16, 32];
 
-/// The fault-schedule seed. Any run with this seed reproduces the
-/// degraded machine — and this report — exactly.
-pub const SEED: u64 = 0xCEDA;
-
-/// Watchdog budget in network cycles: far beyond any healthy or
-/// recoverable stall, so tripping means genuine lack of progress.
-pub const WATCHDOG_BUDGET: u64 = 4_000_000;
-
-/// One measured operating point of the degraded machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradedPoint {
-    /// Link-drop (and sync-loss) probability.
-    pub rate: f64,
-    /// Active CEs.
-    pub ces: usize,
-    /// Mean first-word latency, CE cycles.
-    pub latency: f64,
-    /// Mean interarrival between streamed words, CE cycles.
-    pub interarrival: f64,
-    /// Delivered bandwidth, words per CE cycle.
-    pub words_per_cycle: f64,
-    /// Words eaten by faulted links across both networks.
-    pub words_dropped: u64,
-    /// Requests reissued after a timeout.
-    pub retries: u64,
-    /// Requests abandoned after the retry budget.
-    pub failed: u64,
-}
-
-/// The fault configuration at a sweep rate. Rate 0 is the explicit
-/// no-fault plan (benign — the fabric discards it); positive rates use
-/// the broadly degraded preset with lossy links at `rate`.
+/// The study's grid in report order, every rate at every CE count:
+/// the rank-update prefetch stream (the heaviest global-memory
+/// customer in Table 2), 8 blocks per CE, under the fault plan of
+/// [`DEFAULT_SEED`].
 #[must_use]
-pub fn config_at(rate: f64) -> FaultConfig {
-    if rate == 0.0 {
-        FaultConfig::none(SEED)
-    } else {
-        FaultConfig::degraded(SEED, rate)
-    }
-}
-
-/// The traffic shape measured: the rank-update prefetch stream, the
-/// heaviest global-memory customer in Table 2.
-#[must_use]
-pub fn traffic() -> PrefetchTraffic {
-    let mut t = PrefetchTraffic::rk_aggressive(4);
-    t.blocks = 8;
-    t
-}
-
-/// Measures one operating point on a freshly built, freshly degraded
-/// fabric.
-///
-/// # Panics
-///
-/// Panics if the watchdog trips — at these rates every request either
-/// completes or exhausts its retries well inside the budget, so a trip
-/// means the recovery machinery itself wedged.
-#[must_use]
-pub fn measure(rate: f64, ces: usize) -> DegradedPoint {
-    let plan = FaultPlan::generate(&config_at(rate), &MachineShape::cedar())
-        .expect("sweep configs are valid");
-    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-    fabric.attach_faults(plan, RetryPolicy::fabric());
-    let mut dog = Watchdog::new(WATCHDOG_BUDGET, "degraded fabric experiment");
-    let report = fabric
-        .run_watched_experiment(ces, traffic(), 64_000_000, &mut dog)
-        .expect("degraded run made progress");
-    DegradedPoint {
-        rate,
-        ces,
-        latency: report.mean_first_word_latency_ce(),
-        interarrival: report.mean_interarrival_ce(),
-        words_per_cycle: report.words_per_ce_cycle(),
-        words_dropped: report.words_dropped(),
-        retries: report.retries(),
-        failed: report.failed_requests(),
-    }
+pub fn specs() -> Vec<JobSpec> {
+    RATES_PPM
+        .iter()
+        .flat_map(|&rate_ppm| {
+            CES.iter().map(move |&ces| JobSpec::Degraded {
+                rate_ppm,
+                ces,
+                blocks: 8,
+                seed: DEFAULT_SEED,
+            })
+        })
+        .collect()
 }
 
 /// How often the resumable runner checkpoints, in network cycles.
@@ -109,86 +50,56 @@ pub fn measure(rate: f64, ces: usize) -> DegradedPoint {
 /// of one point — while serialization stays invisible in the profile.
 pub const CHECKPOINT_EVERY_NET_CYCLES: u64 = 2_000;
 
-/// [`measure`] with crash resilience: the experiment auto-checkpoints
-/// to `checkpoint` every [`CHECKPOINT_EVERY_NET_CYCLES`] and, if a
-/// matching checkpoint already exists there (a previous invocation
-/// was killed mid-run), resumes from it instead of restarting. The
-/// result is bit-identical to an uninterrupted [`measure`] either
-/// way; the checkpoint file is removed on completion.
+/// A degraded spec's [`Recipe`] with crash resilience: the experiment
+/// auto-checkpoints to `checkpoint` every
+/// [`CHECKPOINT_EVERY_NET_CYCLES`] and, if a matching checkpoint
+/// already exists there (a previous invocation was killed mid-run),
+/// resumes from it instead of restarting. The outcome is
+/// bit-identical to [`JobSpec::execute`]'s either way; the checkpoint
+/// file is removed on completion.
 ///
 /// # Panics
 ///
-/// Panics if the watchdog trips, like [`measure`].
+/// Panics if `spec` is not a degraded spec or the watchdog trips.
 #[must_use]
-pub fn measure_resumable(rate: f64, ces: usize, checkpoint: &std::path::Path) -> DegradedPoint {
-    let plan = FaultPlan::generate(&config_at(rate), &MachineShape::cedar())
-        .expect("sweep configs are valid");
-    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-    fabric.attach_faults(plan, RetryPolicy::fabric());
-    let mut dog = Watchdog::new(WATCHDOG_BUDGET, "degraded fabric experiment");
+pub fn run_resumable(spec: &JobSpec, checkpoint: &std::path::Path) -> JobOutcome {
+    let Recipe {
+        mut fabric,
+        ces,
+        traffic,
+        watchdog,
+    } = spec.recipe().expect("degraded specs have a recipe");
+    let mut dog = watchdog.expect("a degraded spec's run is watched");
     let report = fabric
         .run_watched_checkpointed(
             ces,
-            traffic(),
-            64_000_000,
+            traffic,
+            MAX_NET_CYCLES,
             &mut dog,
             CHECKPOINT_EVERY_NET_CYCLES,
             checkpoint,
         )
         .expect("degraded run made progress");
-    DegradedPoint {
-        rate,
-        ces,
-        latency: report.mean_first_word_latency_ce(),
-        interarrival: report.mean_interarrival_ce(),
-        words_per_cycle: report.words_per_ce_cycle(),
-        words_dropped: report.words_dropped(),
-        retries: report.retries(),
-        failed: report.failed_requests(),
-    }
+    JobOutcome::from_report(&report)
 }
 
-cedar_snap::snapshot_struct!(DegradedPoint {
-    rate,
-    ces,
-    latency,
-    interarrival,
-    words_per_cycle,
-    words_dropped,
-    retries,
-    failed,
-});
-
-/// Runs the full sweep: every rate at every CE count. Points are
-/// independent freshly built fabrics, so they fan out over
-/// [`cedar_exec::run_sweep`] with results committed in grid order.
+/// Runs the full sweep. Points are independent freshly built fabrics,
+/// so they fan out over the sweep pool with results committed in grid
+/// order.
 #[must_use]
-pub fn run() -> Vec<DegradedPoint> {
+pub fn run() -> Vec<JobOutcome> {
     run_cached(None)
 }
 
-/// Cache namespace for the sweep's points. Bump the suffix when the
-/// measurement recipe, [`SEED`] or traffic shape changes so stale
-/// entries self-invalidate.
-pub const CACHE_NAMESPACE: &str = "bench.degraded/1";
-
-/// [`run`] with an optional content-addressed result cache keyed per
-/// `(rate, ces)` grid point under [`CACHE_NAMESPACE`].
+/// [`run`] over an optional result cache shared with the serving tier
+/// (see [`crate::run_specs_on`]).
 #[must_use]
-pub fn run_cached(cache: Option<&cedar_snap::CacheDir>) -> Vec<DegradedPoint> {
-    let mut grid = Vec::new();
-    for &rate in &RATES {
-        for &ces in &CES {
-            grid.push((rate, ces));
-        }
-    }
-    cedar_exec::run_sweep_cached(cache, CACHE_NAMESPACE, grid, |(rate, ces)| {
-        measure(rate, ces)
-    })
+pub fn run_cached(cache: Option<&cedar_snap::CacheDir>) -> Vec<JobOutcome> {
+    crate::run_specs_on(cedar_exec::threads(), cache, specs())
 }
 
 /// Renders the sweep as a Table-2-style text table. Deterministic:
-/// the same [`SEED`] yields this exact string, byte for byte.
+/// the same seed yields this exact string, byte for byte.
 #[must_use]
 pub fn report() -> String {
     report_cached(None)
@@ -200,14 +111,14 @@ pub fn report_cached(cache: Option<&cedar_snap::CacheDir>) -> String {
     render(&run_cached(cache))
 }
 
-/// Formats sweep points (in [`run`]'s grid order) as the report table.
+/// Formats sweep points (in [`specs`]' grid order) as the report table.
 #[must_use]
-pub fn render(points: &[DegradedPoint]) -> String {
+pub fn render(points: &[JobOutcome]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Degraded-mode global memory performance (seed {SEED:#x}, RK prefetch stream)"
+        "Degraded-mode global memory performance (seed {DEFAULT_SEED:#x}, RK prefetch stream)"
     );
     let _ = writeln!(
         out,
@@ -219,20 +130,20 @@ pub fn render(points: &[DegradedPoint]) -> String {
         "{:>6} | {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7}",
         "rate", 8, 16, 32, 8, 16, 32, 8, 16, 32
     );
-    for chunk in points.chunks(CES.len()) {
+    for (chunk, rate_ppm) in points.chunks(CES.len()).zip(RATES_PPM) {
         let _ = writeln!(
             out,
             "{:>6.2} | {:>7.1} {:>7.1} {:>7.1} | {:>7.2} {:>7.2} {:>7.2} | {:>7.3} {:>7.3} {:>7.3}",
-            chunk[0].rate,
+            f64::from(rate_ppm) / 1e6,
             chunk[0].latency,
             chunk[1].latency,
             chunk[2].latency,
             chunk[0].interarrival,
             chunk[1].interarrival,
             chunk[2].interarrival,
-            chunk[0].words_per_cycle,
-            chunk[1].words_per_cycle,
-            chunk[2].words_per_cycle,
+            chunk[0].bandwidth,
+            chunk[1].bandwidth,
+            chunk[2].bandwidth,
         );
         let _ = writeln!(
             out,
@@ -264,39 +175,53 @@ pub fn print() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study_point;
+    use cedar_snap::{CacheDir, Snapshot};
+
+    fn point(rate_ppm: u32, ces: u32) -> JobSpec {
+        JobSpec::Degraded {
+            rate_ppm,
+            ces,
+            blocks: 8,
+            seed: DEFAULT_SEED,
+        }
+    }
 
     #[test]
     fn rate_zero_matches_an_unfaulted_fabric() {
-        let baseline = {
-            let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-            fabric.run_prefetch_experiment(8, traffic(), 64_000_000)
-        };
-        let p = measure(0.0, 8);
-        assert_eq!(p.latency, baseline.mean_first_word_latency_ce());
-        assert_eq!(p.interarrival, baseline.mean_interarrival_ce());
-        assert_eq!(p.words_per_cycle, baseline.words_per_ce_cycle());
-        assert_eq!(p.words_dropped, 0);
-        assert_eq!(p.retries, 0);
-        assert_eq!(p.failed, 0);
+        // The degraded stream is Table 2's RK stream: at rate 0 the
+        // benign plan is discarded and the two runs are one.
+        let healthy = study_point(&JobSpec::Table2 {
+            kernel: 3,
+            ces: 8,
+            blocks: 8,
+        });
+        let p = study_point(&point(0, 8));
+        assert_eq!(p, healthy);
+        assert!(!p.degraded);
+        assert_eq!((p.words_dropped, p.retries, p.failed), (0, 0, 0));
     }
 
     #[test]
     fn faults_cost_bandwidth_and_recovery_work() {
-        let healthy = measure(0.0, 16);
-        let degraded = measure(0.05, 16);
+        let healthy = study_point(&point(0, 16));
+        let degraded = study_point(&point(50_000, 16));
         assert!(degraded.words_dropped > 0, "5% drops should eat words");
         assert!(degraded.retries > 0, "drops should force reissues");
         assert!(
-            degraded.words_per_cycle < healthy.words_per_cycle,
+            degraded.bandwidth < healthy.bandwidth,
             "degraded bandwidth {} should fall below healthy {}",
-            degraded.words_per_cycle,
-            healthy.words_per_cycle
+            degraded.bandwidth,
+            healthy.bandwidth
         );
     }
 
     #[test]
     fn sweep_point_is_deterministic() {
-        assert_eq!(measure(0.02, 8), measure(0.02, 8));
+        assert_eq!(
+            study_point(&point(20_000, 8)),
+            study_point(&point(20_000, 8))
+        );
     }
 
     #[test]
@@ -304,20 +229,61 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("cedar-degraded-resume-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let resumable = measure_resumable(0.02, 8, &path);
-        assert_eq!(resumable, measure(0.02, 8));
+        let spec = point(20_000, 8);
+        assert_eq!(run_resumable(&spec, &path), study_point(&spec));
         assert!(!path.exists(), "completed run must remove its checkpoint");
     }
 
+    /// Cold, warm and uncached runs of the degraded, Table-2 and
+    /// hot-spot studies are byte-identical (reports, or for the
+    /// hot-spot study the outcomes' encodings), and the cold
+    /// runs leave every degraded and hot-spot point where a caching
+    /// server or cluster sweep on the same directory looks for it: a
+    /// `JobOutcome` under `spec.key()`, equal to `spec.execute`'s.
     #[test]
     fn cached_sweep_round_trips_through_disk() {
         let dir = std::env::temp_dir().join(format!("cedar-degraded-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = cedar_snap::CacheDir::new(&dir).unwrap();
+        let cache = CacheDir::new(&dir).unwrap();
+        let threads = cedar_exec::threads();
+
         let cold = report_cached(Some(&cache));
-        let warm = report_cached(Some(&cache));
-        assert_eq!(cold, warm, "cached report must be byte-identical");
-        assert_eq!(cold, report(), "and equal to the uncached report");
+        let hot_cold = crate::hotspot::run_cached_on(threads, Some(&cache));
+        let table2_cold = crate::table2::report_cached(Some(&cache));
+
+        let specs: Vec<JobSpec> = specs().into_iter().chain(crate::hotspot::specs()).collect();
+        let fresh: Vec<JobOutcome> = specs
+            .iter()
+            .map(|s| s.execute(MAX_NET_CYCLES).unwrap())
+            .collect();
+        for (spec, outcome) in specs.iter().zip(&fresh) {
+            let stored: Option<JobOutcome> = cache.load(&spec.key());
+            assert_eq!(stored.as_ref(), Some(outcome), "{}", spec.describe());
+        }
+
+        let (uncached, hot_uncached) = fresh.split_at(RATES_PPM.len() * CES.len());
+        assert_eq!(cold, render(uncached), "degraded: cold != uncached");
+        assert_eq!(cold, report_cached(Some(&cache)), "degraded: cold != warm");
+        let bytes = |points: &[JobOutcome]| -> Vec<Vec<u8>> {
+            points.iter().map(Snapshot::to_snapshot_bytes).collect()
+        };
+        let hot_warm = crate::hotspot::run_cached_on(threads, Some(&cache));
+        assert_eq!(
+            bytes(&hot_cold),
+            bytes(hot_uncached),
+            "hotspot: cold != uncached"
+        );
+        assert_eq!(bytes(&hot_cold), bytes(&hot_warm), "hotspot: cold != warm");
+        assert_eq!(
+            table2_cold,
+            crate::table2::report(),
+            "table2: cold != uncached"
+        );
+        assert_eq!(
+            table2_cold,
+            crate::table2::report_cached(Some(&cache)),
+            "table2: cold != warm"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,69 +12,38 @@
 //! read-modify-write sequence (two or more round trips holding the hot
 //! module even longer).
 
-use cedar_net::fabric::{FabricConfig, PrefetchTraffic, RoundTripFabric};
+use cedar_serve::job::{JobOutcome, JobSpec};
 
-/// One hot-spot operating point at 32 CEs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotspotPoint {
-    /// Fraction of requests aimed at module 0.
-    pub hot_fraction: f64,
-    /// Mean first-word latency (CE cycles).
-    pub latency: f64,
-    /// Mean interarrival (CE cycles).
-    pub interarrival: f64,
-    /// Delivered bandwidth (words per CE cycle).
-    pub bandwidth: f64,
-}
+/// The hot fractions swept, in parts per million.
+pub const FRACTIONS_PPM: [u32; 5] = [0, 20_000, 50_000, 100_000, 250_000];
 
-/// The hot fractions swept.
-pub const FRACTIONS: [f64; 5] = [0.0, 0.02, 0.05, 0.10, 0.25];
-
-/// Runs the sweep on 32 CEs, one fresh fabric per hot fraction,
-/// fanned out over [`cedar_exec::run_sweep`].
+/// The study's points: each hot fraction on 32 CEs, 8 blocks per CE,
+/// as the serving tier's `hotspot` jobs.
 #[must_use]
-pub fn run() -> Vec<HotspotPoint> {
-    run_cached(None)
+pub fn specs() -> Vec<JobSpec> {
+    FRACTIONS_PPM
+        .iter()
+        .map(|&hot_ppm| JobSpec::Hotspot {
+            hot_ppm,
+            ces: 32,
+            blocks: 8,
+        })
+        .collect()
 }
 
-/// Cache namespace for the sweep's points. Bump the suffix when the
-/// traffic shape or fabric configuration changes so stale entries
-/// self-invalidate.
-pub const CACHE_NAMESPACE: &str = "bench.hotspot/1";
-
-cedar_snap::snapshot_struct!(HotspotPoint {
-    hot_fraction,
-    latency,
-    interarrival,
-    bandwidth,
-});
-
-/// [`run`] with an optional content-addressed result cache keyed per
-/// hot fraction under [`CACHE_NAMESPACE`].
+/// Runs the sweep, one fresh fabric per hot fraction, fanned out over
+/// the sweep pool.
 #[must_use]
-pub fn run_cached(cache: Option<&cedar_snap::CacheDir>) -> Vec<HotspotPoint> {
-    run_cached_on(cedar_exec::threads(), cache)
+pub fn run() -> Vec<JobOutcome> {
+    run_cached_on(cedar_exec::threads(), None)
 }
 
-/// [`run_cached`] on exactly `threads` threads, whatever
-/// `CEDAR_THREADS` says.
+/// [`run`] on exactly `threads` threads, whatever `CEDAR_THREADS`
+/// says, over an optional result cache shared with the serving tier
+/// (see [`crate::run_specs_on`]).
 #[must_use]
-pub fn run_cached_on(threads: usize, cache: Option<&cedar_snap::CacheDir>) -> Vec<HotspotPoint> {
-    let fractions = FRACTIONS.to_vec();
-    cedar_exec::run_sweep_cached_on(threads, cache, CACHE_NAMESPACE, fractions, point)
-}
-
-/// One hot fraction's point: a fresh fabric on 32 CEs.
-fn point(fraction: f64) -> HotspotPoint {
-    let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-    let report =
-        fabric.run_prefetch_experiment(32, PrefetchTraffic::sync_hotspot(8, fraction), 32_000_000);
-    HotspotPoint {
-        hot_fraction: fraction,
-        latency: report.mean_first_word_latency_ce(),
-        interarrival: report.mean_interarrival_ce(),
-        bandwidth: report.words_per_ce_cycle(),
-    }
+pub fn run_cached_on(threads: usize, cache: Option<&cedar_snap::CacheDir>) -> Vec<JobOutcome> {
+    crate::run_specs_on(threads, cache, specs())
 }
 
 /// Prints the study.
@@ -84,10 +53,10 @@ pub fn print() {
         "{:>12} {:>10} {:>13} {:>12}",
         "hot fraction", "latency", "interarrival", "words/cycle"
     );
-    for p in run() {
+    for (p, hot_ppm) in run().iter().zip(FRACTIONS_PPM) {
         println!(
             "{:>11.0}% {:>10.1} {:>13.2} {:>12.2}",
-            p.hot_fraction * 100.0,
+            f64::from(hot_ppm) / 1e4,
             p.latency,
             p.interarrival,
             p.bandwidth

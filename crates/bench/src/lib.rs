@@ -56,6 +56,7 @@ pub mod whatif;
 
 use cedar_core::params::CedarParams;
 use cedar_core::system::CedarSystem;
+use cedar_serve::job::{JobOutcome, JobSpec, CACHE_NAMESPACE, MAX_NET_CYCLES};
 
 /// Builds the paper-configuration machine every experiment starts
 /// from.
@@ -74,4 +75,29 @@ pub fn f1(x: f64, w: usize) -> String {
 #[must_use]
 pub fn f2(x: f64, w: usize) -> String {
     format!("{x:>w$.2}")
+}
+
+/// Runs one study point as the serving tier runs that job.
+///
+/// # Panics
+///
+/// Panics if the run stalls: every study point completes far inside
+/// the watchdog budget, so a trip means the recovery machinery wedged.
+#[must_use]
+pub fn study_point(spec: &JobSpec) -> JobOutcome {
+    spec.execute(MAX_NET_CYCLES)
+        .unwrap_or_else(|e| panic!("{}: {}", spec.describe(), e.reason()))
+}
+
+/// Runs study points on `threads` threads, in order. With a cache,
+/// each point is the server's and the fleet's entry for its spec
+/// ([`JobSpec::key`]): a hit from any of them is served, and a fresh
+/// point is stored for all of them.
+#[must_use]
+pub fn run_specs_on(
+    threads: usize,
+    cache: Option<&cedar_snap::CacheDir>,
+    specs: Vec<JobSpec>,
+) -> Vec<JobOutcome> {
+    cedar_exec::run_sweep_cached_on(threads, cache, CACHE_NAMESPACE, specs, |s| study_point(&s))
 }

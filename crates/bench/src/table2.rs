@@ -5,16 +5,17 @@
 //! first-word latency and interarrival time recorded by the
 //! performance monitor on the prefetch unit's network signals.
 
-use cedar_core::costmodel::AccessMode;
-use cedar_net::fabric::PrefetchTraffic;
-
-use crate::paper_machine;
+use cedar_core::costmodel::{AccessMode, CostModel};
+use cedar_core::params::CedarParams;
+use cedar_serve::job::JobSpec;
 
 /// One paper row: `(kernel, speedup, latency, interarrival)`, the
 /// three metric arrays indexed by CE count (8/16/32).
 pub type PaperRow = (&'static str, [f64; 3], [f64; 3], [f64; 3]);
 
-/// Paper values for the four kernels at 8/16/32 CEs.
+/// Paper values for the four kernels at 8/16/32 CEs, in the serving
+/// tier's `KERNELS` order, so a row's index is its `table2` job's
+/// kernel.
 pub const PAPER: [PaperRow; 4] = [
     ("TM", [2.1, 2.0, 1.5], [9.4, 10.2, 14.2], [1.1, 1.2, 2.1]),
     ("CG", [2.4, 2.2, 1.5], [9.4, 10.3, 15.1], [1.1, 1.2, 2.1]),
@@ -38,16 +39,6 @@ pub struct Row {
     pub interarrival: [f64; 3],
 }
 
-fn traffic_of(kernel: &str) -> PrefetchTraffic {
-    match kernel {
-        "TM" => PrefetchTraffic::tridiagonal_matvec(8),
-        "CG" => PrefetchTraffic::conjugate_gradient(8),
-        "VF" => PrefetchTraffic::vector_load(8),
-        "RK" => PrefetchTraffic::rk_aggressive(4),
-        other => panic!("unknown kernel {other}"),
-    }
-}
-
 /// Per-word non-prefetchable work of each kernel in cycles: scalar
 /// address arithmetic, loop control, register-register operations and
 /// stores that run identically in both versions and therefore dilute
@@ -69,10 +60,10 @@ fn overlap_cycles(kernel: &str) -> f64 {
 /// Regenerates the table by running the monitored fabric experiments.
 ///
 /// The 12 `(kernel, CE-count)` cells are independent measurements on
-/// deterministic fabrics, so they fan out over [`cedar_exec::run_sweep`];
-/// each point builds its own machine and the committed values are
-/// bit-identical to the serial single-machine run (the cost model
-/// rebuilds a fresh fabric per measurement either way).
+/// deterministic fabrics, so they fan out over [`cedar_exec::run_sweep`].
+/// Each cell's prefetch profile is the serving tier's `table2` job for
+/// it (8 blocks per CE); its no-prefetch time comes from the cost
+/// model.
 #[must_use]
 pub fn run() -> Vec<Row> {
     run_cached(None)
@@ -95,15 +86,18 @@ pub fn run_cached(cache: Option<&cedar_snap::CacheDir>) -> Vec<Row> {
         }
     }
     let measured = cedar_exec::run_sweep_cached(cache, CACHE_NAMESPACE, cells, |(k, i)| {
-        let kernel = PAPER[k as usize].0;
         let ces = CES[i as usize];
-        let mut sys = paper_machine();
-        let profile = sys.measure_memory(traffic_of(kernel), ces);
+        let profile = crate::study_point(&JobSpec::Table2 {
+            kernel: k as u8,
+            ces: ces as u32,
+            blocks: 8,
+        });
         // Kernel time per word: prefetched = interarrival (plus
         // overlapped compute), non-prefetched = latency/2 with
         // the same compute overlapped.
-        let nopref = sys.cycles_per_word(AccessMode::GlobalNoPrefetch, ces);
-        let overlap = overlap_cycles(kernel);
+        let nopref = CostModel::new(CedarParams::paper().fabric)
+            .cycles_per_word(AccessMode::GlobalNoPrefetch, ces);
+        let overlap = overlap_cycles(PAPER[k as usize].0);
         let with = profile.interarrival.max(1.0) + overlap;
         let without = nopref + overlap;
         (

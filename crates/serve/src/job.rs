@@ -6,7 +6,10 @@
 //! the request. Execution is a
 //! pure function of the spec: same spec, same [`JobOutcome`], bit for
 //! bit, which is what makes request dedup and cross-run memoization
-//! sound.
+//! sound. The bench's degraded and hot-spot studies run these specs
+//! too, so their points are the server's and the fleet's cache
+//! entries, and [`JobSpec::recipe`] is the one place a fabric-backed
+//! point's machine, fault plan and traffic are spelled out.
 //!
 //! Fault semantics follow `cedar-faults`: a degraded job that loses
 //! words to its injected fault plan *completes* with a typed
@@ -15,7 +18,7 @@
 //! as a dead connection or a crashed server.
 
 use cedar_faults::{CedarError, FaultConfig, FaultPlan, MachineShape, RetryPolicy};
-use cedar_net::fabric::{FabricConfig, PrefetchTraffic, RoundTripFabric};
+use cedar_net::fabric::{FabricConfig, FabricReport, PrefetchTraffic, RoundTripFabric};
 use cedar_sim::watchdog::Watchdog;
 use cedar_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -40,6 +43,10 @@ pub const MAX_NET_CYCLES: u64 = 16_000_000;
 /// Cache/dedup namespace for job outcomes. Bump the suffix when the
 /// execution recipe changes so stale entries self-invalidate.
 pub const CACHE_NAMESPACE: &str = "serve.job/1";
+
+/// The fault-schedule seed of a `degraded` request that names none,
+/// and the seed of the bench's degraded study.
+pub const DEFAULT_SEED: u64 = 0xCEDA;
 
 /// The Table-2 kernels a `table2` job may name.
 pub const KERNELS: [&str; 4] = ["TM", "CG", "VF", "RK"];
@@ -139,6 +146,70 @@ cedar_snap::snapshot_struct!(JobOutcome {
     failed,
 });
 
+impl JobOutcome {
+    /// The outcome of a fabric run: its Table-2 measurement, its
+    /// recovery costs, and `degraded` if faults touched it at all.
+    #[must_use]
+    pub fn from_report(report: &FabricReport) -> JobOutcome {
+        let degraded = report.retries() > 0
+            || report.failed_requests() > 0
+            || report.words_dropped() > 0
+            || report.module_discards() > 0
+            || !report.completed();
+        JobOutcome {
+            degraded,
+            latency: report.mean_first_word_latency_ce(),
+            interarrival: report.mean_interarrival_ce(),
+            bandwidth: report.words_per_ce_cycle(),
+            net_cycles: report.total_net_cycles,
+            words_dropped: report.words_dropped(),
+            retries: report.retries(),
+            failed: report.failed_requests(),
+        }
+    }
+}
+
+/// A fabric-backed spec's run, built but not yet started:
+/// [`JobSpec::execute`] runs exactly this, and a caller that drives
+/// the run another way (checkpointed, or on a chosen engine) starts
+/// from it rather than restating it.
+#[derive(Debug)]
+pub struct Recipe {
+    /// A fresh Cedar fabric with the spec's fault plan attached.
+    pub fabric: RoundTripFabric,
+    /// Active CEs.
+    pub ces: usize,
+    /// The prefetch stream every active CE issues.
+    pub traffic: PrefetchTraffic,
+    /// The watchdog a fault-injected run is watched by; `None` for a
+    /// healthy spec.
+    pub watchdog: Option<Watchdog>,
+}
+
+impl Recipe {
+    /// Runs the experiment for at most `max_net_cycles`, watched if the
+    /// recipe carries a watchdog.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Stalled`] if the watchdog trips.
+    pub fn run(&mut self, max_net_cycles: u64) -> Result<FabricReport, JobError> {
+        let Some(dog) = &mut self.watchdog else {
+            return Ok(self
+                .fabric
+                .run_prefetch_experiment(self.ces, self.traffic, max_net_cycles));
+        };
+        self.fabric
+            .run_watched_experiment(self.ces, self.traffic, max_net_cycles, dog)
+            .map_err(|e| match e {
+                CedarError::Stalled(report) => {
+                    JobError::Stalled(format!("watchdog tripped: {report}"))
+                }
+                other => JobError::Stalled(other.to_string()),
+            })
+    }
+}
+
 /// Why a request did not produce a [`JobOutcome`]. Every variant maps
 /// to a typed wire status — the server never answers a bad or unlucky
 /// request with a dropped connection.
@@ -214,7 +285,10 @@ impl JobSpec {
                 rate_ppm: field_ppm(job, "rate")?,
                 ces,
                 blocks,
-                seed: job.get("seed").and_then(Json::as_u64).unwrap_or(0xCEDA),
+                seed: job
+                    .get("seed")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(DEFAULT_SEED),
             },
             "hotspot" => JobSpec::Hotspot {
                 hot_ppm: field_ppm(job, "fraction")?,
@@ -340,29 +414,70 @@ impl JobSpec {
         }
     }
 
-    fn traffic(&self) -> PrefetchTraffic {
-        match *self {
-            JobSpec::Table2 { kernel, blocks, .. } => match KERNELS[kernel as usize] {
-                "TM" => PrefetchTraffic::tridiagonal_matvec(blocks),
-                "CG" => PrefetchTraffic::conjugate_gradient(blocks),
-                "VF" => PrefetchTraffic::vector_load(blocks),
-                "RK" => PrefetchTraffic::rk_aggressive(blocks),
-                other => unreachable!("validated kernel {other}"),
-            },
-            JobSpec::Degraded { blocks, .. } => {
-                let mut t = PrefetchTraffic::rk_aggressive(4);
-                t.blocks = blocks;
-                t
-            }
+    /// The fabric run behind a `table2`, `degraded` or `hotspot` spec:
+    /// a fresh Cedar fabric (with the seeded fault plan attached for
+    /// `degraded`, rate 0 being the benign no-fault plan), the CE count
+    /// and the traffic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Invalid`] for a `zoo` spec, which runs the
+    /// zoo's machines instead, or for a fault plan that cannot be
+    /// generated.
+    pub fn recipe(&self) -> Result<Recipe, JobError> {
+        let (ces, traffic) = match *self {
+            JobSpec::Table2 {
+                kernel,
+                ces,
+                blocks,
+            } => (
+                ces,
+                match KERNELS[kernel as usize] {
+                    "TM" => PrefetchTraffic::tridiagonal_matvec(blocks),
+                    "CG" => PrefetchTraffic::conjugate_gradient(blocks),
+                    "VF" => PrefetchTraffic::vector_load(blocks),
+                    "RK" => PrefetchTraffic::rk_aggressive(blocks),
+                    other => unreachable!("validated kernel {other}"),
+                },
+            ),
+            // Table 2's RK stream: the heaviest global-memory customer.
+            JobSpec::Degraded { ces, blocks, .. } => (ces, PrefetchTraffic::rk_aggressive(blocks)),
             JobSpec::Hotspot {
-                hot_ppm, blocks, ..
-            } => PrefetchTraffic::sync_hotspot(blocks, f64::from(hot_ppm) / 1e6),
-            JobSpec::Zoo { .. } => unreachable!("zoo jobs run the combining fabric"),
+                hot_ppm,
+                ces,
+                blocks,
+            } => (
+                ces,
+                PrefetchTraffic::sync_hotspot(blocks, f64::from(hot_ppm) / 1e6),
+            ),
+            JobSpec::Zoo { .. } => {
+                return Err(JobError::Invalid("zoo jobs have no fabric recipe".into()))
+            }
+        };
+        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
+        let mut watchdog = None;
+        if let JobSpec::Degraded { rate_ppm, seed, .. } = *self {
+            let cfg = if rate_ppm == 0 {
+                FaultConfig::none(seed)
+            } else {
+                FaultConfig::degraded(seed, f64::from(rate_ppm) / 1e6)
+            };
+            let plan = FaultPlan::generate(&cfg, &MachineShape::cedar())
+                .map_err(|e| JobError::Invalid(e.to_string()))?;
+            fabric.attach_faults(plan, RetryPolicy::fabric());
+            watchdog = Some(Watchdog::new(WATCHDOG_BUDGET, "degraded job"));
         }
+        Ok(Recipe {
+            fabric,
+            ces: ces as usize,
+            traffic,
+            watchdog,
+        })
     }
 
-    /// Executes the job on a freshly built fabric. Pure: same spec and
-    /// budget, same outcome, whatever thread runs it.
+    /// Executes the job: a `zoo` spec on its machine, any other on its
+    /// [`recipe`](JobSpec::recipe). Pure: same spec and budget, same
+    /// outcome, whatever thread runs it.
     ///
     /// # Errors
     ///
@@ -391,50 +506,8 @@ impl JobSpec {
                 failed: 0,
             });
         }
-        let ces = match *self {
-            JobSpec::Table2 { ces, .. }
-            | JobSpec::Degraded { ces, .. }
-            | JobSpec::Hotspot { ces, .. } => ces as usize,
-            JobSpec::Zoo { .. } => unreachable!("handled above"),
-        };
-        let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-        let report = match *self {
-            JobSpec::Degraded { rate_ppm, seed, .. } => {
-                let rate = f64::from(rate_ppm) / 1e6;
-                let cfg = if rate == 0.0 {
-                    FaultConfig::none(seed)
-                } else {
-                    FaultConfig::degraded(seed, rate)
-                };
-                let plan = FaultPlan::generate(&cfg, &MachineShape::cedar())
-                    .map_err(|e| JobError::Invalid(e.to_string()))?;
-                fabric.attach_faults(plan, RetryPolicy::fabric());
-                let mut dog = Watchdog::new(WATCHDOG_BUDGET, "serve degraded job");
-                match fabric.run_watched_experiment(ces, self.traffic(), max_net_cycles, &mut dog) {
-                    Ok(report) => report,
-                    Err(CedarError::Stalled(report)) => {
-                        return Err(JobError::Stalled(format!("watchdog tripped: {report}")))
-                    }
-                    Err(other) => return Err(JobError::Stalled(other.to_string())),
-                }
-            }
-            _ => fabric.run_prefetch_experiment(ces, self.traffic(), max_net_cycles),
-        };
-        let degraded = report.retries() > 0
-            || report.failed_requests() > 0
-            || report.words_dropped() > 0
-            || report.module_discards() > 0
-            || !report.completed();
-        Ok(JobOutcome {
-            degraded,
-            latency: report.mean_first_word_latency_ce(),
-            interarrival: report.mean_interarrival_ce(),
-            bandwidth: report.words_per_ce_cycle(),
-            net_cycles: report.total_net_cycles,
-            words_dropped: report.words_dropped(),
-            retries: report.retries(),
-            failed: report.failed_requests(),
-        })
+        let report = self.recipe()?.run(max_net_cycles)?;
+        Ok(JobOutcome::from_report(&report))
     }
 }
 
@@ -819,6 +892,101 @@ mod tests {
             let bytes = s.to_snapshot_bytes();
             assert_eq!(JobSpec::from_snapshot_bytes(&bytes).unwrap(), s);
         }
+    }
+
+    /// Feeds `restore` every payload a byte flip, a truncation or an
+    /// extension of `value`'s makes, each re-sealed with a valid
+    /// checksum so it gets past the envelope. A flip must decode or
+    /// fail typed (`check` sees what decodes); a strict prefix must be
+    /// `Truncated` and a longer payload `TrailingBytes`. A panic
+    /// anywhere fails the test.
+    fn fuzz_payload<T>(value: &T, mut check: impl FnMut(T)) -> (usize, usize)
+    where
+        T: Snapshot + PartialEq + std::fmt::Debug,
+    {
+        let payload = cedar_snap::unseal(&value.to_snapshot_bytes())
+            .unwrap()
+            .to_vec();
+        let (mut decoded, mut refused) = (0, 0);
+        for i in 0..payload.len() {
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                let mut p = payload.clone();
+                p[i] ^= mask;
+                match T::from_snapshot_bytes(&cedar_snap::seal(&p)) {
+                    Ok(v) => {
+                        decoded += 1;
+                        check(v);
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        for len in 0..payload.len() {
+            let sealed = cedar_snap::seal(&payload[..len]);
+            assert_eq!(T::from_snapshot_bytes(&sealed), Err(SnapError::Truncated));
+        }
+        for extra in [&[0u8][..], &[1], &[0xff; 8], &[0; 64]] {
+            let sealed = cedar_snap::seal(&[&payload[..], extra].concat());
+            assert_eq!(
+                T::from_snapshot_bytes(&sealed),
+                Err(SnapError::TrailingBytes)
+            );
+        }
+        (decoded, refused)
+    }
+
+    #[test]
+    fn mutated_resealed_payloads_decode_or_fail_typed() {
+        let specs = [
+            JobSpec::Table2 {
+                kernel: 3,
+                ces: 8,
+                blocks: 2,
+            },
+            JobSpec::Degraded {
+                rate_ppm: 50_000,
+                ces: 32,
+                blocks: 8,
+                seed: DEFAULT_SEED,
+            },
+            JobSpec::Hotspot {
+                hot_ppm: 250_000,
+                ces: 32,
+                blocks: 8,
+            },
+            JobSpec::Zoo {
+                machine: 5,
+                ces: 8,
+                requests: 16,
+                hot_ppm: 250_000,
+            },
+        ];
+        for s in &specs {
+            // What decodes is held to `validate`, and what passes it
+            // can be described and turned into its recipe.
+            let (decoded, refused) = fuzz_payload(s, |d: JobSpec| {
+                if d.validate().is_ok() {
+                    let _ = d.describe();
+                    let _ = d.recipe();
+                }
+            });
+            assert!(decoded > 0 && refused > 0, "{s:?}: {decoded}/{refused}");
+        }
+        let outcome = JobOutcome {
+            degraded: true,
+            latency: 12.5,
+            interarrival: 1.25,
+            bandwidth: 0.5,
+            net_cycles: 4096,
+            words_dropped: 3,
+            retries: 2,
+            failed: 1,
+        };
+        let (decoded, refused) = fuzz_payload(&outcome, |_| {});
+        // Only the `degraded` byte can refuse: every flip of it but
+        // bit 0's leaves 0..=1.
+        assert_eq!(refused, 8, "only the bool byte can refuse");
+        assert!(decoded > 0);
     }
 
     #[test]

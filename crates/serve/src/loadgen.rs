@@ -444,8 +444,9 @@ fn run_closed_level(
 /// # Errors
 ///
 /// Returns a description of the first violated invariant — a dedup
-/// burst that executed more than once, a healthy request lost to the
-/// fault mix, a non-monotone saturation curve, or a protocol breach.
+/// burst that executed more than once or never coalesced, a healthy
+/// request lost to the fault mix, a non-monotone saturation curve, or
+/// a protocol breach.
 #[allow(clippy::too_many_lines)]
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     let mut rng = SplitMix64::new(cfg.seed);
@@ -456,12 +457,15 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
     }
 
     // Phase 1: dedup burst. All clients fire the same spec at once;
-    // the server's own counters are the ground truth.
+    // the server's own counters are the ground truth. The spec is a
+    // heavy one (tens of ms in a release build, where a small Table-2
+    // cell takes a tenth of a ms), so it is still running when the
+    // rest of the burst arrives and must be coalesced onto it.
     let burst = if cfg.smoke { 8 } else { 16 };
     let executed_before = control.counter("serve.jobs.executed")?;
     let hits_before = control.counter("serve.cache.hits")?;
     let coalesced_before = control.counter("serve.dedup.coalesced")?;
-    let burst_line = r#"{"op":"run","job":{"type":"table2","kernel":"CG","ces":4,"blocks":2}}"#;
+    let burst_line = r#"{"op":"run","job":{"type":"degraded","rate":0.05,"ces":32,"blocks":8}}"#;
     let addr = cfg.addr.clone();
     let burst_results: Vec<Result<String, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..burst)
@@ -495,6 +499,12 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadReport, String> {
         return Err(format!(
             "dedup failed: burst of {burst} identical requests caused \
              {dedup_executed} executions ({dedup_cache_hits} cache hits)"
+        ));
+    }
+    if dedup_executed == 1 && dedup_coalesced == 0 {
+        return Err(format!(
+            "dedup burst of {burst} never coalesced: the one execution \
+             finished before any repeat arrived ({dedup_cache_hits} cache hits)"
         ));
     }
 

@@ -3,9 +3,10 @@
 //! Every cell is a pure function of its [`ZooCellSpec`], so the whole
 //! matrix runs as a content-addressed-cached `cedar-exec` sweep: the
 //! spec's canonical snapshot under [`CACHE_NAMESPACE`] keys the cell,
-//! a warm re-run is served byte-identically from disk, and the same
-//! key dedups work between the report bin, the serve job family, and
-//! the cluster coordinator.
+//! and a warm re-run of the `zoo` report is served byte-identically
+//! from disk. Only the matrix uses these keys: a serve `zoo` job (one
+//! hotspot point, keyed under the serving tier's `serve.job/1`) and
+//! the cluster, which runs only serve jobs, never read them.
 
 use cedar_baselines::cm5::Cm5Model;
 use cedar_baselines::cray1;

@@ -6,6 +6,7 @@ use cedar::core::{CedarParams, CedarSystem};
 use cedar::faults::{CedarError, FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar::net::fabric::{FabricConfig, PrefetchTraffic, RoundTripFabric};
 use cedar::runtime::sync::{run_multicluster_round, GlobalBarrier};
+use cedar::serve::job::{JobOutcome, JobSpec, DEFAULT_SEED, MAX_NET_CYCLES};
 use cedar::sim::watchdog::Watchdog;
 
 /// Same fault seed, same machine: the degraded-run report is
@@ -52,15 +53,22 @@ fn different_seeds_differ() {
     assert_ne!(measure(1), measure(2), "seeds must steer the schedule");
 }
 
-/// The degraded sweep's rate-0 column is the healthy machine.
+/// The degraded sweep's rate-0 column is the healthy machine: the
+/// same recipe's traffic on a fabric with no plan attached.
 #[test]
 fn degraded_sweep_rate_zero_is_healthy() {
-    let p = cedar_bench::degraded::measure(0.0, 8);
+    let spec = &JobSpec::Degraded {
+        rate_ppm: 0,
+        ces: 8,
+        blocks: 8,
+        seed: DEFAULT_SEED,
+    };
+    assert!(cedar_bench::degraded::specs().contains(spec));
+    let p = cedar_bench::study_point(spec);
+    let recipe = spec.recipe().unwrap();
     let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
-    let healthy = fabric.run_prefetch_experiment(8, cedar_bench::degraded::traffic(), 64_000_000);
-    assert_eq!(p.latency, healthy.mean_first_word_latency_ce());
-    assert_eq!(p.interarrival, healthy.mean_interarrival_ce());
-    assert_eq!(p.words_per_cycle, healthy.words_per_ce_cycle());
+    let healthy = fabric.run_prefetch_experiment(recipe.ces, recipe.traffic, MAX_NET_CYCLES);
+    assert_eq!(p, JobOutcome::from_report(&healthy));
 }
 
 /// A dead synchronization processor deadlocks the multicluster

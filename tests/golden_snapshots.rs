@@ -16,9 +16,10 @@
 //!
 //! The goldens run on the default engine. The `*_agree_across_engines`
 //! tests re-run every fabric experiment behind `table2.snap` and
-//! `degraded.snap` on both engines: the default run must specialize,
-//! must reproduce the harness's own numbers, and must equal the
-//! generic engine's report.
+//! `degraded.snap` on both engines, each on a fabric built by its
+//! point's `JobSpec::recipe`: the default run must specialize, must
+//! reproduce the harness's own numbers, and must equal the generic
+//! engine's report.
 
 use std::fs;
 use std::path::PathBuf;
@@ -26,14 +27,10 @@ use std::path::PathBuf;
 use cedar::core::costmodel::{AccessMode, CostModel, CE_SIDE_PATH_CYCLES};
 use cedar::core::CedarParams;
 use cedar::exec::run_sweep;
-use cedar::faults::{FaultPlan, MachineShape, RetryPolicy};
-use cedar::net::fabric::{AddressPattern, FabricReport, PrefetchTraffic, RoundTripFabric};
+use cedar::net::fabric::{AddressPattern, FabricReport, PrefetchTraffic};
 use cedar::net::EngineKind;
-use cedar::sim::watchdog::Watchdog;
+use cedar::serve::job::{JobOutcome, JobSpec, Recipe, MAX_NET_CYCLES};
 use cedar_bench::{degraded, table2};
-
-/// The cycle cap every harness run passes.
-const MAX_NET_CYCLES: u64 = 64_000_000;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -84,61 +81,55 @@ fn fig3_report_matches_golden() {
     check("fig3.snap", &cedar_bench::fig3::report());
 }
 
-/// Runs one experiment on a fresh default-engine fabric from `build`,
-/// which must take the specialized engine, then on a fresh generic one;
-/// the two reports must be equal. Returns the report.
-fn on_both_engines(
-    case: &str,
-    build: impl Fn() -> RoundTripFabric,
-    run: impl Fn(&mut RoundTripFabric) -> FabricReport,
-) -> FabricReport {
-    let mut fabric = build();
-    let report = run(&mut fabric);
+/// Runs `run` on `spec`'s recipe, whose fabric must take the
+/// specialized engine, then on a fresh recipe forced onto the generic
+/// engine; the two reports must be equal. Returns the report.
+fn on_both_engines(spec: &JobSpec, run: impl Fn(&mut Recipe) -> FabricReport) -> FabricReport {
+    let case = spec.describe();
+    let mut recipe = spec.recipe().expect("study specs have a recipe");
+    let report = run(&mut recipe);
     assert_eq!(
-        fabric.last_run_engine(),
+        recipe.fabric.last_run_engine(),
         Some("specialized"),
         "{case}: the default engine fell back ({:?})",
-        fabric.last_fallback()
+        recipe.fabric.last_fallback()
     );
-    let mut generic = build();
-    generic.set_engine(EngineKind::Generic);
+    let mut generic = spec.recipe().expect("study specs have a recipe");
+    generic.fabric.set_engine(EngineKind::Generic);
     assert_eq!(run(&mut generic), report, "{case}: engines disagree");
     report
 }
 
+fn run_recipe(recipe: &mut Recipe) -> FabricReport {
+    recipe
+        .run(MAX_NET_CYCLES)
+        .expect("study points make progress")
+}
+
 /// Every fabric run behind `table2.snap`: in each kernel × CE cell the
-/// prefetch run `CostModel::measure` makes (8 blocks per CE), and per
-/// CE count the window-2 run behind `AccessMode::GlobalNoPrefetch`,
-/// which is the same run in every kernel's cell.
+/// `table2` job's prefetch run (8 blocks per CE), and per CE count the
+/// window-2 run behind `AccessMode::GlobalNoPrefetch`, which is the
+/// same run in every kernel's cell, made on that CE count's fabric.
 #[test]
 fn table2_runs_agree_across_engines() {
-    let cfg = CedarParams::paper().fabric;
-    let build = || RoundTripFabric::new(cfg.clone());
-    let kernels = [
-        ("TM", PrefetchTraffic::tridiagonal_matvec(8)),
-        ("CG", PrefetchTraffic::conjugate_gradient(8)),
-        ("VF", PrefetchTraffic::vector_load(8)),
-        ("RK", PrefetchTraffic::rk_aggressive(4)),
-    ];
     let rows = table2::run();
-    assert_eq!(rows.len(), kernels.len());
-    for (row, (kernel, traffic)) in rows.iter().zip(kernels) {
-        assert_eq!(row.kernel, kernel);
-        let prefetch = PrefetchTraffic {
-            blocks: 8,
-            ..traffic
-        };
+    let cell = |kernel: usize, ces: usize| JobSpec::Table2 {
+        kernel: kernel as u8,
+        ces: ces as u32,
+        blocks: 8,
+    };
+    for (k, row) in rows.iter().enumerate() {
         for (i, &ces) in table2::CES.iter().enumerate() {
-            let report = on_both_engines(&format!("{kernel} {ces} CEs"), build, |f| {
-                f.run_prefetch_experiment(ces, prefetch, MAX_NET_CYCLES)
-            });
+            let spec = cell(k, ces);
+            let report = on_both_engines(&spec, run_recipe);
             assert_eq!(
                 (
                     report.mean_first_word_latency_ce(),
                     report.mean_interarrival_ce()
                 ),
                 (row.latency[i], row.interarrival[i]),
-                "{kernel} {ces} CEs: the recipe left table2's"
+                "{}: the recipe left table2's",
+                spec.describe()
             );
         }
     }
@@ -153,10 +144,11 @@ fn table2_runs_agree_across_engines() {
         streams: 1,
         pattern: AddressPattern::Strided,
     };
-    let mut model = CostModel::new(cfg.clone());
+    let mut model = CostModel::new(CedarParams::paper().fabric);
     for ces in table2::CES {
-        let report = on_both_engines(&format!("window 2, {ces} CEs"), build, |f| {
-            f.run_prefetch_experiment(ces, window2, MAX_NET_CYCLES)
+        let report = on_both_engines(&cell(0, ces), |r| {
+            r.fabric
+                .run_prefetch_experiment(r.ces, window2, MAX_NET_CYCLES)
         });
         assert_eq!(
             (report.mean_first_word_latency_ce() + CE_SIDE_PATH_CYCLES) / 2.0,
@@ -171,35 +163,8 @@ fn table2_runs_agree_across_engines() {
 /// generic runs dominate this file's time).
 #[test]
 fn degraded_runs_agree_across_engines() {
-    let mut grid = Vec::new();
-    for rate in degraded::RATES {
-        for ces in degraded::CES {
-            grid.push((rate, ces));
-        }
-    }
-    let points = run_sweep(grid, |(rate, ces)| {
-        let plan = FaultPlan::generate(&degraded::config_at(rate), &MachineShape::cedar())
-            .expect("sweep configs are valid");
-        let build = || {
-            let mut fabric = RoundTripFabric::new(CedarParams::paper().fabric);
-            fabric.attach_faults(plan.clone(), RetryPolicy::fabric());
-            fabric
-        };
-        let report = on_both_engines(&format!("rate {rate} {ces} CEs"), build, |f| {
-            let mut dog = Watchdog::new(degraded::WATCHDOG_BUDGET, "degraded engine check");
-            f.run_watched_experiment(ces, degraded::traffic(), MAX_NET_CYCLES, &mut dog)
-                .expect("degraded run made progress")
-        });
-        degraded::DegradedPoint {
-            rate,
-            ces,
-            latency: report.mean_first_word_latency_ce(),
-            interarrival: report.mean_interarrival_ce(),
-            words_per_cycle: report.words_per_ce_cycle(),
-            words_dropped: report.words_dropped(),
-            retries: report.retries(),
-            failed: report.failed_requests(),
-        }
+    let points = run_sweep(degraded::specs(), |spec| {
+        JobOutcome::from_report(&on_both_engines(&spec, run_recipe))
     });
     assert_eq!(points, degraded::run(), "the recipe left degraded's");
 }
