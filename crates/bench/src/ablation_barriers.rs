@@ -74,10 +74,10 @@ pub fn sweep(n: usize) -> SweepOutcome {
 pub const SIZES: [usize; 4] = [16_384, 65_536, 262_144, 1_048_576];
 
 /// Runs the ablation across problem sizes, fanned out over
-/// [`cedar_exec::run_sweep`].
+/// [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<SweepOutcome> {
-    cedar_exec::run_sweep(SIZES.to_vec(), sweep)
+    cedar_exec::run_sweep_on(cedar_exec::threads(), SIZES.to_vec(), sweep)
 }
 
 /// Prints the ablation.

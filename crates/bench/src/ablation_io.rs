@@ -30,7 +30,7 @@ pub struct IoAblation {
 }
 
 /// Reconstructs the volume and replays both encodings, one arm per
-/// record format over [`cedar_exec::run_sweep`].
+/// record format over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> IoAblation {
     let probe = IoSubsystem::new();
@@ -39,7 +39,8 @@ pub fn run() -> IoAblation {
     let per_word_gap = probe.reformat_savings_seconds(1);
     let words = (gap / per_word_gap).round() as u64;
 
-    let arms = cedar_exec::run_sweep(
+    let arms = cedar_exec::run_sweep_on(
+        cedar_exec::threads(),
         vec![RecordFormat::Formatted, RecordFormat::Unformatted],
         |format| IoSubsystem::new().transfer(format, words),
     );

@@ -50,11 +50,11 @@ pub struct LoopAblation {
 
 /// Runs the workload both ways on the simulated runtime. The two
 /// scheduling disciplines are independent arms on fresh machines, so
-/// they fan out over [`cedar_exec::run_sweep`].
+/// they fan out over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> LoopAblation {
     let w = Workload::dyfesm_like();
-    let arms = cedar_exec::run_sweep(vec![false, true], |nested_arm| {
+    let arms = cedar_exec::run_sweep_on(cedar_exec::threads(), vec![false, true], |nested_arm| {
         let mut sys = paper_machine();
         if !nested_arm {
             // Flat: one XDOALL over every fine iteration, each fetch

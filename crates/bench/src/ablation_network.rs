@@ -47,27 +47,31 @@ pub const CONFIGS: [(&str, usize, u64); 5] = [
 ];
 
 /// Runs the 32-CE stress test at each configuration, one fresh fabric
-/// per point, fanned out over [`cedar_exec::run_sweep`].
+/// per point, fanned out over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<AblationPoint> {
-    cedar_exec::run_sweep(CONFIGS.to_vec(), |(label, queue_words, service)| {
-        let mut cfg = FabricConfig::cedar();
-        cfg.net = NetworkConfig::cedar_with_queue_words(queue_words);
-        cfg.net.exit_fifo_words = queue_words;
-        cfg.module_buffer_requests = queue_words;
-        cfg.mem_service_net_cycles = service;
-        let mut fabric = RoundTripFabric::new(cfg);
-        let report =
-            fabric.run_prefetch_experiment(32, PrefetchTraffic::rk_aggressive(6), 32_000_000);
-        AblationPoint {
-            label,
-            queue_words,
-            service_net_cycles: service,
-            latency: report.mean_first_word_latency_ce(),
-            interarrival: report.mean_interarrival_ce(),
-            bandwidth: report.words_per_ce_cycle(),
-        }
-    })
+    cedar_exec::run_sweep_on(
+        cedar_exec::threads(),
+        CONFIGS.to_vec(),
+        |(label, queue_words, service)| {
+            let mut cfg = FabricConfig::cedar();
+            cfg.net = NetworkConfig::cedar_with_queue_words(queue_words);
+            cfg.net.exit_fifo_words = queue_words;
+            cfg.module_buffer_requests = queue_words;
+            cfg.mem_service_net_cycles = service;
+            let mut fabric = RoundTripFabric::new(cfg);
+            let report =
+                fabric.run_prefetch_experiment(32, PrefetchTraffic::rk_aggressive(6), 32_000_000);
+            AblationPoint {
+                label,
+                queue_words,
+                service_net_cycles: service,
+                latency: report.mean_first_word_latency_ce(),
+                interarrival: report.mean_interarrival_ce(),
+                bandwidth: report.words_per_ce_cycle(),
+            }
+        },
+    )
 }
 
 /// Prints the ablation.

@@ -39,7 +39,7 @@ fn touch_all(vm: &mut VirtualMemory, cluster: usize) {
 /// Runs the three configurations: one cluster, four clusters sharing
 /// global pages, four clusters with distributed placement. Each arm
 /// builds its own [`VirtualMemory`], so the three fan out over
-/// [`cedar_exec::run_sweep`].
+/// [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<VmOutcome> {
     let outcome = |label, vm: &VirtualMemory| {
@@ -51,7 +51,7 @@ pub fn run() -> Vec<VmOutcome> {
         }
     };
 
-    cedar_exec::run_sweep((0..3).collect(), |arm| match arm {
+    cedar_exec::run_sweep_on(cedar_exec::threads(), (0..3).collect(), |arm| match arm {
         0 => {
             // One cluster: first-touch faults only.
             let mut one = VirtualMemory::new(4, 256);

@@ -49,7 +49,7 @@ fn main() {
     let threads = cedar_exec::threads();
 
     let started = Instant::now();
-    let cells = cell::run_cached(cache.as_ref(), smoke);
+    let cells = cell::run_cached_on(threads, cache.as_ref(), smoke);
     let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
     let points_per_sec = cells.len() as f64 / (wall_ms / 1000.0);
 

@@ -26,10 +26,10 @@ pub struct FidelityRow {
 pub const CES: [usize; 3] = [8, 16, 32];
 
 /// Runs both networks on the block-read workload, one fresh pair of
-/// fabrics per CE count, fanned out over [`cedar_exec::run_sweep`].
+/// fabrics per CE count, fanned out over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<FidelityRow> {
-    cedar_exec::run_sweep(CES.to_vec(), |ces| {
+    cedar_exec::run_sweep_on(cedar_exec::threads(), CES.to_vec(), |ces| {
         let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
         let mut traffic = PrefetchTraffic::compiler_default(16);
         traffic.gap_ce_cycles = 0;

@@ -24,24 +24,28 @@ pub struct Point {
 }
 
 /// Regenerates the scatter data: one shared calibration, then the
-/// per-code lookups fan out over [`cedar_exec::run_sweep`].
+/// per-code lookups fan out over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<Point> {
     let mut sys = paper_machine();
     let model = ExecutionModel::calibrate(&mut sys);
-    cedar_exec::run_sweep(fig3_cedar_efficiencies(&model), |c| {
-        let y = ymp::FIG3_EFFICIENCIES
-            .iter()
-            .find(|e| e.name == c.name)
-            .expect("every code has a YMP point");
-        Point {
-            name: c.name,
-            cedar: c.efficiency,
-            ymp: y.efficiency,
-            cedar_band: classify_efficiency(c.efficiency, fig3_width(c.name)),
-            ymp_band: classify_efficiency(y.efficiency, 8),
-        }
-    })
+    cedar_exec::run_sweep_on(
+        cedar_exec::threads(),
+        fig3_cedar_efficiencies(&model),
+        |c| {
+            let y = ymp::FIG3_EFFICIENCIES
+                .iter()
+                .find(|e| e.name == c.name)
+                .expect("every code has a YMP point");
+            Point {
+                name: c.name,
+                cedar: c.efficiency,
+                ymp: y.efficiency,
+                cedar_band: classify_efficiency(c.efficiency, fig3_width(c.name)),
+                ymp_band: classify_efficiency(y.efficiency, 8),
+            }
+        },
+    )
 }
 
 /// Renders the data as a CSV-ish listing plus an ASCII scatter.

@@ -65,10 +65,10 @@ pub fn scaled_params(clusters: usize) -> CedarParams {
 pub const SCALES: [usize; 3] = [4, 8, 16];
 
 /// Runs the scale-up study, one fresh scaled machine per cluster
-/// count, fanned out over [`cedar_exec::run_sweep`].
+/// count, fanned out over [`cedar_exec::run_sweep_on`].
 #[must_use]
 pub fn run() -> Vec<ScalePoint> {
-    cedar_exec::run_sweep(SCALES.to_vec(), |clusters| {
+    cedar_exec::run_sweep_on(cedar_exec::threads(), SCALES.to_vec(), |clusters| {
         let mut sys = CedarSystem::new(scaled_params(clusters));
         let ces = clusters * 8;
         let profile = sys.measure_memory(PrefetchTraffic::rk_aggressive(4), ces);

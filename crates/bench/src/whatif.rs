@@ -40,53 +40,58 @@ fn summarize(label: &'static str, model: &ExecutionModel) -> Scenario {
 
 /// Runs the scenarios: one shared calibration (the expensive fabric
 /// measurements), then the four what-if re-evaluations fan out over
-/// [`cedar_exec::run_sweep`] reading the calibrated model.
+/// [`cedar_exec::run_sweep_on`] reading the calibrated model.
 #[must_use]
 pub fn run() -> Vec<Scenario> {
     let mut sys = paper_machine();
     let base = ExecutionModel::calibrate(&mut sys);
     let base_costs = *base.costs();
 
-    cedar_exec::run_sweep((0..4).collect(), |scenario| match scenario {
-        0 => summarize("Cedar as built", &base),
-        1 => {
-            // Faster global scheduling: the 30 us fetch halves (e.g.
-            // dedicated scheduling hardware beyond the sync processors).
-            let mut fast_sched = base_costs;
-            fast_sched.sched_cedar_s /= 2.0;
-            fast_sched.sched_tas_s /= 2.0;
-            summarize(
-                "2x faster loop scheduling",
-                &base.with_swapped_costs(fast_sched),
-            )
-        }
-        2 => {
-            // No synchronization hardware at all: every code runs at its
-            // Test-And-Set scheduling cost (the NoSync column machine-wide).
-            let mut no_sync_hw = base_costs;
-            no_sync_hw.sched_cedar_s = base_costs.sched_tas_s;
-            summarize("no sync hardware", &base.with_swapped_costs(no_sync_hw))
-        }
-        _ => {
-            // The prefetch unit removed (Cedar synchronization kept): every
-            // code's prefetched fetch volume is re-priced at the unmasked
-            // global rate on top of its automatable time — what the PFU buys
-            // across the workload.
-            let mut total = 0.0;
-            let mut log_sum = 0.0;
-            for code in base.codes() {
-                let k = base_costs.nopref_factor(code.width_ces);
-                let t = base.time(code, Version::Automatable) + code.prefetched_seconds * (k - 1.0);
-                total += t;
-                log_sum += (code.serial_seconds / t).ln();
+    cedar_exec::run_sweep_on(
+        cedar_exec::threads(),
+        (0..4).collect(),
+        |scenario| match scenario {
+            0 => summarize("Cedar as built", &base),
+            1 => {
+                // Faster global scheduling: the 30 us fetch halves (e.g.
+                // dedicated scheduling hardware beyond the sync processors).
+                let mut fast_sched = base_costs;
+                fast_sched.sched_cedar_s /= 2.0;
+                fast_sched.sched_tas_s /= 2.0;
+                summarize(
+                    "2x faster loop scheduling",
+                    &base.with_swapped_costs(fast_sched),
+                )
             }
-            Scenario {
-                label: "prefetch unit removed",
-                total_seconds: total,
-                geomean_improvement: (log_sum / base.codes().len() as f64).exp(),
+            2 => {
+                // No synchronization hardware at all: every code runs at its
+                // Test-And-Set scheduling cost (the NoSync column machine-wide).
+                let mut no_sync_hw = base_costs;
+                no_sync_hw.sched_cedar_s = base_costs.sched_tas_s;
+                summarize("no sync hardware", &base.with_swapped_costs(no_sync_hw))
             }
-        }
-    })
+            _ => {
+                // The prefetch unit removed (Cedar synchronization kept): every
+                // code's prefetched fetch volume is re-priced at the unmasked
+                // global rate on top of its automatable time — what the PFU buys
+                // across the workload.
+                let mut total = 0.0;
+                let mut log_sum = 0.0;
+                for code in base.codes() {
+                    let k = base_costs.nopref_factor(code.width_ces);
+                    let t =
+                        base.time(code, Version::Automatable) + code.prefetched_seconds * (k - 1.0);
+                    total += t;
+                    log_sum += (code.serial_seconds / t).ln();
+                }
+                Scenario {
+                    label: "prefetch unit removed",
+                    total_seconds: total,
+                    geomean_improvement: (log_sum / base.codes().len() as f64).exp(),
+                }
+            }
+        },
+    )
 }
 
 /// Prints the scenarios.

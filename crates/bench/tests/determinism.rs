@@ -6,23 +6,26 @@
 
 use std::env;
 
+/// The variable `cedar_exec::threads` reads.
+const THREADS_ENV: &str = "CEDAR_THREADS";
+
 #[test]
 fn sweeps_are_identical_serial_and_parallel() {
-    let saved = env::var(cedar_exec::THREADS_ENV).ok();
+    let saved = env::var(THREADS_ENV).ok();
 
-    env::set_var(cedar_exec::THREADS_ENV, "1");
+    env::set_var(THREADS_ENV, "1");
     assert_eq!(cedar_exec::threads(), 1);
     let table2_serial = format!("{:?}", cedar_bench::table2::run());
     let degraded_serial = format!("{:?}", cedar_bench::degraded::run());
 
-    env::set_var(cedar_exec::THREADS_ENV, "4");
+    env::set_var(THREADS_ENV, "4");
     assert_eq!(cedar_exec::threads(), 4);
     let table2_parallel = format!("{:?}", cedar_bench::table2::run());
     let degraded_parallel = format!("{:?}", cedar_bench::degraded::run());
 
     match saved {
-        Some(v) => env::set_var(cedar_exec::THREADS_ENV, v),
-        None => env::remove_var(cedar_exec::THREADS_ENV),
+        Some(v) => env::set_var(THREADS_ENV, v),
+        None => env::remove_var(THREADS_ENV),
     }
 
     assert_eq!(

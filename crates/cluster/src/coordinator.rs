@@ -11,7 +11,7 @@
 //! Supervision is a single-threaded event loop over a fixed tick.
 //! Reader threads (one per live worker connection) translate the wire
 //! into events; everything else — heartbeats, per-worker watchdogs,
-//! restart backoff, job deadlines, consistent-hash dispatch, journal
+//! restart backoff, job deadlines, least-loaded dispatch, journal
 //! commits — happens on the supervision thread, so the exactly-once
 //! ledger needs no locks and every decision is sequenced.
 
@@ -32,7 +32,6 @@ use cedar_snap::{fnv1a, read_frame, write_frame, CacheDir, FrameError, Snapshot}
 
 use crate::journal::{JobJournal, JobRecord, JobState};
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
-use crate::ring::HashRing;
 use crate::worker::{CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 
 /// Fleet shape, timing and robustness knobs.
@@ -316,7 +315,6 @@ pub fn run_cluster_sweep(
             config,
             specs,
             keys: &keys,
-            ring: HashRing::new(config.workers),
             journal: &mut journal,
             results: &mut results,
             stats: &mut stats,
@@ -377,11 +375,24 @@ fn validate(config: &ClusterConfig) -> Result<(), ClusterError> {
     Ok(())
 }
 
+/// The alive slot with the fewest jobs in flight, lowest slot on a
+/// tie, among those below `max_inflight`. Placement is a pure function
+/// of the fleet's state, so a replayed chaos run dispatches the same
+/// way; it keeps no assignment between calls, since an unstarted job
+/// has none worth keeping and a dead slot's jobs are placed afresh.
+fn least_loaded(slots: &[Slot], max_inflight: usize) -> Option<u32> {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.alive && s.inflight < max_inflight)
+        .min_by_key(|(_, s)| s.inflight)
+        .map(|(w, _)| w as u32)
+}
+
 struct Supervisor<'a> {
     config: &'a ClusterConfig,
     specs: &'a [JobSpec],
     keys: &'a [String],
-    ring: HashRing,
     journal: &'a mut JobJournal,
     results: &'a mut Vec<Option<JobOutcome>>,
     stats: &'a mut ClusterStats,
@@ -701,15 +712,11 @@ impl Supervisor<'_> {
         }
     }
 
+    /// Places every unstarted job, in index order, on the
+    /// [`least_loaded`] worker.
     fn dispatch(&mut self, now_tick: u64) {
         for job in self.journal.unstarted() {
-            let hash = HashRing::key_hash(&self.keys[job]);
-            let slots = &self.slots;
-            let max_inflight = self.config.max_inflight;
-            let Some(w) = self.ring.assign(hash, |w| {
-                let s = &slots[w as usize];
-                s.alive && s.inflight < max_inflight
-            }) else {
+            let Some(w) = least_loaded(&self.slots, self.config.max_inflight) else {
                 // Eligibility is per-worker, not per-job: if no worker
                 // can take this job, none can take any other.
                 break;
@@ -919,6 +926,23 @@ fn reader_loop(slot: u32, incarnation: u32, mut stream: TcpStream, tx: &Sender<E
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn placement_is_least_loaded_alive_and_below_the_cap() {
+        let mut slots: Vec<Slot> = (0..4).map(|w| Slot::new(w, 50)).collect();
+        assert_eq!(least_loaded(&slots, 2), None, "no slot is alive yet");
+        for (s, inflight) in slots.iter_mut().zip([2, 1, 0, 0]) {
+            s.alive = true;
+            s.inflight = inflight;
+        }
+        assert_eq!(least_loaded(&slots, 2), Some(2), "lowest slot of the idle");
+        slots[2].alive = false;
+        assert_eq!(least_loaded(&slots, 2), Some(3), "dead slots take nothing");
+        slots[3].inflight = 2;
+        assert_eq!(least_loaded(&slots, 2), Some(1));
+        slots[1].inflight = 2;
+        assert_eq!(least_loaded(&slots, 2), None, "every live slot is full");
+    }
 
     #[test]
     fn config_validation_rejects_unrunnable_fleets() {

@@ -8,9 +8,9 @@
 //!
 //! * [`run_cluster_sweep`] — the coordinator. Spawns N worker
 //!   **processes** (re-execs of the current binary, detected via
-//!   [`maybe_worker`]), consistent-hashes sweep points — the
-//!   [`JobSpec`] experiments the `cedar-serve` server runs — onto them
-//!   by [`JobSpec::key`], and merges outcomes in input order,
+//!   [`maybe_worker`]), places each sweep point — a [`JobSpec`]
+//!   experiment the `cedar-serve` server runs — on the least-loaded
+//!   alive worker, and merges outcomes in input order,
 //!   **bit-identical to executing each spec serially**.
 //! * Crash recovery — spontaneous exits, hangs (reaped by seeded
 //!   heartbeats over the `cedar-sim` [`Watchdog`]) and garbage frames
@@ -60,7 +60,6 @@ pub mod coordinator;
 pub mod journal;
 pub mod obs;
 pub mod proto;
-pub mod ring;
 pub mod worker;
 
 pub use coordinator::{
@@ -69,7 +68,6 @@ pub use coordinator::{
 pub use journal::{CommitOrigin, JobJournal, JobRecord, JobState};
 pub use obs::{MetricsServer, METRICS};
 pub use proto::{FromWorker, ToWorker};
-pub use ring::HashRing;
 pub use worker::{maybe_worker, CHAOS_ENV, ID_ENV, INCARNATION_ENV, WORKER_ENV};
 
 use cedar_serve::job::{JobSpec, MAX_BLOCKS};

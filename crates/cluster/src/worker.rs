@@ -17,11 +17,10 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use cedar_faults::{parse_directive, WorkerFaultKind};
-use cedar_serve::job::{JobError, JobOutcome, JobSpec, MAX_NET_CYCLES};
+use cedar_serve::job::{caught, JobSpec, MAX_NET_CYCLES};
 use cedar_snap::{read_frame, write_frame, FrameError, Snapshot};
 
 use crate::proto::{decode_msg, encode_msg, FromWorker, ToWorker};
@@ -45,30 +44,16 @@ const STALL_CAP: Duration = Duration::from_secs(30);
 
 /// Runs one job as a worker does. The spec arrived as outside bytes,
 /// so its bounds are checked before the simulation runs. The result
-/// is the sealed [`JobOutcome`] envelope, or the reason the worker
-/// reports as [`FromWorker::Fail`].
+/// is the sealed [`JobOutcome`](cedar_serve::job::JobOutcome)
+/// envelope, or the reason the worker reports as [`FromWorker::Fail`];
+/// a panicking job is a typed failure ([`caught`]), not a worker crash.
 fn run_job(spec: &JobSpec) -> Result<Vec<u8>, String> {
     caught(|| {
         spec.validate()?;
         spec.execute(MAX_NET_CYCLES)
     })
-}
-
-/// Runs `job`, turning a panic into a failure reason so that a
-/// panicking job is a typed job failure, not a worker crash.
-fn caught(job: impl FnOnce() -> Result<JobOutcome, JobError>) -> Result<Vec<u8>, String> {
-    match catch_unwind(AssertUnwindSafe(job)) {
-        Ok(Ok(outcome)) => Ok(outcome.to_snapshot_bytes()),
-        Ok(Err(e)) => Err(e.reason()),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic".to_owned());
-            Err(format!("job panicked: {msg}"))
-        }
-    }
+    .map(|outcome| outcome.to_snapshot_bytes())
+    .map_err(|e| e.reason())
 }
 
 /// If this invocation is a worker (`CEDAR_CLUSTER_WORKER` is set),
@@ -199,12 +184,5 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("job.kernel must be in 0..=3"), "{err}");
-    }
-
-    #[test]
-    fn panicking_job_is_a_job_failure_not_a_crash() {
-        let err = caught(|| panic!("unlucky input")).unwrap_err();
-        assert!(err.contains("panicked"), "{err}");
-        assert!(err.contains("unlucky input"), "{err}");
     }
 }

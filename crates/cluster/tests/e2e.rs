@@ -206,7 +206,8 @@ fn cluster_and_cached_sweep_share_the_same_cache_entries() {
 
     // The in-process cached sweep hits every entry the fleet wrote —
     // the closure proves it by refusing to compute anything.
-    let warm = cedar_exec::run_sweep_cached(
+    let warm = cedar_exec::run_sweep_cached_on(
+        cedar_exec::threads(),
         Some(&cache),
         CACHE_NAMESPACE,
         specs.clone(),

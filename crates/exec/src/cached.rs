@@ -15,10 +15,11 @@ use cedar_snap::{CacheDir, Snapshot};
 
 use crate::pool::run_sweep_on;
 
-/// Runs `f` over every input, serving points from `cache` when their
-/// key is present and storing freshly computed results back.
+/// Runs `f` over every input on `threads` workers, serving points
+/// from `cache` when their key is present and storing freshly computed
+/// results back.
 ///
-/// Semantics are identical to [`run_sweep`](crate::run_sweep) —
+/// Semantics are identical to [`run_sweep_on`](crate::run_sweep_on) —
 /// results arrive in input order, bit-identical to a serial map —
 /// provided `f` honours the determinism contract (a cached result is
 /// only valid if recomputing it would give the same bytes). `None`
@@ -32,32 +33,13 @@ use crate::pool::run_sweep_on;
 /// failed store leaves the cache cold for the next run. Only the
 /// closure's own panics propagate.
 ///
+/// Hit/miss classification is independent of `threads`, so serial
+/// and parallel runs over the same cache are interchangeable.
+///
 /// # Panics
 ///
 /// Re-raises the panic of the lowest-indexed failing point. No entry
 /// is stored for any point of a panicking sweep.
-pub fn run_sweep_cached<I, T, F>(
-    cache: Option<&CacheDir>,
-    namespace: &str,
-    inputs: Vec<I>,
-    f: F,
-) -> Vec<T>
-where
-    I: Send + Snapshot,
-    T: Send + Snapshot,
-    F: Fn(I) -> T + Sync,
-{
-    run_sweep_cached_on(crate::threads(), cache, namespace, inputs, f)
-}
-
-/// [`run_sweep_cached`] with an explicit thread count (bypassing
-/// `CEDAR_THREADS`). Hit/miss classification is independent of the
-/// thread count, so serial and parallel runs over the same cache are
-/// interchangeable.
-///
-/// # Panics
-///
-/// Re-raises the panic of the lowest-indexed failing point.
 pub fn run_sweep_cached_on<I, T, F>(
     threads: usize,
     cache: Option<&CacheDir>,

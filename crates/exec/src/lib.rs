@@ -5,10 +5,13 @@
 //! machines. Every point is an independent `(config → result)`
 //! simulation with its own seeded RNG, so the sweep is embarrassingly
 //! parallel — as long as nothing about the execution order can leak
-//! into the results. [`run_sweep`] fans the points out across a
+//! into the results. [`run_sweep_on`] fans the points out across a
 //! work-stealing scoped-thread pool and commits the results **in
 //! input order**, guaranteeing output bit-identical to a serial
 //! `map` no matter how many threads run or how the steals interleave.
+//! [`run_sweep_cached_on`] puts a content-addressed result cache
+//! around the same sweep. Both take the thread count explicitly;
+//! callers that honour `CEDAR_THREADS` pass [`threads`].
 //!
 //! # Determinism contract
 //!
@@ -20,9 +23,8 @@
 //!   to `inputs.into_iter().map(f).collect()` regardless of thread
 //!   count or steal order.
 //! * With one thread (or one input) the pool is bypassed entirely:
-//!   the closure runs inline on the caller's thread, so
-//!   `CEDAR_THREADS=1` *is* the serial execution, not a simulation
-//!   of it.
+//!   the closure runs inline on the caller's thread, so one thread
+//!   *is* the serial execution, not a simulation of it.
 //!
 //! # Thread-count resolution
 //!
@@ -34,10 +36,9 @@
 //!
 //! ```
 //! // Squares arrive in input order whatever the thread count.
-//! let out = cedar_exec::run_sweep((0u64..64).collect(), |x| x * x);
+//! let out = cedar_exec::run_sweep_on(cedar_exec::threads(), (0u64..64).collect(), |x| x * x);
 //! assert_eq!(out[63], 63 * 63);
 //!
-//! // Pin the pool size explicitly (bypasses CEDAR_THREADS).
 //! let serial = cedar_exec::run_sweep_on(1, (0u64..64).collect(), |x| x * x);
 //! assert_eq!(out, serial);
 //! ```
@@ -48,15 +49,15 @@
 mod cached;
 mod pool;
 
-pub use cached::{run_sweep_cached, run_sweep_cached_on};
-pub use pool::{run_sweep_on, run_sweep_streaming_on, CancelToken, Cancelled};
+pub use cached::run_sweep_cached_on;
+pub use pool::run_sweep_on;
 
 /// The environment variable that pins the sweep pool size.
-pub const THREADS_ENV: &str = "CEDAR_THREADS";
+const THREADS_ENV: &str = "CEDAR_THREADS";
 
 /// Resolves the number of worker threads for sweep execution.
 ///
-/// Reads [`THREADS_ENV`] on every call so tests and the `perf`
+/// Reads `CEDAR_THREADS` on every call so tests and the `perf`
 /// harness can flip between serial and parallel execution without
 /// rebuilding pools: a positive integer wins; `0`, absence or an
 /// unparsable value falls back to the machine's available
@@ -74,24 +75,6 @@ pub fn threads() -> usize {
 
 fn available() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Runs `f` over every input on the [`threads`]-sized pool and
-/// returns the results in input order.
-///
-/// This is the sweep entry point the bench modules use; see the
-/// crate docs for the determinism contract each point must honour.
-///
-/// # Panics
-///
-/// Re-raises the panic of the lowest-indexed failing point.
-pub fn run_sweep<I, T, F>(inputs: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    run_sweep_on(threads(), inputs, f)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The scoped work-stealing pool behind [`run_sweep`].
+//! The scoped work-stealing pool behind [`run_sweep_on`].
 //!
 //! Layout: every worker owns a deque of `(index, input)` tasks,
 //! seeded round-robin so a sweep whose cost ramps with the input
@@ -16,65 +16,16 @@
 //! work anywhere exits. Results travel back over an `mpsc` channel
 //! as `(index, result)` pairs and are committed to their input-order
 //! slots after the scope joins, which is what makes the output
-//! independent of scheduling.
-//!
-//! Cancellation is cooperative and point-granular: a [`CancelToken`]
-//! is consulted between points, never inside one, so a cancelled
-//! sweep stops at the next point boundary with every already-started
-//! point run to completion. The serving tier uses this for deadline
-//! and shutdown aborts; a cancelled sweep yields no results at all
-//! (its callers must not observe a partial, order-broken output).
-//!
-//! [`run_sweep`]: crate::run_sweep
+//! independent of scheduling. There is no cancellation: a panicking
+//! point is caught, the rest of the sweep still runs, and the
+//! lowest-indexed panic is re-raised once every worker has joined.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 type PointOutcome<T> = Result<T, Box<dyn std::any::Any + Send>>;
-
-/// A cooperative stop flag for sweep execution.
-///
-/// Cloning shares the flag; any clone can [`cancel`](CancelToken::cancel)
-/// and every worker observes it at its next point boundary. Tokens are
-/// cheap (one `Arc<AtomicBool>`) and a fresh token is never cancelled.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Creates a token in the not-cancelled state.
-    #[must_use]
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; already-running points
-    /// finish, no further point starts.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// Error returned by [`run_sweep_streaming_on`] when its token fired
-/// before every point completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-impl std::fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("sweep cancelled before completion")
-    }
-}
-
-impl std::error::Error for Cancelled {}
 
 /// Runs `f` over every input on exactly `threads` workers and
 /// returns the results in input order.
@@ -93,75 +44,9 @@ where
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    match run_sweep_streaming_on(threads, inputs, f, &CancelToken::new(), |_, _| {}) {
-        Ok(results) => results,
-        Err(Cancelled) => unreachable!("a fresh token never cancels"),
-    }
-}
-
-/// [`run_sweep_on`] with a cooperative [`CancelToken`] consulted
-/// between points, calling `notify(index, &result)` as each point
-/// completes, on whatever thread ran it, *before* the sweep as a whole
-/// finishes.
-///
-/// On `Ok` the output is bit-identical to the serial map, whatever
-/// the thread count. On `Err(Cancelled)` at least one point never
-/// ran and no result `Vec` is returned, so callers never observe a
-/// partial sweep. A token that fires only after every point has
-/// already finished still returns `Ok` — cancellation is a request,
-/// not a post-hoc invalidation.
-///
-/// This is the streaming primitive behind the serving tier's
-/// dispatcher: per-job replies leave for the wire the moment their
-/// point completes instead of waiting for the batch barrier. The
-/// ordered `Vec` is still returned (bit-identical to serial) for
-/// callers that want both.
-///
-/// Contract:
-///
-/// * `notify` runs exactly once per *completed* point — never for a
-///   point that panicked or was skipped by cancellation.
-/// * Notification order is scheduling-dependent; only the returned
-///   `Vec` is input-ordered. `notify` must therefore derive everything
-///   from `(index, result)`.
-/// * On `Err(Cancelled)`, notifications already delivered stay
-///   delivered. Callers that must resolve *every* point (the serving
-///   tier's exactly-once reply guarantee) track notified indices in
-///   the closure and resolve the rest themselves.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fired before every point ran.
-///
-/// # Panics
-///
-/// A panicking point takes precedence over cancellation: the
-/// lowest-indexed panic among the points that ran is re-raised.
-pub fn run_sweep_streaming_on<I, T, F, N>(
-    threads: usize,
-    inputs: Vec<I>,
-    f: F,
-    cancel: &CancelToken,
-    notify: N,
-) -> Result<Vec<T>, Cancelled>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-    N: Fn(usize, &T) + Sync,
-{
     let n = inputs.len();
     if threads <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for (idx, input) in inputs.into_iter().enumerate() {
-            if cancel.is_cancelled() {
-                return Err(Cancelled);
-            }
-            let result = f(input);
-            notify(idx, &result);
-            out.push(result);
-        }
-        return Ok(out);
+        return inputs.into_iter().map(f).collect();
     }
     let workers = threads.min(n);
 
@@ -178,20 +63,12 @@ where
     let (tx, rx) = mpsc::channel::<(usize, PointOutcome<T>)>();
     let deques = &deques;
     let f = &f;
-    let notify = &notify;
     std::thread::scope(|scope| {
         for me in 0..workers {
             let tx = tx.clone();
-            let cancel = cancel.clone();
             scope.spawn(move || {
-                while !cancel.is_cancelled() {
-                    let Some((idx, input)) = next_task(deques, me) else {
-                        break;
-                    };
+                while let Some((idx, input)) = next_task(deques, me) {
                     let outcome = catch_unwind(AssertUnwindSafe(|| f(input)));
-                    if let Ok(result) = &outcome {
-                        notify(idx, result);
-                    }
                     // A send can only fail if the receiver is gone,
                     // which means the caller is already unwinding.
                     let _ = tx.send((idx, outcome));
@@ -206,28 +83,21 @@ where
         debug_assert!(slots[idx].is_none(), "point {idx} committed twice");
         slots[idx] = Some(outcome);
     }
-    // Panics win over cancellation, lowest index first — the same
-    // failure a serial execution would have surfaced.
+    // Lowest index first — the failure a serial execution would have
+    // surfaced.
     if let Some(i) = slots.iter().position(|s| matches!(s, Some(Err(_)))) {
         match slots.swap_remove(i) {
             Some(Err(payload)) => resume_unwind(payload),
             _ => unreachable!("slot {i} held the first panic"),
         }
     }
-    if slots.iter().any(Option::is_none) {
-        debug_assert!(
-            cancel.is_cancelled(),
-            "a point vanished without cancellation"
-        );
-        return Err(Cancelled);
-    }
-    Ok(slots
+    slots
         .into_iter()
-        .map(|slot| match slot.expect("every slot checked complete") {
+        .map(|slot| match slot.expect("every point ran") {
             Ok(result) => result,
             Err(_) => unreachable!("panics already re-raised"),
         })
-        .collect())
+        .collect()
 }
 
 /// Grabs the next task for worker `me`: own deque from the back,
@@ -324,159 +194,6 @@ mod tests {
         let main_id = std::thread::current().id();
         let out = run_sweep_on(1, vec![(), (), ()], |()| std::thread::current().id());
         assert!(out.iter().all(|&id| id == main_id));
-    }
-
-    #[test]
-    fn pre_cancelled_token_runs_nothing() {
-        let token = CancelToken::new();
-        token.cancel();
-        let ran = AtomicUsize::new(0);
-        for threads in [1, 4] {
-            let result = run_sweep_streaming_on(
-                threads,
-                (0u64..32).collect(),
-                |x| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    x
-                },
-                &token,
-                |_, _| {},
-            );
-            assert_eq!(result, Err(Cancelled), "{threads} threads");
-        }
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "no point may start");
-    }
-
-    #[test]
-    fn mid_sweep_cancel_stops_at_a_point_boundary() {
-        // The closure itself cancels after a few points — the most
-        // deterministic way to fire mid-sweep. Serial and parallel
-        // must both refuse to return a partial result.
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let ran = AtomicUsize::new(0);
-            let result = run_sweep_streaming_on(
-                threads,
-                (0u64..64).collect(),
-                |x| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if x == 2 {
-                        token.cancel();
-                    }
-                    x
-                },
-                &token,
-                |_, _| {},
-            );
-            assert_eq!(result, Err(Cancelled), "{threads} threads");
-            let ran = ran.load(Ordering::Relaxed);
-            assert!(ran < 64, "cancellation must stop the sweep, ran {ran}");
-        }
-    }
-
-    #[test]
-    fn late_cancel_after_completion_still_ok() {
-        let token = CancelToken::new();
-        let out = run_sweep_streaming_on(4, (0u64..8).collect(), |x| x * 2, &token, |_, _| {});
-        token.cancel();
-        assert_eq!(out, Ok((0..8).map(|x| x * 2).collect()));
-    }
-
-    #[test]
-    #[should_panic(expected = "point 0 exploded")]
-    fn panic_wins_over_cancellation() {
-        // Point 0 both cancels the sweep and panics: the panic must be
-        // re-raised, not swallowed into Err(Cancelled).
-        let token = CancelToken::new();
-        let _ = run_sweep_streaming_on(
-            4,
-            vec![0u64, 1, 2, 3],
-            |x| {
-                if x == 0 {
-                    token.cancel();
-                    panic!("point 0 exploded");
-                }
-                x
-            },
-            &token,
-            |_, _| {},
-        );
-    }
-
-    #[test]
-    fn streaming_notifies_every_point_exactly_once() {
-        for threads in [1, 4] {
-            let notified = Mutex::new(vec![0u32; 64]);
-            let out = run_sweep_streaming_on(
-                threads,
-                (0u64..64).collect(),
-                |x| x * 2,
-                &CancelToken::new(),
-                |idx, &result| {
-                    assert_eq!(result, (idx as u64) * 2, "notify sees the point's result");
-                    notified.lock().unwrap()[idx] += 1;
-                },
-            )
-            .unwrap();
-            assert_eq!(out, (0u64..64).map(|x| x * 2).collect::<Vec<_>>());
-            assert!(
-                notified.lock().unwrap().iter().all(|&n| n == 1),
-                "{threads} threads: every point notified exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_cancel_keeps_delivered_notifications() {
-        // Cancel fires mid-sweep; the sweep returns Err but the
-        // notifications already delivered are the caller's record of
-        // which points genuinely completed.
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let notified = Mutex::new(BTreeSet::new());
-            let result = run_sweep_streaming_on(
-                threads,
-                (0u64..64).collect(),
-                |x| {
-                    if x == 3 {
-                        token.cancel();
-                    }
-                    x
-                },
-                &token,
-                |idx, _| {
-                    notified.lock().unwrap().insert(idx);
-                },
-            );
-            assert_eq!(result, Err(Cancelled), "{threads} threads");
-            let seen = notified.lock().unwrap();
-            assert!(!seen.is_empty(), "the cancelling point itself completed");
-            assert!(seen.len() < 64, "cancellation stopped the sweep");
-        }
-    }
-
-    #[test]
-    fn streaming_never_notifies_a_panicked_point() {
-        let notified = Mutex::new(BTreeSet::new());
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_sweep_streaming_on(
-                4,
-                (0u64..16).collect(),
-                |x| {
-                    assert!(x != 5, "point {x} exploded");
-                    x
-                },
-                &CancelToken::new(),
-                |idx, _| {
-                    notified.lock().unwrap().insert(idx);
-                },
-            )
-        }));
-        assert!(result.is_err(), "panic must propagate");
-        assert!(
-            !notified.lock().unwrap().contains(&5),
-            "the panicked point must not have been notified"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The thread-safe metrics surface of the multi-threaded tiers.
 //!
 //! [`Obs`](crate::Obs) is single-threaded, as the simulator is. The
-//! serving tier's reactors and dispatcher, and the cluster coordinator
+//! serving tier's reactors and workers, and the cluster coordinator
 //! with its scrape thread, share one [`SharedObs`] instead: a
 //! mutex-guarded [`MetricsRegistry`], a bounded ring of request-path
 //! spans and a start clock. Metric touches are short, and spans are

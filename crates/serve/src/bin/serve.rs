@@ -6,8 +6,10 @@
 //!       [--line-timeout-ms N] [--write-timeout-ms N]
 //! ```
 //!
-//! Runs until a client sends the `shutdown` op; exits 0 after a clean
-//! drain. `--port-file` writes the bound address (one line) once the
+//! `--workers` sets the job worker threads; `--batch` the most queued
+//! tickets one worker takes at a time (default 1, so a burst spreads
+//! across the workers). Runs until a client sends the `shutdown` op;
+//! exits 0 after a clean drain. `--port-file` writes the bound address (one line) once the
 //! listener is up, so harnesses using an ephemeral port can find it.
 
 use std::path::PathBuf;

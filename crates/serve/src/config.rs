@@ -11,10 +11,12 @@ pub struct ServeConfig {
     /// Admission capacity of the job queue; pushes beyond it are shed
     /// with a typed rejection.
     pub queue_capacity: usize,
-    /// Worker threads the dispatcher fans each batch across (the
-    /// `cedar-exec` pool width).
+    /// Long-lived worker threads executing jobs, each taking its next
+    /// tickets straight from the queue when it goes idle (0 means 1).
     pub workers: usize,
-    /// Most jobs the dispatcher pulls per batch.
+    /// Most tickets one worker takes per pop. A worker runs what it
+    /// took one after another, so 1 spreads a burst across the
+    /// workers; more keeps a burst on one thread.
     pub batch_max: usize,
     /// Simulated-network cycle budget per job.
     pub max_net_cycles: u64,
@@ -46,7 +48,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             queue_capacity: 64,
             workers: 4,
-            batch_max: 8,
+            batch_max: 1,
             max_net_cycles: crate::job::MAX_NET_CYCLES,
             cache_dir: None,
             reply_timeout: Duration::from_secs(60),

@@ -58,7 +58,7 @@ pub enum ConnProto {
 pub enum ConnState {
     /// Waiting for (more of) a request.
     ReadingFrame,
-    /// At least one admitted request is waiting for the dispatcher.
+    /// At least one admitted request is waiting for a worker.
     Queued,
     /// At least one request's job is executing.
     Executing,

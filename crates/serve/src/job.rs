@@ -17,6 +17,8 @@
 //! watchdog-stalled simulation surfaces as a typed [`JobError`], never
 //! as a dead connection or a crashed server.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cedar_faults::{CedarError, FaultConfig, FaultPlan, MachineShape, RetryPolicy};
 use cedar_net::fabric::{FabricConfig, FabricReport, PrefetchTraffic, RoundTripFabric};
 use cedar_sim::watchdog::Watchdog;
@@ -223,8 +225,8 @@ pub enum JobError {
     Expired,
     /// The server was shut down hard before the job ran.
     Cancelled,
-    /// The simulation itself wedged (watchdog trip) — a typed error,
-    /// not a 500.
+    /// The simulation itself wedged (watchdog trip) or panicked — a
+    /// typed error, not a 500.
     Stalled(String),
 }
 
@@ -250,6 +252,26 @@ impl JobError {
             JobError::Cancelled => "server shut down before execution".to_owned(),
         }
     }
+}
+
+/// Runs one job's execution behind the panic guard every executor
+/// shares: the server's workers and the fleet's worker processes. A
+/// panic becomes a typed [`JobError::Stalled`] (wire status `error`)
+/// carrying the panic message, so one bad job fails alone and the
+/// thread that ran it keeps serving.
+///
+/// # Errors
+///
+/// Whatever `job` returns, or [`JobError::Stalled`] if it panicked.
+pub fn caught(job: impl FnOnce() -> Result<JobOutcome, JobError>) -> Result<JobOutcome, JobError> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic".to_owned());
+        Err(JobError::Stalled(format!("job panicked: {msg}")))
+    })
 }
 
 impl JobSpec {
@@ -1010,5 +1032,21 @@ mod tests {
             .execute(32_000_000)
             .unwrap();
         assert!(!healthy.degraded, "rate 0 is the healthy baseline");
+    }
+
+    #[test]
+    fn panicking_job_is_a_typed_error_not_a_crash() {
+        let err = caught(|| panic!("unlucky input")).unwrap_err();
+        assert_eq!(err.status(), "error");
+        assert_eq!(err.reason(), "job panicked: unlucky input");
+        let n = 7;
+        let err = caught(|| panic!("unlucky input {n}")).unwrap_err();
+        assert_eq!(err.reason(), "job panicked: unlucky input 7");
+        let ok = spec(r#"{"type":"hotspot","fraction":0.05,"ces":4,"blocks":2}"#).unwrap();
+        assert_eq!(
+            caught(|| ok.execute(8_000_000)),
+            ok.execute(8_000_000),
+            "a job that returns passes through the guard untouched"
+        );
     }
 }

@@ -8,9 +8,9 @@
 //! one listener speaks three protocols, sniffed from the first byte:
 //! the `b"CSRV"` length-prefixed binary protocol, the line-delimited
 //! JSON protocol, and one-shot HTTP scrapes. Admitted jobs flow
-//! through a bounded priority queue with per-job deadlines into a
-//! batching dispatcher that fans each batch across the `cedar-exec`
-//! deterministic pool and streams completions back per job; identical
+//! through a bounded priority queue with per-job deadlines to a fixed
+//! set of worker threads, each taking the next ticket from the queue
+//! as it goes idle and answering that job's waiters as it finishes; identical
 //! requests collapse in flight and memoize across runs through
 //! `cedar-snap`'s content-addressed cache, fronted by a bounded
 //! in-memory tier of verified envelopes ([`memo`]); those sealed
@@ -22,7 +22,8 @@
 //!   `rejected` reply, never a hung or dropped connection.
 //! - **Degradation is typed.** Fault-injected jobs complete with
 //!   degraded-mode outcomes (`cedar-faults` semantics); even a
-//!   watchdog stall is an `error` reply with a reason.
+//!   watchdog stall or a panicking job is an `error` reply with a
+//!   reason ([`job::caught`]).
 //! - **Everything is observable.** Queue depth, wait/service/latency
 //!   histograms and per-request spans flow through one
 //!   `cedar_obs::SharedObs` and export as Prometheus text or a Chrome

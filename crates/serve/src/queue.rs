@@ -10,8 +10,8 @@
 //!
 //! Closing the queue is how graceful drain starts: pushes stop being
 //! admitted, poppers drain what remains, and `pop_batch` returns `None`
-//! only once the queue is both closed and empty — the dispatcher's
-//! signal that the drain is complete.
+//! only once the queue is both closed and empty — each worker's
+//! signal to exit; the last one out completes the drain.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -4,8 +4,8 @@
 //! Each reactor owns a private set of nonblocking sockets and their
 //! [`Conn`] state machines. Reactor 0 additionally owns the (also
 //! nonblocking) listener and deals new connections round-robin across
-//! the fleet. Everything else in the server — the dispatcher, the
-//! worker pool, admission bookkeeping on other reactors — talks to a
+//! the fleet. Everything else in the server — the job workers,
+//! admission bookkeeping on other reactors — talks to a
 //! reactor through its [`ReactorLink`]: a mutex-guarded inbox plus a
 //! one-byte wakeup pipe that interrupts the reactor's `poll`.
 //!
@@ -62,7 +62,7 @@ pub(crate) enum ReactorMsg {
         /// Close the connection once these bytes flush.
         close_after: bool,
     },
-    /// The dispatcher drained: flush what's owed, then exit.
+    /// The last worker drained: flush what's owed, then exit.
     DrainComplete,
 }
 
@@ -209,7 +209,7 @@ impl Reactor {
             // 4. Reap clocks: slow-loris reads, stuck writers.
             self.reap_pass(now, line_timeout, write_timeout);
 
-            // 5. Reactor 0 also sweeps waiters the dispatcher lost.
+            // 5. Reactor 0 also sweeps waiters the workers lost.
             if self.id == 0 {
                 self.shared.sweep_stalled(now);
             }

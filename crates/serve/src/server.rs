@@ -1,5 +1,5 @@
 //! The cedar-serve server: reactor fleet, admission control, dedup,
-//! batching dispatcher, and graceful drain.
+//! self-scheduling workers, and graceful drain.
 //!
 //! # Request path
 //!
@@ -9,7 +9,7 @@
 //!                         │                 │ 2. CacheDir  (disk, verified)  ──hit──┤
 //!                         │                 │ 3. dedup map (collapse in flight)     │
 //!                         │                 ▼                                       │
-//!                         │              JobQueue ──▶ dispatcher ──▶ cedar-exec pool│
+//!                         │              JobQueue ◀──pop── serve-worker-{i} (×N)    │
 //!                         │                                               │         │
 //!                         │              store on disk, then in the memo ◀┤         │
 //!                         │                                               │         │
@@ -19,11 +19,16 @@
 //!
 //! Connections are owned by a small fixed set of reactor threads (see
 //! [`crate::reactor`]); no thread is ever created per connection.
+//! Jobs run on [`ServeConfig::workers`] long-lived worker threads,
+//! each taking the next ticket straight from the queue as it goes
+//! idle — Cedar's self-scheduled loop, where an idle processor takes
+//! the next iteration from a shared counter — so no thread is created
+//! per job or per batch either.
 //! Requests that cannot be answered immediately (a `run` that misses
 //! the cache, a `shutdown`) register a [`Waiter`] — reactor id,
 //! connection token, and enough protocol context to render the reply —
-//! and the dispatcher routes rendered bytes back through the owning
-//! reactor's inbox when the job completes. One connection can have any
+//! and the worker that ran the job routes rendered bytes back through
+//! the owning reactor's inbox when it completes. One connection can have any
 //! number of waiters outstanding; the binary protocol's correlation
 //! ids (and the line protocol's `id` field) let clients pipeline.
 //!
@@ -45,13 +50,13 @@
 //!
 //! Graceful drain (`shutdown` op or [`ServerHandle::shutdown`]) closes
 //! the queue: admission starts rejecting `run`s with a typed
-//! `draining` reason, the dispatcher finishes the backlog, every
-//! waiter gets its reply, the shutdown requesters get their acks, and
-//! only then do the reactors flush and exit — deterministic in the
-//! sense that every admitted job completes and every connection sees a
-//! final reply. [`ServerHandle::kill`] is the hard variant: the
-//! in-flight sweep stops at the next point boundary via `cedar-exec`
-//! cancellation and queued jobs answer `cancelled`.
+//! `draining` reason, the workers finish the backlog, and the last
+//! worker to exit resolves any straggler, acks the shutdown
+//! requesters and only then releases the reactors to flush and exit —
+//! deterministic in the sense that every admitted job completes and
+//! every connection sees a final reply. [`ServerHandle::kill`] is the
+//! hard variant: jobs already executing run to completion, and every
+//! ticket a worker has not yet started answers `cancelled`.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -60,14 +65,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cedar_exec::{run_sweep_streaming_on, CancelToken};
 use cedar_obs::export::escape_json;
 use cedar_obs::{http_reply, MetricSet, SharedObs};
 use cedar_snap::Snapshot;
 
 use crate::config::ServeConfig;
 use crate::conn::{Conn, ConnToken, WireRequest};
-use crate::job::{JobError, JobOutcome, JobSpec};
+use crate::job::{caught, JobError, JobOutcome, JobSpec};
 use crate::json::{self, Json};
 use crate::memo::ResultCache;
 use crate::proto::{ErrStatus, Request, Response};
@@ -166,7 +170,11 @@ pub(crate) struct Shared {
     dedup: Mutex<HashMap<String, InFlight>>,
     shutdown_waiters: Mutex<Vec<Waiter>>,
     draining: AtomicBool,
-    kill: CancelToken,
+    /// Set by a hard stop: workers answer every ticket they have not
+    /// started `cancelled`.
+    kill: AtomicBool,
+    /// Workers still looping; the one that takes it to zero drains.
+    workers_running: AtomicUsize,
     /// The memoization cache, memory tier in front of disk; `None`
     /// without a cache directory.
     cache: Option<ResultCache>,
@@ -258,7 +266,7 @@ impl Shared {
 
     /// Resolves every waiter that has been pending longer than
     /// `reply_timeout` with a typed `Stalled` — the backstop for a
-    /// wedged dispatcher. The dedup entry itself stays: the ticket may
+    /// wedged worker. The dedup entry itself stays: the ticket may
     /// still complete for waiters that arrive later.
     pub(crate) fn sweep_stalled(&self, now: Instant) {
         let timeout = self.cfg.reply_timeout;
@@ -280,7 +288,7 @@ impl Shared {
             return;
         }
         let res = Resolution::Failed(JobError::Stalled(
-            "reply channel timed out — dispatcher wedged?".into(),
+            "reply channel timed out — worker wedged?".into(),
         ));
         for waiter in &stalled {
             self.resolve_waiter(waiter, &res);
@@ -300,7 +308,7 @@ impl Shared {
     }
 
     /// Registers a `shutdown` requester and starts the drain. Acks go
-    /// out when the dispatcher reports drained — or immediately, if it
+    /// out when the last worker reports drained — or immediately, if it
     /// already has.
     fn register_shutdown(&self, waiter: Waiter) {
         self.shutdown_waiters
@@ -366,7 +374,7 @@ impl Shared {
         }
     }
 
-    /// Starts the graceful drain: reject new work, let the dispatcher
+    /// Starts the graceful drain: reject new work, let the workers
     /// finish the backlog.
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
@@ -377,7 +385,7 @@ impl Shared {
 /// A running server and the handles to stop it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     reactors: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -409,20 +417,17 @@ impl ServerHandle {
         self.join_threads();
     }
 
-    /// Hard-stops the server: the in-flight sweep cancels at the next
-    /// point boundary and queued jobs answer `cancelled`.
+    /// Hard-stops the server: jobs already executing finish, and every
+    /// job not yet started answers `cancelled`.
     pub fn kill(mut self) {
-        self.shared.kill.cancel();
+        self.shared.kill.store(true, Ordering::SeqCst);
         self.shared.begin_drain();
         self.shared.wait_drained();
         self.join_threads();
     }
 
     fn join_threads(&mut self) {
-        if let Some(t) = self.dispatcher.take() {
-            let _ = t.join();
-        }
-        for t in self.reactors.drain(..) {
+        for t in self.workers.drain(..).chain(self.reactors.drain(..)) {
             let _ = t.join();
         }
     }
@@ -430,8 +435,8 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() || !self.reactors.is_empty() {
-            self.shared.kill.cancel();
+        if !self.workers.is_empty() || !self.reactors.is_empty() {
+            self.shared.kill.store(true, Ordering::SeqCst);
             self.shared.begin_drain();
             self.shared.wait_drained();
             self.join_threads();
@@ -439,7 +444,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds, spawns the dispatcher and the reactor fleet, and returns.
+/// Binds, spawns the workers and the reactor fleet, and returns.
 ///
 /// # Errors
 ///
@@ -454,6 +459,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         None => None,
     };
     let reactors_n = cfg.reactor_threads.max(1);
+    let workers_n = cfg.workers.max(1);
     let mut links = Vec::with_capacity(reactors_n);
     let mut wake_rxs = Vec::with_capacity(reactors_n);
     for _ in 0..reactors_n {
@@ -469,7 +475,8 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         dedup: Mutex::new(HashMap::new()),
         shutdown_waiters: Mutex::new(Vec::new()),
         draining: AtomicBool::new(false),
-        kill: CancelToken::new(),
+        kill: AtomicBool::new(false),
+        workers_running: AtomicUsize::new(workers_n),
         cache,
         seq: AtomicU64::new(0),
         next_token: AtomicU64::new(0),
@@ -487,12 +494,15 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         unreachable!("links set exactly once at startup")
     };
 
-    let dispatcher = {
+    let mut workers = Vec::with_capacity(workers_n);
+    for i in 0..workers_n {
         let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("serve-dispatch".into())
-            .spawn(move || dispatch_loop(&shared))?
-    };
+        workers.push(
+            std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared))?,
+        );
+    }
     let mut reactors = Vec::with_capacity(reactors_n);
     let mut listener = Some(listener);
     for (id, wake_rx) in wake_rxs.into_iter().enumerate() {
@@ -508,7 +518,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 
     Ok(ServerHandle {
         shared,
-        dispatcher: Some(dispatcher),
+        workers,
         reactors,
     })
 }
@@ -777,7 +787,11 @@ fn admit_run(
     Admission::Pending
 }
 
-fn dispatch_loop(shared: &Arc<Shared>) {
+/// One worker: pops up to `batch_max` tickets at a time, books their
+/// queue waits, drops the expired, tells the live ones' connections
+/// they started, then runs them one by one. When the queue is closed
+/// and empty the worker exits, and the last one out drains.
+fn worker_loop(shared: &Arc<Shared>) {
     while let Some(batch) = shared.queue.pop_batch(shared.cfg.batch_max) {
         shared
             .obs
@@ -802,53 +816,43 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 live.push(ticket);
             }
         }
-        if live.is_empty() {
-            continue;
-        }
         for ticket in &live {
             shared.notify_started(&ticket.key);
         }
-        let max_net_cycles = shared.cfg.max_net_cycles;
-        // Completions stream out one by one from worker threads — a
-        // fast job's waiters get their bytes while a slow batchmate is
-        // still executing. `finished` tracks which tickets the
-        // streaming callback already resolved so a cancelled sweep
-        // completes exactly the remainder: every ticket answers
-        // exactly once.
-        let finished: Vec<AtomicBool> = live.iter().map(|_| AtomicBool::new(false)).collect();
-        let outcome = run_sweep_streaming_on(
-            shared.cfg.workers,
-            live.clone(),
-            |ticket| {
-                // The deadline may have passed while earlier batch
-                // members ran; re-check at the last possible moment.
-                if ticket.deadline.is_some_and(|d| d <= Instant::now()) {
-                    return (Err(JobError::Expired), 0);
-                }
-                let begin = Instant::now();
-                let result = ticket.spec.execute(max_net_cycles);
-                let service_us = u64::try_from(begin.elapsed().as_micros()).unwrap_or(u64::MAX);
-                (result, service_us)
-            },
-            &shared.kill,
-            |idx, (result, service_us)| {
-                finished[idx].store(true, Ordering::SeqCst);
-                finish_ticket(shared, &live[idx], result, *service_us);
-            },
-        );
-        if outcome.is_err() {
-            // Cancelled mid-batch: points already streamed out above
-            // stay answered; everything else answers `cancelled`.
-            for (idx, ticket) in live.iter().enumerate() {
-                if !finished[idx].load(Ordering::SeqCst) {
-                    shared.complete(&ticket.key, &Resolution::Failed(JobError::Cancelled));
-                }
-            }
+        for ticket in &live {
+            run_ticket(shared, ticket);
         }
     }
-    // Queue closed and empty: resolve any stragglers (admission lost a
-    // race with close) so no waiter blocks forever, then report
-    // drained, ack the shutdown requesters, and release the reactors.
+    if shared.workers_running.fetch_sub(1, Ordering::SeqCst) == 1 {
+        drain_complete(shared);
+    }
+}
+
+/// Runs one started ticket and answers its waiters, unless a hard
+/// stop or its deadline got there first.
+fn run_ticket(shared: &Arc<Shared>, ticket: &JobTicket) {
+    if shared.kill.load(Ordering::SeqCst) {
+        shared.complete(&ticket.key, &Resolution::Failed(JobError::Cancelled));
+        return;
+    }
+    // The deadline may have passed while earlier batch members ran;
+    // re-check at the last possible moment.
+    if ticket.deadline.is_some_and(|d| d <= Instant::now()) {
+        shared.obs.inc("serve.jobs.expired");
+        shared.complete(&ticket.key, &Resolution::Failed(JobError::Expired));
+        return;
+    }
+    let begin = Instant::now();
+    let result = caught(|| ticket.spec.execute(shared.cfg.max_net_cycles));
+    let service_us = u64::try_from(begin.elapsed().as_micros()).unwrap_or(u64::MAX);
+    finish_ticket(shared, ticket, result, service_us);
+}
+
+/// Runs once, on the last worker to exit: the queue is closed and
+/// empty, so resolve any stragglers (admission lost a race with close)
+/// so no waiter blocks forever, then report drained, ack the shutdown
+/// requesters, and release the reactors.
+fn drain_complete(shared: &Shared) {
     let keys: Vec<String> = shared
         .dedup
         .lock()
@@ -867,12 +871,11 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 }
 
 /// Books one completed (or failed) execution: counters, trace span,
-/// cache write, waiter resolution. Runs on a worker thread, streamed
-/// per completion.
+/// cache write, waiter resolution.
 fn finish_ticket(
     shared: &Arc<Shared>,
     ticket: &JobTicket,
-    result: &Result<JobOutcome, JobError>,
+    result: Result<JobOutcome, JobError>,
     service_us: u64,
 ) {
     let end_us = shared.obs.now_us();
@@ -892,21 +895,17 @@ fn finish_ticket(
             // after this reply is answered from memory.
             let envelope = Arc::new(outcome.to_snapshot_bytes());
             if let Some(cache) = &shared.cache {
-                if cache.store(&ticket.key, *outcome, &envelope) {
+                if cache.store(&ticket.key, outcome, &envelope) {
                     shared.obs.inc("serve.cache.stores");
                 }
             }
             Resolution::Done {
-                outcome: *outcome,
+                outcome,
                 envelope,
                 cached: false,
             }
         }
-        Err(JobError::Expired) => {
-            shared.obs.inc("serve.jobs.expired");
-            Resolution::Failed(JobError::Expired)
-        }
-        Err(e) => Resolution::Failed(e.clone()),
+        Err(e) => Resolution::Failed(e),
     };
     shared.complete(&ticket.key, &res);
 }

@@ -410,8 +410,8 @@ fn run_once(addr: &str, corr: u64, spec: JobSpec, patience: Duration) -> Result<
 #[test]
 fn out_of_bound_binary_spec_is_a_typed_invalid_and_the_server_keeps_serving() {
     // The frame codec restores any kernel index; only `validate`
-    // stands between index 7 and an out-of-bounds panic that would
-    // take the dispatcher down with every later job.
+    // stands between index 7 and an out-of-bounds panic in `execute`
+    // (which the workers' panic guard would answer `error`).
     let (handle, addr) = start_on_any_port(ServeConfig::default());
     let bad = JobSpec::Table2 {
         kernel: 7,
@@ -434,8 +434,8 @@ fn out_of_bound_binary_spec_is_a_typed_invalid_and_the_server_keeps_serving() {
         )
     ) && executed == 1;
     if !healthy {
-        // A server whose dispatcher died cannot drain; do not wait on
-        // it while reporting.
+        // A server whose workers died cannot drain; do not wait on it
+        // while reporting.
         std::mem::forget(handle);
         panic!("bad spec: {first:?}; valid spec after it: {second:?}; executed {executed}");
     }
@@ -683,7 +683,7 @@ fn mixed_protocol_soak_drops_nothing_and_executes_exactly_once() {
     drop(lorises);
 
     // Finish through the binary drain path: the ack only comes back
-    // once the dispatcher has drained, on a connection that stays
+    // once the workers have drained, on a connection that stays
     // readable throughout.
     let mut c = BinClient::connect(&addr).unwrap();
     match c.request(&Request::Shutdown { corr: 5 }).unwrap() {

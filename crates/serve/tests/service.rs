@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use cedar_serve::config::ServeConfig;
-use cedar_serve::job::JobSpec;
+use cedar_serve::job::{JobOutcome, JobSpec};
 use cedar_serve::loadgen::{BinClient, Client};
 use cedar_serve::proto::{Request, Response};
 use cedar_serve::server::{start, ServerHandle};
@@ -31,9 +31,10 @@ fn status(reply: &cedar_serve::json::Json) -> String {
         .to_owned()
 }
 
-/// Dispatcher pool widths the memo tests run under: reactors (disk
-/// hits) and workers (fresh stores) both insert into the memo, so each
-/// memo test runs with one worker and with several.
+/// Worker counts the memo, drain and kill tests run under: reactors
+/// (disk hits) and workers (fresh stores) both insert into the memo,
+/// and a drain or a kill must answer every job whichever worker holds
+/// it, so each runs with one worker and with several.
 const WORKER_COUNTS: [usize; 2] = [1, 4];
 
 #[test]
@@ -126,29 +127,92 @@ fn fault_injected_jobs_degrade_without_harming_healthy_ones() {
 
 #[test]
 fn graceful_shutdown_drains_every_admitted_job() {
-    // One worker and batch size one: submitted jobs genuinely queue,
+    for workers in WORKER_COUNTS {
+        graceful_drain(workers);
+    }
+}
+
+/// Jobs each drain and kill test submits, one client apiece.
+const JOBS: usize = 6;
+
+/// `n` distinct light hotspot jobs; `salt` keeps each test's keys apart.
+fn light_jobs(n: usize, salt: u32) -> Vec<JobSpec> {
+    (0..n as u32)
+        .map(|i| JobSpec::Hotspot {
+            hot_ppm: 1_000 * (10 * i + salt),
+            ces: 4,
+            blocks: 2,
+        })
+        .collect()
+}
+
+/// Starts one client per spec, each running it once over the binary
+/// protocol; each thread yields its reply's status (`None` if the
+/// connection failed).
+fn run_clients(
+    addr: &str,
+    specs: &[JobSpec],
+) -> Vec<std::thread::JoinHandle<Option<&'static str>>> {
+    specs
+        .iter()
+        .map(|spec| {
+            let addr = addr.to_owned();
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let mut c = BinClient::connect(&addr).ok()?;
+                let req = Request::Run {
+                    corr: 0,
+                    priority: 1,
+                    deadline_ms: None,
+                    spec,
+                };
+                match c.request(&req).ok()? {
+                    Response::Outcome { .. } => Some("ok"),
+                    Response::Error { status, .. } => Some(status.as_str()),
+                    _ => None,
+                }
+            })
+        })
+        .collect()
+}
+
+/// Waits until the server has read `n` requests, so each was admitted
+/// or answered before the caller goes on.
+fn await_requests(handle: &ServerHandle, n: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while handle.obs().counter_value("serve.requests.received") < n as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "requests never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Every client got exactly one typed reply: the count of each status.
+fn tally(clients: Vec<std::thread::JoinHandle<Option<&'static str>>>) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for client in clients {
+        let s = client.join().unwrap().expect("every client gets a reply");
+        let slot = ["ok", "rejected", "cancelled"]
+            .iter()
+            .position(|&t| t == s)
+            .unwrap_or_else(|| panic!("every job must resolve typed, got {s:?}"));
+        counts[slot] += 1;
+    }
+    counts
+}
+
+fn graceful_drain(workers: usize) {
+    // Batch size one: with one worker, submitted jobs genuinely queue,
     // and the drain has real backlog to finish.
     let (handle, addr) = start_on_any_port(ServeConfig {
-        workers: 1,
+        workers,
         batch_max: 1,
         ..ServeConfig::default()
     });
-    const JOBS: usize = 6;
-    let workers: Vec<_> = (0..JOBS)
-        .map(|i| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).unwrap();
-                let line = format!(
-                    "{{\"op\":\"run\",\"job\":{{\"type\":\"hotspot\",\
-                     \"fraction\":0.0{i}1,\"ces\":4,\"blocks\":2}}}}"
-                );
-                status(&c.request(&line).unwrap())
-            })
-        })
-        .collect();
-    // Let the jobs reach the queue, then drain.
-    std::thread::sleep(Duration::from_millis(150));
+    let clients = run_clients(&addr, &light_jobs(JOBS, 1));
+    await_requests(&handle, JOBS);
     let mut control = Client::connect(&addr).unwrap();
     let reply = control.request(r#"{"op":"shutdown"}"#).unwrap();
     assert_eq!(
@@ -157,13 +221,26 @@ fn graceful_shutdown_drains_every_admitted_job() {
             .and_then(cedar_serve::json::Json::as_bool),
         Some(true)
     );
-    for w in workers {
-        let s = w.join().unwrap();
-        assert!(
-            s == "ok" || s == "rejected" || s == "cancelled",
-            "every job admitted before the drain must resolve typed, got {s:?}"
-        );
-    }
+    let [ok, rejected, cancelled] = tally(clients);
+    let obs = handle.obs();
+    let replies: u64 = [
+        "ok",
+        "degraded",
+        "rejected",
+        "expired",
+        "cancelled",
+        "error",
+    ]
+    .iter()
+    .map(|s| obs.counter_value(&format!("serve.responses.{s}")))
+    .sum();
+    assert_eq!(replies, JOBS as u64, "{workers} workers: one reply per job");
+    assert_eq!(obs.counter_value("serve.responses.ok"), ok as u64);
+    assert_eq!(
+        obs.counter_value("serve.jobs.executed") + cancelled as u64,
+        (JOBS - rejected) as u64,
+        "{workers} workers: every admitted job executed or was cancelled"
+    );
     handle.join();
 }
 
@@ -347,36 +424,56 @@ fn client_that_stops_reading_is_reaped_by_the_write_timeout() {
 
 #[test]
 fn kill_stops_the_server_with_typed_cancellations() {
+    for workers in WORKER_COUNTS {
+        kill_cancels(workers);
+    }
+}
+
+fn kill_cancels(workers: usize) {
+    // The cache directory is the server's own record of what ran:
+    // every execution stores its outcome there before replying.
+    let cache = scratch(&format!("kill-{workers}"));
     let (handle, addr) = start_on_any_port(ServeConfig {
-        workers: 1,
+        workers,
         batch_max: 1,
+        cache_dir: Some(cache.clone()),
         ..ServeConfig::default()
     });
-    let clients: Vec<_> = (0..4)
-        .map(|i| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).unwrap();
-                let line = format!(
-                    "{{\"op\":\"run\",\"job\":{{\"type\":\"hotspot\",\
-                     \"fraction\":0.0{i}7,\"ces\":4,\"blocks\":2}}}}"
-                );
-                c.request(&line).map(|r| status(&r))
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(100));
+    // One long job goes first (about a second in a debug build), so
+    // with one worker every later job is still queued when the kill
+    // lands.
+    let mut specs = vec![JobSpec::Degraded {
+        rate_ppm: 50_000,
+        ces: 32,
+        blocks: 64,
+        seed: 1,
+    }];
+    let mut clients = run_clients(&addr, &specs);
+    await_requests(&handle, 1);
+    specs.extend(light_jobs(JOBS - 1, 7));
+    clients.extend(run_clients(&addr, &specs[1..]));
+    await_requests(&handle, JOBS);
     handle.kill();
-    for client in clients {
-        // A connection torn down by process exit (Err) is acceptable
-        // for requests that never reached admission.
-        if let Ok(s) = client.join().unwrap() {
-            assert!(
-                s == "ok" || s == "cancelled" || s == "rejected",
-                "kill must resolve jobs typed, got {s:?}"
-            );
-        }
+    let [ok, rejected, cancelled] = tally(clients);
+    let dir = CacheDir::new(&cache).unwrap();
+    let executed = specs
+        .iter()
+        .filter(|spec| dir.load::<JobOutcome>(&spec.key()).is_some())
+        .count();
+    assert_eq!(executed, ok, "{workers} workers: every ok reply executed");
+    assert_eq!(
+        executed + cancelled,
+        JOBS - rejected,
+        "{workers} workers: every admitted job executed or was cancelled"
+    );
+    if workers == 1 {
+        assert_eq!(
+            (ok, cancelled),
+            (1, JOBS - 1),
+            "only the running job finishes; every queued one is cancelled"
+        );
     }
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 fn hotspot(ppm: u32) -> JobSpec {

@@ -238,14 +238,9 @@ pub fn run_cell(spec: ZooCellSpec) -> ZooCell {
     }
 }
 
-/// Runs the whole matrix as a cached parallel sweep.
-#[must_use]
-pub fn run_cached(cache: Option<&CacheDir>, smoke: bool) -> Vec<ZooCell> {
-    cedar_exec::run_sweep_cached(cache, CACHE_NAMESPACE, specs(smoke), run_cell)
-}
-
-/// [`run_cached`] with an explicit thread count (the determinism
-/// tests pit 1 against 4).
+/// Runs the whole matrix as a cached sweep on `threads` threads (the
+/// `zoo` bin passes [`cedar_exec::threads`]; the determinism tests pit
+/// 1 against 4).
 #[must_use]
 pub fn run_cached_on(threads: usize, cache: Option<&CacheDir>, smoke: bool) -> Vec<ZooCell> {
     cedar_exec::run_sweep_cached_on(threads, cache, CACHE_NAMESPACE, specs(smoke), run_cell)

@@ -166,10 +166,10 @@ pub fn render_report(verdicts: &[MachineVerdict]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::run_cached;
+    use crate::cell::run_cached_on;
 
     fn smoke_verdicts() -> Vec<MachineVerdict> {
-        judge(&run_cached(None, true), true)
+        judge(&run_cached_on(cedar_exec::threads(), None, true), true)
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! (machine, workload) pair is one pure [`cell::ZooCellSpec`] →
 //! [`cell::ZooCell`] function, so the whole matrix runs as a
 //! content-addressed-cached parallel `cedar-exec` sweep
-//! ([`cell::run_cached`]): warm re-runs are byte-identical and served
+//! ([`cell::run_cached_on`]): warm re-runs are byte-identical and served
 //! from disk.
 //!
 //! [`judge`] turns the cells into per-machine [`judge::MachineVerdict`]s
@@ -39,7 +39,7 @@
 //! ```
 //! use cedar_zoo::{cell, judge, machine::Machine};
 //!
-//! let cells = cell::run_cached(None, true); // smoke-sized, uncached
+//! let cells = cell::run_cached_on(cedar_exec::threads(), None, true); // smoke-sized, uncached
 //! let verdicts = judge::judge(&cells, true);
 //! assert_eq!(verdicts.len(), 8);
 //! assert!(judge::combining_gain(&verdicts) > 1.0);
@@ -55,8 +55,6 @@ pub mod cell;
 pub mod judge;
 pub mod machine;
 
-pub use cell::{
-    hotspot_point, run_cached, run_cached_on, HotspotPoint, ZooCell, ZooCellSpec, CACHE_NAMESPACE,
-};
+pub use cell::{hotspot_point, run_cached_on, HotspotPoint, ZooCell, ZooCellSpec, CACHE_NAMESPACE};
 pub use judge::{combining_gain, judge, render_report, MachineVerdict};
 pub use machine::{Machine, MACHINES};

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use cedar::core::costmodel::{AccessMode, CostModel, CE_SIDE_PATH_CYCLES};
 use cedar::core::CedarParams;
-use cedar::exec::run_sweep;
+use cedar::exec::{run_sweep_on, threads};
 use cedar::net::fabric::{AddressPattern, FabricReport, PrefetchTraffic};
 use cedar::net::EngineKind;
 use cedar::serve::job::{JobOutcome, JobSpec, Recipe, MAX_NET_CYCLES};
@@ -163,7 +163,7 @@ fn table2_runs_agree_across_engines() {
 /// generic runs dominate this file's time).
 #[test]
 fn degraded_runs_agree_across_engines() {
-    let points = run_sweep(degraded::specs(), |spec| {
+    let points = run_sweep_on(threads(), degraded::specs(), |spec| {
         JobOutcome::from_report(&on_both_engines(&spec, run_recipe))
     });
     assert_eq!(points, degraded::run(), "the recipe left degraded's");
