@@ -14,8 +14,8 @@
 //! The full report prints, in order (the generic-vs-specialized ratio
 //! on the RK 32-CE × 16-block reference is `perf`'s `engine_speedup`):
 //! - the suite's production-loop time, best of 40 runs per cell, summed;
-//! - a specialized drive in 1-cycle chunks, which re-imports the lanes
-//!   every cycle;
+//! - a specialized drive in 1-cycle chunks, whose lanes stay resident
+//!   between the calls;
 //! - the phase ledger over the suite, repeated, each share as median
 //!   and min–max over the repeats, and each phase's host time per
 //!   useful move.
@@ -193,7 +193,7 @@ fn print_ledger(passes: &[PhaseLedger]) {
         let per_move: Vec<f64> = passes
             .iter()
             .map(|l| {
-                let live = l.drive_ns.saturating_sub(l.import_ns) as f64;
+                let live = l.drive_ns.saturating_sub(l.setup_ns) as f64;
                 l.phase_shares()[p] * live / l.useful[p].max(1) as f64
             })
             .collect();
@@ -206,11 +206,11 @@ fn print_ledger(passes: &[PhaseLedger]) {
             spread(&shares)
         );
     }
-    let import: Vec<f64> = passes.iter().map(PhaseLedger::import_share).collect();
+    let setup: Vec<f64> = passes.iter().map(PhaseLedger::setup_share).collect();
     let probe: Vec<f64> = passes.iter().map(PhaseLedger::probe_excess).collect();
     println!(
-        "  import and export, share of drive time: {}",
-        spread(&import)
+        "  set-up (lane reset or import), share of drive time: {}",
+        spread(&setup)
     );
     println!(
         "  probe effect, sampled over mean live cycle: +{}",
@@ -239,10 +239,10 @@ fn check_books(ledger: &PhaseLedger) {
         std::process::exit(1);
     }
     let shares = ledger.phase_shares().iter().sum::<f64>();
-    if (shares - 1.0).abs() > 1e-9 || !(0.0..1.0).contains(&ledger.import_share()) {
+    if (shares - 1.0).abs() > 1e-9 || !(0.0..1.0).contains(&ledger.setup_share()) {
         eprintln!(
-            "engine_bench: phase shares add to {shares}, import share {}",
-            ledger.import_share()
+            "engine_bench: phase shares add to {shares}, set-up share {}",
+            ledger.setup_share()
         );
         std::process::exit(1);
     }
@@ -353,7 +353,7 @@ fn main() {
     let (floor, _) = suite_floor(&suite, 40);
     println!("suite, best of 40 per cell, summed: {:.2} ms", floor * 1e3);
 
-    // Chunked drive: every call re-imports and re-exports the lanes.
+    // Chunked drive: the lanes stay resident from call to call.
     let small = PrefetchTraffic::rk_aggressive(1);
     let mut fabric = RoundTripFabric::new(FabricConfig::cedar());
     let mut exp = fabric.begin_experiment(32, small, MAX_NET_CYCLES);

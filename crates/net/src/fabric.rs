@@ -22,6 +22,7 @@ use cedar_sim::watchdog::Watchdog;
 use crate::config::NetworkConfig;
 use crate::network::OmegaNetwork;
 use crate::packet::{Packet, PacketId, PacketKind, Word};
+use crate::topology::Topology;
 
 #[path = "specialized.rs"]
 pub mod specialized;
@@ -370,6 +371,65 @@ impl CeSource {
     }
 }
 
+/// The generic engine's form of the fabric's hardware: both omega
+/// networks, the memory modules and their partial-packet slots.
+#[derive(Debug)]
+struct Generic {
+    forward: OmegaNetwork,
+    reverse: OmegaNetwork,
+    modules: Vec<MemModule>,
+    /// Partially received multi-word request packets per module port.
+    partial: Vec<Option<(Packet, u8)>>,
+}
+
+impl Generic {
+    /// Whether this is hardware `cfg` builds with `faults` attached (see
+    /// [`RoundTripFabric::idle_generic`]): the only generic form that
+    /// converts to lanes and back exactly. A restored checkpoint
+    /// whose networks say otherwise stays on the generic engine.
+    fn is_canonical(&self, cfg: &FabricConfig, faults: Option<&FaultPlan>) -> bool {
+        self.forward.cfg == cfg.net
+            && self.reverse.cfg == reverse_net(&cfg.net)
+            && self.forward.direction == NetDirection::Forward
+            && (faults.is_none() || self.reverse.direction == NetDirection::Reverse)
+            && self.forward.faults() == faults
+            && self.reverse.faults() == faults
+            && self.modules.len() == cfg.mem_modules
+            && self.partial.len() == cfg.mem_modules
+    }
+}
+
+/// The reverse network's configuration: the forward one's, delivering
+/// into the CEs' 512-word prefetch buffers, which never back it up.
+fn reverse_net(net: &NetworkConfig) -> NetworkConfig {
+    NetworkConfig {
+        exit_fifo_words: 512,
+        ..*net
+    }
+}
+
+/// Which representation holds a fabric's networks and modules: at most
+/// one exists, and the other is built from it only when asked for (see
+/// the `specialized` module's lane lifecycle).
+#[derive(Debug)]
+enum Form {
+    /// Nothing has run: idle hardware at cycle 0, not yet built.
+    Fresh,
+    /// The generic engine's structures.
+    Generic(Box<Generic>),
+    /// The specialized engine's lanes, left resident by a drive.
+    Lanes(Box<specialized::Lanes>),
+}
+
+impl Drop for RoundTripFabric {
+    /// Resident lanes become the thread's spare for the next fabric.
+    fn drop(&mut self) {
+        if let Form::Lanes(lanes) = std::mem::replace(&mut self.form, Form::Fresh) {
+            lanes.park();
+        }
+    }
+}
+
 /// The assembled round-trip fabric.
 ///
 /// # Examples
@@ -385,15 +445,16 @@ impl CeSource {
 #[derive(Debug)]
 pub struct RoundTripFabric {
     cfg: FabricConfig,
-    forward: OmegaNetwork,
-    reverse: OmegaNetwork,
-    modules: Vec<MemModule>,
-    /// Partially received multi-word request packets per module port.
-    partial: Vec<Option<(Packet, u8)>>,
+    /// The networks and memory modules, in the form the engine that
+    /// last touched them left them.
+    form: Form,
     now: u64,
     /// Attached fault schedule; `None` (the default, or a benign plan)
     /// leaves every code path bit-identical to the healthy fabric.
     faults: Option<FaultPlan>,
+    /// Whether [`attach_faults`](Self::attach_faults) has run, which a
+    /// generic form built later replays (see `idle_generic`).
+    faults_attached: bool,
     /// Timeout/backoff schedule for request recovery under faults.
     retry: RetryPolicy,
     /// Words and requests destroyed at fail-stopped modules.
@@ -700,6 +761,7 @@ impl RoundTripFabric {
     /// count of zero or beyond the network port count.
     pub fn try_new(cfg: FabricConfig) -> Result<Self, CedarError> {
         cfg.net.validate()?;
+        Topology::new(cfg.net.radix, cfg.net.stages)?;
         let ports = cfg.net.ports();
         if cfg.mem_modules == 0 || cfg.mem_modules > ports {
             return Err(CedarError::invalid(
@@ -716,18 +778,12 @@ impl RoundTripFabric {
                 "modules must buffer at least one request",
             ));
         }
-        let mut reverse_net = cfg.net;
-        // The reverse network delivers into 512-word prefetch buffers,
-        // which never back it up.
-        reverse_net.exit_fifo_words = 512;
         Ok(RoundTripFabric {
-            forward: OmegaNetwork::try_new(cfg.net)?,
-            reverse: OmegaNetwork::try_new(reverse_net)?,
-            modules: (0..cfg.mem_modules).map(|_| MemModule::default()).collect(),
-            partial: vec![None; cfg.mem_modules],
+            form: Form::Fresh,
             now: 0,
             cfg,
             faults: None,
+            faults_attached: false,
             retry: RetryPolicy::fabric(),
             module_discards: 0,
             fast_forward: true,
@@ -741,9 +797,66 @@ impl RoundTripFabric {
 
     /// Overrides the execution-engine selection (the default is
     /// [`EngineKind::Auto`]). Engines are bit-identical; this only
-    /// changes how fast the answer arrives.
+    /// changes how fast the answer arrives. Choosing
+    /// [`EngineKind::Generic`] builds the generic form at once.
     pub fn set_engine(&mut self, engine: EngineKind) {
         self.engine = engine;
+        if engine == EngineKind::Generic {
+            self.generic_mut();
+        }
+    }
+
+    /// Idle generic hardware at cycle 0 as this fabric builds it, with
+    /// [`attach_faults`](Self::attach_faults) replayed if it ran: the
+    /// reverse network then plays [`NetDirection::Reverse`], and a
+    /// non-benign plan rides on both networks.
+    fn idle_generic(&self) -> Generic {
+        let cfg = &self.cfg;
+        let mut generic = Generic {
+            forward: OmegaNetwork::new(cfg.net),
+            reverse: OmegaNetwork::new(reverse_net(&cfg.net)),
+            modules: (0..cfg.mem_modules).map(|_| MemModule::default()).collect(),
+            partial: vec![None; cfg.mem_modules],
+        };
+        if self.faults_attached {
+            generic.reverse.direction = NetDirection::Reverse;
+        }
+        if let Some(plan) = &self.faults {
+            generic
+                .forward
+                .attach_faults(NetDirection::Forward, plan.clone());
+            generic
+                .reverse
+                .attach_faults(NetDirection::Reverse, plan.clone());
+        }
+        generic
+    }
+
+    /// The generic form of the hardware, built from the lanes (which go
+    /// back to the thread's spare) or, on a fresh fabric, from the
+    /// configuration, if it is not the form already.
+    fn generic_mut(&mut self) -> &mut Generic {
+        if !matches!(self.form, Form::Generic(_)) {
+            let mut generic = self.idle_generic();
+            if let Form::Lanes(lanes) = std::mem::replace(&mut self.form, Form::Fresh) {
+                lanes.export(&mut generic);
+                lanes.park();
+            }
+            self.form = Form::Generic(Box::new(generic));
+        }
+        match &mut self.form {
+            Form::Generic(generic) => generic,
+            _ => unreachable!("the generic form was just built"),
+        }
+    }
+
+    /// Words lost to link faults in both networks so far.
+    fn words_dropped(&self) -> u64 {
+        match &self.form {
+            Form::Fresh => 0,
+            Form::Generic(g) => g.forward.words_dropped() + g.reverse.words_dropped(),
+            Form::Lanes(lanes) => lanes.words_dropped(),
+        }
     }
 
     /// The current execution-engine selection.
@@ -776,12 +889,18 @@ impl RoundTripFabric {
     /// `mem_service` / `return_net` spans with fault events
     /// interleaved on the same track. A disabled handle detaches.
     pub fn set_obs(&mut self, obs: &Obs) {
-        self.forward.set_obs(obs, "fwd");
-        self.reverse.set_obs(obs, "rev");
         if !obs.is_enabled() {
+            // Only a generic form can hold network telemetry.
+            if let Form::Generic(g) = &mut self.form {
+                g.forward.set_obs(obs, "fwd");
+                g.reverse.set_obs(obs, "rev");
+            }
             self.obs = None;
             return;
         }
+        let g = self.generic_mut();
+        g.forward.set_obs(obs, "fwd");
+        g.reverse.set_obs(obs, "rev");
         let metrics = obs.metrics_enabled().then(|| FabricMetricIds {
             served: (0..self.cfg.mem_modules)
                 .map(|m| {
@@ -933,11 +1052,15 @@ impl RoundTripFabric {
     /// A benign plan is discarded: the fabric then behaves
     /// bit-identically to one with no plan attached.
     pub fn attach_faults(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.forward
-            .attach_faults(NetDirection::Forward, plan.clone());
-        self.reverse
-            .attach_faults(NetDirection::Reverse, plan.clone());
+        // A fresh fabric's networks take the plan when they are built;
+        // built ones take it now.
+        if !matches!(self.form, Form::Fresh) {
+            let g = self.generic_mut();
+            g.forward.attach_faults(NetDirection::Forward, plan.clone());
+            g.reverse.attach_faults(NetDirection::Reverse, plan.clone());
+        }
         self.faults = if plan.is_benign() { None } else { Some(plan) };
+        self.faults_attached = true;
         self.retry = retry;
     }
 
@@ -1087,18 +1210,17 @@ impl RoundTripFabric {
     /// `horizon` caps the jump at the cycle a cycle-by-cycle run's
     /// watchdog would have tripped, so stall reports keep identical
     /// timestamps.
-    fn idle_fast_forward(&mut self, exp: &FabricExperiment, horizon: Option<u64>) {
-        if !self.forward.is_idle() || !self.reverse.is_idle() {
+    fn idle_fast_forward(&mut self, g: &mut Generic, exp: &FabricExperiment, horizon: Option<u64>) {
+        if !g.forward.is_idle() || !g.reverse.is_idle() {
             return;
         }
-        if self
-            .modules
+        if g.modules
             .iter()
             .any(|m| !m.pending.is_empty() || m.outgoing.is_some())
         {
             return;
         }
-        if self.partial.iter().any(Option::is_some) {
+        if g.partial.iter().any(Option::is_some) {
             return;
         }
         let target = exp.idle_wake_cycle(self.now, horizon);
@@ -1109,8 +1231,8 @@ impl RoundTripFabric {
         }
         let skipped = target - 1 - self.now;
         self.now += skipped;
-        self.forward.skip_idle_cycles(skipped);
-        self.reverse.skip_idle_cycles(skipped);
+        g.forward.skip_idle_cycles(skipped);
+        g.reverse.skip_idle_cycles(skipped);
         self.ff_cycles += skipped;
     }
 
@@ -1167,32 +1289,49 @@ impl RoundTripFabric {
         exp: &mut FabricExperiment,
         watchdog: Option<&mut Watchdog>,
     ) -> Result<(), CedarError> {
+        self.generic_mut();
+        let Form::Generic(mut g) = std::mem::replace(&mut self.form, Form::Fresh) else {
+            unreachable!("the generic form was just built");
+        };
+        let stepped = self.step_generic(&mut g, exp, watchdog);
+        self.form = Form::Generic(g);
+        stepped
+    }
+
+    /// [`step_experiment`](Self::step_experiment) on the generic form,
+    /// held apart from the fabric for the cycle.
+    fn step_generic(
+        &mut self,
+        g: &mut Generic,
+        exp: &mut FabricExperiment,
+        watchdog: Option<&mut Watchdog>,
+    ) -> Result<(), CedarError> {
         if self.fast_forward && self.obs.is_none() {
             let horizon = watchdog
                 .as_deref()
                 .map(|dog| dog.progress_cycle() + dog.budget() + 1);
-            self.idle_fast_forward(exp, horizon);
+            self.idle_fast_forward(g, exp, horizon);
         }
         self.now += 1;
         let ce_boundary = self.now.is_multiple_of(exp.ratio);
         let ce_now = self.now / exp.ratio;
 
-        self.forward.step();
-        self.reverse.step();
-        self.service_modules();
+        g.forward.step();
+        g.reverse.step();
+        self.service_modules(g);
 
-        exp.completed_requests += self.eject_replies(&mut exp.sources, exp.recovery.as_mut());
+        exp.completed_requests += self.eject_replies(g, &mut exp.sources, exp.recovery.as_mut());
         // The fabric consumes exit words itself and never reads
         // the networks' completion logs; clear them each cycle so
         // they stay a few entries long instead of growing by one
         // per packet for the whole run.
-        self.forward.clear_delivered();
-        self.reverse.clear_delivered();
+        g.forward.clear_delivered();
+        g.reverse.clear_delivered();
         if let Some(rec) = exp.recovery.as_mut() {
-            self.fire_retries(rec, &mut exp.sources);
+            self.fire_retries(g, rec, &mut exp.sources);
         }
         if ce_boundary {
-            self.issue_requests(&mut exp.sources, ce_now, exp.recovery.as_mut());
+            self.issue_requests(g, &mut exp.sources, ce_now, exp.recovery.as_mut());
         }
         if let Some(dog) = watchdog {
             let resolved = exp.resolved_requests();
@@ -1214,8 +1353,12 @@ impl RoundTripFabric {
     pub fn finish_experiment(&mut self, exp: FabricExperiment) -> FabricReport {
         self.trace_close_dangling();
         let rec = exp.recovery.unwrap_or_default();
+        let mut sources = exp.sources;
+        specialized::Buffers::keep_issued(
+            sources.iter_mut().map(|s| std::mem::take(&mut s.issued_at)),
+        );
         FabricReport {
-            per_ce: exp.sources.into_iter().map(|s| s.records).collect(),
+            per_ce: sources.into_iter().map(|s| s.records).collect(),
             total_net_cycles: self.now,
             net_cycles_per_ce_cycle: exp.ratio,
             latency_offset_ce: self.cfg.latency_offset_ce,
@@ -1223,7 +1366,7 @@ impl RoundTripFabric {
             completed_requests: exp.completed_requests,
             retries: rec.retries,
             failed_requests: rec.failed_requests,
-            words_dropped: self.forward.words_dropped() + self.reverse.words_dropped(),
+            words_dropped: self.words_dropped(),
             module_discards: self.module_discards,
         }
     }
@@ -1234,6 +1377,11 @@ impl RoundTripFabric {
     /// engines are bit-identical: the specialized path replicates the
     /// generic state machine state-for-state, so a checkpoint taken
     /// after this call does not reveal which engine ran.
+    ///
+    /// The specialized engine leaves its lanes resident in the fabric,
+    /// so a run driven in chunks keeps them from call to call; the
+    /// generic form is built from them only when a generic step,
+    /// telemetry or [`EngineKind::Generic`] asks for it.
     ///
     /// # Errors
     ///
@@ -1423,10 +1571,10 @@ impl RoundTripFabric {
 
     /// Fires due retry timers ([`RecoveryState::fire_due`]) into the
     /// forward network, then traces and counts what fired.
-    fn fire_retries(&mut self, rec: &mut RecoveryState, sources: &mut [CeSource]) {
+    fn fire_retries(&mut self, g: &mut Generic, rec: &mut RecoveryState, sources: &mut [CeSource]) {
         let observed = self.obs.is_some();
         let mut fired = Vec::new();
-        let forward = &mut self.forward;
+        let forward = &mut g.forward;
         rec.fire_due(
             self.now,
             &self.retry,
@@ -1469,22 +1617,22 @@ impl RoundTripFabric {
     /// Module side: receive request words from the forward network,
     /// serve one request per `mem_service_net_cycles`, and inject
     /// replies into the reverse network.
-    fn service_modules(&mut self) {
-        for m in 0..self.modules.len() {
+    fn service_modules(&mut self, g: &mut Generic) {
+        for m in 0..g.modules.len() {
             if let Some(plan) = &self.faults {
                 if plan.module_failed(m, self.now) {
                     // Fail-stop: arriving words and any queued work
                     // vanish; retries re-aim at the fallback module.
-                    while self.forward.pop_output(m).is_some() {
+                    while g.forward.pop_output(m).is_some() {
                         self.module_discards += 1;
                     }
-                    let dead = &mut self.modules[m];
+                    let dead = &mut g.modules[m];
                     self.module_discards += dead.pending.len() as u64;
                     dead.pending.clear();
                     if dead.outgoing.take().is_some() {
                         self.module_discards += 1;
                     }
-                    self.partial[m] = None;
+                    g.partial[m] = None;
                     continue;
                 }
                 if plan.module_stalled(m, self.now) {
@@ -1495,16 +1643,16 @@ impl RoundTripFabric {
             }
             // Receive at most one word per cycle from the forward net,
             // but only while the module's own request buffer has room.
-            if self.modules[m].pending.len() < self.cfg.module_buffer_requests {
-                if let Some(&(word, _)) = self.forward.peek_output(m) {
-                    self.accept_word(m, word);
-                    self.forward.pop_output(m);
+            if g.modules[m].pending.len() < self.cfg.module_buffer_requests {
+                if let Some(&(word, _)) = g.forward.peek_output(m) {
+                    self.accept_word(g, m, word);
+                    g.forward.pop_output(m);
                 }
             }
             // Retry a blocked reply injection.
-            if let Some(reply) = self.modules[m].outgoing.take() {
-                if !self.reverse.try_inject(reply) {
-                    self.modules[m].outgoing = Some(reply);
+            if let Some(reply) = g.modules[m].outgoing.take() {
+                if !g.reverse.try_inject(reply) {
+                    g.modules[m].outgoing = Some(reply);
                     if self.obs.is_some() {
                         self.metric_add(|ids| ids.reply_inject_blocked, 1);
                     }
@@ -1515,9 +1663,9 @@ impl RoundTripFabric {
                 }
             }
             // Start serving the next request when free.
-            if self.now >= self.modules[m].busy_until {
-                if let Some(request) = self.modules[m].pending.pop_front() {
-                    let module = &mut self.modules[m];
+            if self.now >= g.modules[m].busy_until {
+                if let Some(request) = g.modules[m].pending.pop_front() {
+                    let module = &mut g.modules[m];
                     module.busy_until = self.now + self.cfg.mem_service_net_cycles;
                     module.served += 1;
                     if let Some(reply) = request.reply() {
@@ -1532,7 +1680,7 @@ impl RoundTripFabric {
                         self.trace_transition(request.id.0, SPAN_MEM_QUEUE, SPAN_MEM_SERVICE);
                     }
                 }
-            } else if self.obs.is_some() && !self.modules[m].pending.is_empty() {
+            } else if self.obs.is_some() && !g.modules[m].pending.is_empty() {
                 // Bank conflict: a request is waiting while the module
                 // serves another.
                 self.metric_add(|ids| ids.conflict_stall_cycles, 1);
@@ -1541,14 +1689,14 @@ impl RoundTripFabric {
     }
 
     /// Accumulates words of (possibly multi-word) request packets.
-    fn accept_word(&mut self, m: usize, word: Word) {
-        let slot = &mut self.partial[m];
+    fn accept_word(&mut self, g: &mut Generic, m: usize, word: Word) {
+        let slot = &mut g.partial[m];
         let mut arrived = None;
         match slot {
             None => {
                 debug_assert!(word.is_head(), "packet must start with its header");
                 if word.is_tail() {
-                    self.modules[m].pending.push_back(word.packet);
+                    g.modules[m].pending.push_back(word.packet);
                     arrived = Some(word.packet.id);
                 } else {
                     *slot = Some((word.packet, 1));
@@ -1560,7 +1708,7 @@ impl RoundTripFabric {
                 if word.is_tail() {
                     let packet = *packet;
                     *slot = None;
-                    self.modules[m].pending.push_back(packet);
+                    g.modules[m].pending.push_back(packet);
                     arrived = Some(packet.id);
                 }
             }
@@ -1580,12 +1728,13 @@ impl RoundTripFabric {
     /// Returns the number of requests completed.
     fn eject_replies(
         &mut self,
+        g: &mut Generic,
         sources: &mut [CeSource],
         mut rec: Option<&mut RecoveryState>,
     ) -> u64 {
         let mut completed = 0;
         for src in sources.iter_mut() {
-            while let Some((word, arrived)) = self.reverse.pop_output(src.port) {
+            while let Some((word, arrived)) = g.reverse.pop_output(src.port) {
                 debug_assert_eq!(word.packet.kind, PacketKind::Reply);
                 if let Some(rec) = rec.as_deref_mut() {
                     // Under faults a reply may duplicate (original and
@@ -1623,6 +1772,7 @@ impl RoundTripFabric {
     /// respecting the outstanding window and inter-block gaps.
     fn issue_requests(
         &mut self,
+        g: &mut Generic,
         sources: &mut [CeSource],
         ce_now: u64,
         mut rec: Option<&mut RecoveryState>,
@@ -1652,7 +1802,7 @@ impl RoundTripFabric {
                             ((src.port as u64) << 40) | (1 << 39) | src.writes_issued,
                             1,
                         );
-                        if self.forward.try_inject(write) {
+                        if g.forward.try_inject(write) {
                             src.write_debt -= 1.0;
                             src.writes_issued += 1;
                             if self.obs.is_some() {
@@ -1685,7 +1835,7 @@ impl RoundTripFabric {
                 1,
                 PacketKind::ReadRequest,
             );
-            if self.forward.try_inject(packet) {
+            if g.forward.try_inject(packet) {
                 debug_assert_eq!(src.issued_at.len() as u64, local);
                 src.issued_at.push(self.now);
                 if self.obs.is_some() {
@@ -1744,6 +1894,13 @@ pub struct FabricReport {
     failed_requests: u64,
     words_dropped: u64,
     module_discards: u64,
+}
+
+impl Drop for FabricReport {
+    /// The records go back to the thread's buffers for the next drive.
+    fn drop(&mut self) {
+        specialized::Buffers::keep_records(self.per_ce.drain(..));
+    }
 }
 
 impl FabricReport {
@@ -1813,6 +1970,9 @@ impl FabricReport {
     /// of the same block — the paper's "Interarrival" column.
     #[must_use]
     pub fn mean_interarrival_ce(&self) -> f64 {
+        if let Some(mean) = self.exact_interarrival_ce() {
+            return mean;
+        }
         let ratio = self.net_cycles_per_ce_cycle as f64;
         let mut n = 0u64;
         let mut sum = 0.0;
@@ -1837,6 +1997,66 @@ impl FabricReport {
         } else {
             sum / n as f64
         }
+    }
+
+    /// [`mean_interarrival_ce`](Self::mean_interarrival_ce) without the
+    /// sort, where that is exact. With a power-of-two clock ratio each
+    /// gap in CE cycles is a binary fraction, and so is every partial
+    /// sum while the net cycles summed stay below 2^53: the float sum
+    /// in the sorted order equals the gaps' integer sum scaled once,
+    /// whatever the order. A return's gap is to the previous return of
+    /// its block. Returns come in runs of one block, so only a switch
+    /// between runs reads or writes the per-block table of last returns.
+    ///
+    /// `None` sends the caller to the sorted sum: a ratio that is not a
+    /// power of two, a CE whose returns go backwards or name a block
+    /// past its return count (neither happens in a run's report), or a
+    /// sum too large to be exact.
+    fn exact_interarrival_ce(&self) -> Option<f64> {
+        if !self.net_cycles_per_ce_cycle.is_power_of_two() {
+            return None;
+        }
+        let (mut total, mut n) = (0u64, 0u64);
+        let mut last: Vec<Option<u64>> = Vec::new();
+        for records in &self.per_ce {
+            last.clear();
+            let (mut gaps, mut prev, mut block) = (0u64, 0u64, None);
+            for r in records {
+                if r.ret < prev {
+                    return None;
+                }
+                if block == Some(r.block) {
+                    gaps = gaps.checked_add(r.ret - prev)?;
+                    n += 1;
+                } else {
+                    let b = r.block as usize;
+                    if b >= records.len() {
+                        return None;
+                    }
+                    if b >= last.len() {
+                        last.resize(b + 1, None);
+                    }
+                    if let Some(run) = block {
+                        last[run as usize] = Some(prev);
+                    }
+                    if let Some(before) = last[b] {
+                        gaps = gaps.checked_add(r.ret - before)?;
+                        n += 1;
+                    }
+                    block = Some(r.block);
+                }
+                prev = r.ret;
+            }
+            total = total.checked_add(gaps)?;
+        }
+        if total >= 1 << f64::MANTISSA_DIGITS {
+            return None;
+        }
+        Some(if n == 0 {
+            0.0
+        } else {
+            total as f64 / self.net_cycles_per_ce_cycle as f64 / n as f64
+        })
     }
 
     /// The `q`-quantile of first-word latency in CE cycles (q clamped
@@ -2115,10 +2335,24 @@ impl RecoveryState {
 impl cedar_snap::Snapshot for RoundTripFabric {
     fn snap(&self, w: &mut cedar_snap::SnapWriter) {
         self.cfg.snap(w);
-        self.forward.snap(w);
-        self.reverse.snap(w);
-        self.modules.snap(w);
-        self.partial.snap(w);
+        // Checkpoints hold the generic form; any other form is
+        // converted into a copy, leaving the fabric's own as it is.
+        let built;
+        let g = match &self.form {
+            Form::Generic(g) => g,
+            form => {
+                let mut generic = self.idle_generic();
+                if let Form::Lanes(lanes) = form {
+                    lanes.export(&mut generic);
+                }
+                built = generic;
+                &built
+            }
+        };
+        g.forward.snap(w);
+        g.reverse.snap(w);
+        g.modules.snap(w);
+        g.partial.snap(w);
         self.now.snap(w);
         self.faults.snap(w);
         self.retry.snap(w);
@@ -2128,12 +2362,17 @@ impl cedar_snap::Snapshot for RoundTripFabric {
     }
     fn restore(r: &mut cedar_snap::SnapReader<'_>) -> Result<Self, cedar_snap::SnapError> {
         use cedar_snap::Snapshot;
-        Ok(RoundTripFabric {
-            cfg: Snapshot::restore(r)?,
+        let cfg = Snapshot::restore(r)?;
+        let generic = Generic {
             forward: Snapshot::restore(r)?,
             reverse: Snapshot::restore(r)?,
             modules: Snapshot::restore(r)?,
             partial: Snapshot::restore(r)?,
+        };
+        Ok(RoundTripFabric {
+            cfg,
+            faults_attached: generic.reverse.direction == NetDirection::Reverse,
+            form: Form::Generic(Box::new(generic)),
             now: Snapshot::restore(r)?,
             faults: Snapshot::restore(r)?,
             retry: Snapshot::restore(r)?,

@@ -26,8 +26,10 @@
 //! - the network family fits the packed lanes: 1–4 stages, radix ≤ 64,
 //!   ≤ 4096 ports, switch queues ≤ 64 words, exit FIFOs ≤ 65536 words,
 //!   module buffers ≤ 64 requests,
-//! - the networks' delivery logs are drained (the specialized engine
-//!   does not maintain them),
+//! - a generic form, if the fabric holds one, has drained delivery
+//!   logs (the specialized engine does not maintain them) and is what
+//!   the fabric's configuration and fault plan build (a restored
+//!   checkpoint can say otherwise),
 //! - and an attached fault plan names no module beyond the network
 //!   (a retry re-aimed there would index the lanes out of bounds).
 //!
@@ -74,10 +76,10 @@
 //!
 //! Exit FIFOs are sized lazily. The reverse network's exit FIFOs hold
 //! 512 words, but the CE ports drain them every cycle, so a reply
-//! port never holds more than a word or two. Each import sizes the
-//! exit rings at the largest imported occupancy, at least four words,
-//! rounded up to a power of two, and a `#[cold]` path doubles every
-//! ring before a push would overflow one, up to the capacity. The
+//! port never holds more than a word or two. New lanes start with
+//! four-word exit rings, an import grows them to the largest imported
+//! occupancy rounded up to a power of two, and a `#[cold]` path doubles
+//! every ring before a push would overflow one, up to the capacity. The
 //! capacity check that backpressures the last stage is unchanged.
 //!
 //! The throughput win over a straight SoA transcription comes from
@@ -126,10 +128,29 @@
 //! Issuing a read has none at all: each source's stream and module
 //! offset advance with its request index (`IssueCursor`).
 //!
-//! `import` copies a generic network in (building the masks once),
-//! `export` writes the exact generic representation back, so a
-//! checkpoint taken after a specialized run is byte-identical to one
-//! from a generic run.
+//! # Lane lifecycle
+//!
+//! The lanes are the fabric's default form (`Lanes`: both `SpecNet`s,
+//! the `SpecModules` and the per-drive scratch). They are built from
+//! the configuration and the topology, never from generic networks: a
+//! new fabric holds neither form, and its first drive takes its
+//! thread's spare lanes when they have the fabric's shape, resetting
+//! them in place (queue states, masks and counters; ring contents past
+//! a queue's length are never read), or builds new ones. The lanes stay
+//! resident in the fabric across drives, and when the fabric drops they
+//! become the thread's spare again, so a sweep builds lanes once per
+//! thread. A panic drops them instead, so no reset ever starts from a
+//! half-stepped set. The per-CE `records` and `issued_at` lanes of the
+//! sources are drawn from, and returned to, per-thread buffers
+//! (`Buffers`) the same way.
+//!
+//! The generic form is built only when something generic asks: a
+//! generic step, [`EngineKind::Generic`], telemetry, a checkpoint (which
+//! exports into a copy and leaves the lanes resident) or a restore
+//! (which yields the generic form). `load` copies a generic network into
+//! reset lanes (building the masks once) and `export` writes the exact
+//! generic representation back, so a checkpoint taken after a
+//! specialized run is byte-identical to one from a generic run.
 //!
 //! # Phase ledger
 //!
@@ -137,13 +158,15 @@
 //! instantiation of the loop, a const generic like `F` and `MULTI`.
 //! It fills a [`PhaseLedger`]: per [`Phase`], how many work items the
 //! loop examined and how many did something, plus host time on one
-//! live cycle in 31 and the import/export cost. Every drive through
+//! live cycle in 31 and the drive's set-up before its first live
+//! cycle. Every drive through
 //! [`drive_experiment`](super::RoundTripFabric::drive_experiment)
 //! takes `L = false`, where each ledger statement is dead code, so the
 //! production loop carries none of it.
 
 use super::*;
 use crate::network::INJECT_FIFO_WORDS;
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// Which execution engine a fabric uses for experiment runs.
@@ -910,25 +933,24 @@ struct NetFaults {
 }
 
 impl NetFaults {
-    fn compile(net: &OmegaNetwork, plan: &FaultPlan, d: &Dims) -> NetFaults {
+    fn compile(dir: NetDirection, plan: &FaultPlan, d: &Dims) -> NetFaults {
         let mut outputs = vec![0u64; d.mwords];
-        let switches = d.ports >> d.rbits;
+        let (stages, switches, radix) = (d.mwords / d.pwords, d.ports >> d.rbits, d.rmask + 1);
         let mut keys = vec![0u64; d.mwords << 6];
-        for stage in 0..net.cfg.stages {
+        for stage in 0..stages {
             for pos in 0..d.ports {
-                keys[d.gpos(stage, pos)] =
-                    plan.link_key(net.direction, stage, pos >> d.rbits, pos & d.rmask);
+                keys[d.gpos(stage, pos)] = plan.link_key(dir, stage, pos >> d.rbits, pos & d.rmask);
             }
         }
         // Outputs outside this network's shape never match a query.
-        for (stage, switch, port) in plan.faulted_outputs(net.direction) {
-            if stage < net.cfg.stages && switch < switches && port < net.cfg.radix {
+        for (stage, switch, port) in plan.faulted_outputs(dir) {
+            if stage < stages && switch < switches && port < radix {
                 let gpos = d.gpos(stage, (switch << d.rbits) + port);
                 outputs[gpos >> 6] |= 1u64 << (gpos & 63);
             }
         }
         NetFaults {
-            dir: net.direction,
+            dir,
             plan: plan.clone(),
             outputs,
             keys,
@@ -937,33 +959,19 @@ impl NetFaults {
 }
 
 impl SpecNet {
-    /// Compiles a generic network into lanes. The caller (eligibility
-    /// check) guarantees the dimension bounds; the network is copied,
-    /// not drained.
-    fn import(net: &OmegaNetwork) -> SpecNet {
-        let cfg = net.cfg;
-        let radix = cfg.radix;
-        let stages_n = cfg.stages;
-        let ports = cfg.ports();
-        let d = Dims::new(radix, stages_n, cfg.queue_words);
-        let rbits = d.rbits;
+    /// Lanes for an idle network of `cfg`'s shape at cycle 0, with no
+    /// fault plan. The caller (eligibility check) guarantees the
+    /// dimension bounds.
+    fn new(cfg: &NetworkConfig) -> SpecNet {
+        let (radix, stages, ports) = (cfg.radix, cfg.stages, cfg.ports());
+        let topo = Topology::new(radix, stages).expect("a validated network shape");
+        let d = Dims::new(radix, stages, cfg.queue_words);
         let pwords = d.pwords;
-        // The perfect shuffle left-rotates a position's base-`radix`
-        // digits (`Topology::shuffle`); with a power-of-two radix that
-        // is a bit rotation, no division.
-        let pbits = ports.trailing_zeros();
-        let shuffle = |pos: usize| (pos << rbits | pos >> (pbits - rbits)) & (ports - 1);
-        let unshuffle = |pos: usize| (pos >> rbits | pos << (pbits - rbits)) & (ports - 1);
-        // Exit rings start at the imported occupancy (at least
-        // MIN_EXIT_RING) and double on demand up to the capacity, so an
-        // import of the reverse network's 512-word FIFOs does not fill
+        // Exit rings start small and double on demand up to the
+        // capacity, so the reverse network's 512-word FIFOs do not fill
         // 512 slots per port that a drained reply port never uses.
         let exit_cap = cfg.exit_fifo_words;
-        let occupancy = net.exit_fifo.iter().map(VecDeque::len).max().unwrap_or(0);
-        let ecap = occupancy
-            .max(MIN_EXIT_RING)
-            .next_power_of_two()
-            .min(exit_cap.next_power_of_two());
+        let ecap = MIN_EXIT_RING.min(exit_cap.next_power_of_two());
         let mut spec = SpecNet {
             radix,
             d,
@@ -971,9 +979,9 @@ impl SpecNet {
             eshift: ecap.trailing_zeros(),
             emask: ecap - 1,
             clock: CeClock::new(cfg.net_cycles_per_ce_cycle),
-            last: d.gpos(stages_n - 1, 0),
+            last: d.gpos(stages - 1, 0),
             recs: vec![0; d.len()],
-            inj_down: vec![0; ports],
+            inj_down: (0..ports).map(|src| topo.shuffle(src) as u64).collect(),
             inj_q: vec![Slot::default(); ports * INJECT_FIFO_WORDS],
             inj_hl: vec![0; ports],
             inj_mask: vec![0; pwords],
@@ -984,123 +992,196 @@ impl SpecNet {
             exit_len: vec![0; ports],
             exit_mask: vec![0; pwords],
             prog: vec![Progress::default(); ports],
-            now: net.now,
-            words_injected: net.words_injected,
-            words_exited: net.words_exited,
+            now: 0,
+            words_injected: 0,
+            words_exited: 0,
             buffered: 0,
             multiword_words: 0,
-            words_dropped: net.words_dropped,
-            faults: net.faults().map(|plan| NetFaults::compile(net, plan, &d)),
+            words_dropped: 0,
+            faults: None,
             census: [0; 4],
         };
-        for src in 0..ports {
-            debug_assert_eq!(shuffle(src), net.topo.shuffle(src));
-            spec.inj_down[src] = shuffle(src) as u64;
+        // The shape's link targets, which no reset touches.
+        for s in 0..stages {
+            for pos in 0..ports {
+                let cell = d.cell(d.gpos(s, pos));
+                // The upstream output (or, at stage 0, the source)
+                // feeding this input is the one shuffled onto it.
+                let up = topo.unshuffle(pos);
+                let feeder = if s == 0 {
+                    d.inj_blocked(up >> 6)
+                } else {
+                    d.mask(M_BLOCKED, d.gpos(s - 1, up))
+                };
+                spec.recs[cell + C_UP] = (feeder << 6 | (up & 63)) as u64;
+                if s + 1 < stages {
+                    spec.recs[cell + C_DOWN] = d.gpos(s + 1, topo.shuffle(pos)) as u64;
+                }
+            }
         }
+        spec.reset();
+        spec
+    }
+
+    /// Returns the lanes to an idle network at cycle 0 in place. Ring
+    /// contents past a queue's length are never read, so only the
+    /// queue states, counters and masks are rewritten; the exit rings
+    /// keep whatever size they grew to, and the fault plan stays.
+    fn reset(&mut self) {
+        let d = self.d;
+        let idle = u64::from(st_pack(0, 0, ST_NO_LOCK));
+        for gpos in 0..d.masks >> d.cshift {
+            if gpos & (d.pwords * 64 - 1) < d.ports {
+                let cell = d.cell(gpos);
+                self.recs[cell + C_CAND] = 0;
+                self.recs[cell + C_OUT_ST] = idle;
+                self.recs[cell + C_IN_ST] = idle;
+                self.recs[cell + C_LOCK_ID] = 0;
+                self.recs[cell + C_SWITCHED] = 0;
+            }
+        }
+        self.recs[d.masks..].fill(0);
+        self.inj_hl.fill(0);
+        self.inj_mask.fill(0);
+        self.inj_popped.fill(0);
+        self.exit_head.fill(0);
+        self.exit_len.fill(0);
+        self.exit_mask.fill(0);
+        self.prog.fill(Progress::default());
+        self.inj_words = 0;
+        self.now = 0;
+        self.words_injected = 0;
+        self.words_exited = 0;
+        self.buffered = 0;
+        self.multiword_words = 0;
+        self.words_dropped = 0;
+        self.census = [0; 4];
+    }
+
+    /// Compiles `plan` (`None`: no faults) in as the plan this network
+    /// plays direction `dir` of.
+    fn set_faults(&mut self, dir: NetDirection, plan: Option<&FaultPlan>) {
+        self.faults = plan.map(|plan| NetFaults::compile(dir, plan, &self.d));
+    }
+
+    /// A generic network compiled into new lanes (the network is
+    /// copied, not drained).
+    #[cfg(test)]
+    fn import(net: &OmegaNetwork) -> SpecNet {
+        let mut spec = SpecNet::new(&net.cfg);
+        spec.set_faults(net.direction, net.faults());
+        spec.load(net);
+        spec
+    }
+
+    /// Copies a generic network of this shape into the lanes, which
+    /// must be idle, building the masks once.
+    fn load(&mut self, net: &OmegaNetwork) {
+        let d = self.d;
+        let (radix, queue_words) = (self.radix, d.queue_words);
+        let rbits = d.rbits;
+        // Rings hold the largest occupied exit FIFO, doubling from
+        // their current size as a drive would.
+        let occupancy = net.exit_fifo.iter().map(VecDeque::len).max().unwrap_or(0);
+        while occupancy > self.emask + 1 {
+            self.grow_exit_rings();
+        }
+        self.now = net.now;
+        self.words_injected = net.words_injected;
+        self.words_exited = net.words_exited;
+        self.words_dropped = net.words_dropped;
         let set = |recs: &mut Vec<u64>, kind: usize, gpos: usize| {
             recs[d.mask(kind, gpos)] |= 1u64 << (gpos & 63);
         };
         for (s, stage) in net.stages.iter().enumerate() {
             for (sw, cb) in stage.iter().enumerate() {
                 let base = d.gpos(s, sw << rbits);
-                spec.recs[d.cell(base) + C_SWITCHED] = cb.words_switched;
+                self.recs[d.cell(base) + C_SWITCHED] = cb.words_switched;
                 for port in 0..radix {
                     let gpos = base + port;
                     let cell = d.cell(gpos);
-                    let pos = (sw << rbits) + port;
-                    // The upstream output (or, at stage 0, the source)
-                    // feeding this input is the one shuffled onto it.
-                    let up = unshuffle(pos);
-                    let feeder = if s == 0 {
-                        d.inj_blocked(up >> 6)
-                    } else {
-                        d.mask(M_BLOCKED, d.gpos(s - 1, up))
-                    };
-                    spec.recs[cell + C_UP] = (feeder << 6 | (up & 63)) as u64;
-                    if s + 1 < stages_n {
-                        spec.recs[cell + C_DOWN] = d.gpos(s + 1, shuffle(pos)) as u64;
-                    }
                     let (inputs, outputs) = (&cb.inputs[port], &cb.outputs[port]);
                     for (k, w) in outputs.iter().enumerate() {
-                        spec.put_slot(cell + C_RING + (k << 2), w);
+                        self.put_slot(cell + C_RING + (k << 2), w);
                     }
                     for (k, w) in inputs.iter().enumerate() {
-                        spec.put_slot(cell + C_RING + (k << 2) + RING_IN, w);
+                        self.put_slot(cell + C_RING + (k << 2) + RING_IN, w);
                     }
                     let in_lock = cb.input_lock[port].map_or(ST_NO_LOCK, |o| o as u32);
-                    spec.recs[cell + C_IN_ST] = u64::from(st_pack(0, inputs.len(), in_lock));
-                    if inputs.len() == cfg.queue_words {
-                        let up = spec.recs[cell + C_UP] as usize;
-                        spec.recs[up >> 6] |= 1u64 << (up & 63);
+                    self.recs[cell + C_IN_ST] = u64::from(st_pack(0, inputs.len(), in_lock));
+                    if inputs.len() == queue_words {
+                        let up = self.recs[cell + C_UP] as usize;
+                        self.recs[up >> 6] |= 1u64 << (up & 63);
                     }
                     let out_lock = match cb.output_lock[port] {
                         Some((input, id)) => {
-                            spec.recs[cell + C_LOCK_ID] = id.0;
+                            self.recs[cell + C_LOCK_ID] = id.0;
                             input as u32
                         }
                         None => ST_NO_LOCK,
                     };
-                    spec.recs[cell + C_OUT_ST] = u64::from(
+                    self.recs[cell + C_OUT_ST] = u64::from(
                         st_pack(0, outputs.len(), out_lock)
                             | (cb.rr_next[port] as u32) << ST_RR_SHIFT,
                     );
-                    spec.buffered += (inputs.len() + outputs.len()) as u64;
+                    self.buffered += (inputs.len() + outputs.len()) as u64;
                     // Seed the event masks from this port's settled state.
                     if !outputs.is_empty() {
-                        set(&mut spec.recs, M_NONEMPTY, gpos);
+                        set(&mut self.recs, M_NONEMPTY, gpos);
                     }
-                    if outputs.len() == cfg.queue_words {
-                        set(&mut spec.recs, M_FULL, gpos);
+                    if outputs.len() == queue_words {
+                        set(&mut self.recs, M_FULL, gpos);
                     }
                     if out_lock != ST_NO_LOCK {
-                        set(&mut spec.recs, M_GRANTABLE, gpos);
+                        set(&mut self.recs, M_GRANTABLE, gpos);
                     }
                     if let (Some(head), ST_NO_LOCK) = (inputs.front(), in_lock) {
                         // An unlocked input's head word is a header (the
                         // wormhole invariant): a candidate for its output.
                         let gout = base + d.route(s, pack_word_meta(head));
-                        spec.recs[d.cell(gout) + C_CAND] |= 1u64 << port;
-                        set(&mut spec.recs, M_GRANTABLE, gout);
+                        self.recs[d.cell(gout) + C_CAND] |= 1u64 << port;
+                        set(&mut self.recs, M_GRANTABLE, gout);
                     }
                 }
             }
         }
         for (src, fifo) in net.inject_fifo.iter().enumerate() {
             for (i, w) in fifo.iter().enumerate() {
-                spec.inj_q[src * INJECT_FIFO_WORDS + i] = Slot {
+                self.inj_q[src * INJECT_FIFO_WORDS + i] = Slot {
                     id: w.packet.id.0,
                     meta: pack_word_meta(w),
                 };
-                spec.multiword_words += u64::from(w.packet.words > 1);
+                self.multiword_words += u64::from(w.packet.words > 1);
             }
-            spec.inj_hl[src] = hl_pack(0, fifo.len());
+            self.inj_hl[src] = hl_pack(0, fifo.len());
             if !fifo.is_empty() {
-                spec.inj_mask[src >> 6] |= 1u64 << (src & 63);
+                self.inj_mask[src >> 6] |= 1u64 << (src & 63);
             }
-            spec.inj_words += fifo.len() as u64;
-            spec.buffered += fifo.len() as u64;
+            self.inj_words += fifo.len() as u64;
+            self.buffered += fifo.len() as u64;
         }
+        let ecap = self.emask + 1;
         for (pos, fifo) in net.exit_fifo.iter().enumerate() {
             for (i, &(w, at)) in fifo.iter().enumerate() {
-                spec.exit_q[pos * ecap + i] = ExitSlot {
+                self.exit_q[pos * ecap + i] = ExitSlot {
                     id: w.packet.id.0,
                     at,
                     meta: pack_word_meta(&w),
                 };
-                spec.multiword_words += u64::from(w.packet.words > 1);
+                self.multiword_words += u64::from(w.packet.words > 1);
             }
-            spec.exit_len[pos] = fifo.len() as u32;
-            if fifo.len() >= exit_cap {
-                set(&mut spec.recs, M_BLOCKED, spec.last + pos);
+            self.exit_len[pos] = fifo.len() as u32;
+            if fifo.len() >= self.exit_cap {
+                set(&mut self.recs, M_BLOCKED, self.last + pos);
             }
             if !fifo.is_empty() {
-                spec.exit_mask[pos >> 6] |= 1u64 << (pos & 63);
+                self.exit_mask[pos >> 6] |= 1u64 << (pos & 63);
             }
-            spec.buffered += fifo.len() as u64;
+            self.buffered += fifo.len() as u64;
         }
         for (pos, progress) in net.exit_progress.iter().enumerate() {
             if let Some(p) = progress {
-                spec.prog[pos] = Progress {
+                self.prog[pos] = Progress {
                     live: true,
                     seen: p.words_seen,
                     meta: pack_packet_meta(&p.packet),
@@ -1110,7 +1191,6 @@ impl SpecNet {
             }
         }
         debug_assert!(net.delivered.is_empty(), "undrained delivery log");
-        spec
     }
 
     /// Writes a switch-queue word into the ring slot at `slot` at import,
@@ -1614,19 +1694,17 @@ struct ModMasks {
 }
 
 impl SpecModules {
-    fn import(fabric: &RoundTripFabric) -> SpecModules {
-        let (modules, partial) = (&fabric.modules, &fabric.partial);
-        let buf_cap = fabric.cfg.module_buffer_requests;
-        let service = fabric.cfg.mem_service_net_cycles;
-        let now = fabric.now;
-        let n = modules.len();
+    /// Lanes for `cfg`'s idle modules, with no fault plan.
+    fn new(cfg: &FabricConfig) -> SpecModules {
+        let n = cfg.mem_modules;
         let words = n.div_ceil(64).max(1);
-        let pcap = buf_cap.next_power_of_two();
+        let pcap = cfg.module_buffer_requests.next_power_of_two();
+        let service = cfg.mem_service_net_cycles;
         let wheel_len = (service.max(1) as usize + 1).next_power_of_two();
-        let mut spec = SpecModules {
+        SpecModules {
             n,
             words,
-            buf_cap,
+            buf_cap: cfg.module_buffer_requests,
             service,
             pshift: pcap.trailing_zeros(),
             pmask: pcap - 1,
@@ -1647,52 +1725,77 @@ impl SpecModules {
             busy: 0,
             partials: 0,
             fault_mask: vec![0; words],
-            discards: fabric.module_discards,
+            discards: 0,
             census: [0; 2],
-        };
-        // Modules outside this fabric never match a query.
-        let faulted = fabric.faults.iter().flat_map(FaultPlan::faulted_modules);
-        for i in faulted.filter(|&i| i < n) {
-            spec.fault_mask[i >> 6] |= 1u64 << (i & 63);
         }
+    }
+
+    /// Returns the lanes to idle modules with `plan` (if any) compiled
+    /// into the fault mask, in place. Slots past a queue's length, and
+    /// replies and partials whose flags are clear, are never read.
+    fn reset(&mut self, plan: Option<&FaultPlan>) {
+        self.pend_head.fill(0);
+        self.pend_len.fill(0);
+        self.busy_until.fill(0);
+        self.served.fill(0);
+        self.part_live.fill(false);
+        self.out_mask.fill(0);
+        self.pend_full.fill(0);
+        self.wheel.fill(0);
+        self.fault_mask.fill(0);
+        // Modules outside this fabric never match a query.
+        for i in plan.iter().flat_map(|p| p.faulted_modules()) {
+            if i < self.n {
+                self.fault_mask[i >> 6] |= 1u64 << (i & 63);
+            }
+        }
+        self.busy = 0;
+        self.partials = 0;
+        self.discards = 0;
+        self.census = [0; 2];
+    }
+
+    /// Copies the generic modules and reassembly slots into the lanes,
+    /// which must be idle; `now` is the fabric's cycle.
+    fn load(&mut self, modules: &[MemModule], partial: &[Option<(Packet, u8)>], now: u64) {
+        let pcap = self.pmask + 1;
         for (i, m) in modules.iter().enumerate() {
-            debug_assert!(m.pending.len() <= buf_cap);
+            debug_assert!(m.pending.len() <= self.buf_cap);
             for (j, p) in m.pending.iter().enumerate() {
-                spec.pend_q[i * pcap + j] = Slot {
+                self.pend_q[i * pcap + j] = Slot {
                     id: p.id.0,
                     meta: pack_packet_meta(p),
                 };
             }
-            spec.pend_len[i] = m.pending.len() as u8;
-            if m.pending.len() == buf_cap {
-                spec.pend_full[i >> 6] |= 1u64 << (i & 63);
+            self.pend_len[i] = m.pending.len() as u8;
+            if m.pending.len() == self.buf_cap {
+                self.pend_full[i >> 6] |= 1u64 << (i & 63);
             }
-            spec.busy_until[i] = m.busy_until;
+            self.busy_until[i] = m.busy_until;
             if let Some(p) = &m.outgoing {
-                spec.out[i] = Slot {
+                self.out[i] = Slot {
                     id: p.id.0,
                     meta: pack_packet_meta(p),
                 };
-                spec.out_mask[i >> 6] |= 1u64 << (i & 63);
+                self.out_mask[i >> 6] |= 1u64 << (i & 63);
             }
-            spec.served[i] = m.served;
+            self.served[i] = m.served;
             if !m.pending.is_empty() || m.outgoing.is_some() {
-                spec.busy += 1;
+                self.busy += 1;
             }
             if !m.pending.is_empty() {
-                spec.schedule_wake(i, now);
+                self.schedule_wake(i, now);
             }
         }
         for (i, slot) in partial.iter().enumerate() {
             if let Some((p, seen)) = slot {
-                spec.part_live[i] = true;
-                spec.part_id[i] = p.id.0;
-                spec.part_meta[i] = pack_packet_meta(p);
-                spec.part_seen[i] = *seen;
-                spec.partials += 1;
+                self.part_live[i] = true;
+                self.part_id[i] = p.id.0;
+                self.part_meta[i] = pack_packet_meta(p);
+                self.part_seen[i] = *seen;
+                self.partials += 1;
             }
         }
-        spec
     }
 
     /// Schedules a wake visit for module `i` at the earliest future
@@ -1707,9 +1810,9 @@ impl SpecModules {
         *at(&mut self.wheel, slot * self.words + (i >> 6)) |= 1u64 << (i & 63);
     }
 
-    /// Writes the lanes back into the fabric's canonical module and
-    /// partial-slot representation.
-    fn export(&self, fabric: &mut RoundTripFabric) {
+    /// Writes the lanes back into the generic module and partial-slot
+    /// representation.
+    fn export(&self, modules: &mut [MemModule], partial: &mut [Option<(Packet, u8)>]) {
         for i in 0..self.n {
             debug_assert_eq!(
                 self.pend_full[i >> 6] >> (i & 63) & 1 != 0,
@@ -1717,8 +1820,6 @@ impl SpecModules {
                 "pend_full out of step with the buffer of module {i}"
             );
         }
-        fabric.module_discards = self.discards;
-        let (modules, partial) = (&mut fabric.modules, &mut fabric.partial);
         for (i, m) in modules.iter_mut().enumerate() {
             m.pending.clear();
             for j in 0..self.pend_len[i] as usize {
@@ -1936,6 +2037,181 @@ impl SpecModules {
 }
 
 // ---------------------------------------------------------------------------
+// Lanes: a fabric's hardware in the specialized form, one spare per thread.
+// ---------------------------------------------------------------------------
+
+/// A fabric's networks and modules in the specialized engine's form,
+/// with the per-drive scratch. A fabric takes its lanes when its first
+/// drive starts (`Lanes::take`), keeps them across drives, and parks
+/// them as its thread's spare when it drops (`Lanes::park`), so a sweep
+/// builds lanes once per thread and resets them per point.
+pub(super) struct Lanes {
+    /// The configuration the lanes are shaped for: the spare's key.
+    cfg: FabricConfig,
+    fwd: SpecNet,
+    rev: SpecNet,
+    mods: SpecModules,
+    /// Sources that might issue at the next CE boundary (see
+    /// `spec_loop`); every drive starts with all set.
+    issuable: Vec<u64>,
+    /// Each source's `IssueCursor`, derived when a drive starts.
+    cursors: Vec<IssueCursor>,
+}
+
+impl std::fmt::Debug for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lanes")
+            .field("now", &self.fwd.now)
+            .finish_non_exhaustive()
+    }
+}
+
+thread_local! {
+    /// The lanes of the last fabric this thread dropped, for the next
+    /// fresh fabric to reset and reuse.
+    static SPARE: RefCell<Option<Box<Lanes>>> = const { RefCell::new(None) };
+    /// Emptied per-CE result buffers for the next drive's sources.
+    static BUFFERS: RefCell<Buffers> = const {
+        RefCell::new(Buffers {
+            records: Vec::new(),
+            issued: Vec::new(),
+        })
+    };
+}
+
+/// The per-CE result lanes of finished work, emptied and kept per
+/// thread so a sweep's drives size their sources' `records` and
+/// `issued_at` without allocating: a dropped report's records, a
+/// finished experiment's issue stamps. A thread keeps at most
+/// `KEPT_BUFFERS` of each, none over `KEPT_CAPACITY` elements; while
+/// the thread exits, nothing is kept.
+pub(super) struct Buffers {
+    records: Vec<Vec<RequestRecord>>,
+    issued: Vec<Vec<u64>>,
+}
+
+const KEPT_BUFFERS: usize = 64;
+const KEPT_CAPACITY: usize = 1 << 14;
+
+impl Buffers {
+    fn keep<T>(kept: &mut Vec<Vec<T>>, bufs: impl Iterator<Item = Vec<T>>) {
+        for mut buf in bufs {
+            if kept.len() < KEPT_BUFFERS && (1..=KEPT_CAPACITY).contains(&buf.capacity()) {
+                buf.clear();
+                kept.push(buf);
+            }
+        }
+    }
+
+    /// Keeps a finished report's records.
+    pub(super) fn keep_records(bufs: impl Iterator<Item = Vec<RequestRecord>>) {
+        let _ = BUFFERS.try_with(|b| {
+            b.try_borrow_mut()
+                .map(|mut b| Buffers::keep(&mut b.records, bufs))
+        });
+    }
+
+    /// Keeps a finished experiment's issue stamps.
+    pub(super) fn keep_issued(bufs: impl Iterator<Item = Vec<u64>>) {
+        let _ = BUFFERS.try_with(|b| {
+            b.try_borrow_mut()
+                .map(|mut b| Buffers::keep(&mut b.issued, bufs))
+        });
+    }
+
+    /// Sizes each source's `records` and `issued_at` to hold its whole
+    /// run, so the hot loop never reallocates (capacity is not
+    /// semantic), starting from a kept buffer where a lane has none.
+    fn size(sources: &mut [CeSource]) {
+        let _ = BUFFERS.try_with(|b| {
+            let kept = &mut *b.borrow_mut();
+            for src in sources.iter_mut() {
+                if src.records.capacity() == 0 {
+                    src.records = kept.records.pop().unwrap_or_default();
+                }
+                if src.issued_at.capacity() == 0 {
+                    src.issued_at = kept.issued.pop().unwrap_or_default();
+                }
+            }
+        });
+        for src in sources {
+            let total = src.traffic.blocks as usize * src.traffic.block_len as usize;
+            src.records.reserve(total.saturating_sub(src.records.len()));
+            src.issued_at
+                .reserve(total.saturating_sub(src.issued_at.len()));
+        }
+    }
+}
+
+impl Lanes {
+    /// Lanes holding idle hardware of `cfg` at cycle 0 with `plan`
+    /// attached: the thread's spare if it has this shape, reset in
+    /// place, else newly built.
+    pub(super) fn take(cfg: &FabricConfig, plan: Option<&FaultPlan>) -> Box<Lanes> {
+        let spare = SPARE.try_with(|s| s.borrow_mut().take()).ok().flatten();
+        let mut lanes = match spare {
+            Some(mut lanes) if lanes.cfg == *cfg => {
+                lanes.fwd.reset();
+                lanes.rev.reset();
+                lanes
+            }
+            _ => Box::new(Lanes {
+                cfg: cfg.clone(),
+                fwd: SpecNet::new(&cfg.net),
+                rev: SpecNet::new(&reverse_net(&cfg.net)),
+                mods: SpecModules::new(cfg),
+                issuable: Vec::new(),
+                cursors: Vec::new(),
+            }),
+        };
+        lanes.fwd.set_faults(NetDirection::Forward, plan);
+        lanes.rev.set_faults(NetDirection::Reverse, plan);
+        lanes.mods.reset(plan);
+        lanes
+    }
+
+    /// Makes these lanes the thread's spare. Lanes a panic unwinds are
+    /// dropped instead, so a reset never meets a half-stepped set.
+    pub(super) fn park(self: Box<Self>) {
+        if !std::thread::panicking() {
+            // Fails only while the thread itself is exiting.
+            let _ = SPARE.try_with(|s| s.try_borrow_mut().map(|mut slot| *slot = Some(self)));
+        }
+    }
+
+    /// Lanes holding a canonical generic form (see
+    /// `Generic::is_canonical`); `module_discards` and `now` are the
+    /// fabric's.
+    fn import(
+        cfg: &FabricConfig,
+        plan: Option<&FaultPlan>,
+        g: &Generic,
+        module_discards: u64,
+        now: u64,
+    ) -> Box<Lanes> {
+        let mut lanes = Lanes::take(cfg, plan);
+        lanes.fwd.load(&g.forward);
+        lanes.rev.load(&g.reverse);
+        lanes.mods.load(&g.modules, &g.partial, now);
+        lanes.mods.discards = module_discards;
+        lanes
+    }
+
+    /// Writes the lanes into a generic form of this shape, which then
+    /// equals (under `Snapshot`) the one a generic run would have left.
+    pub(super) fn export(&self, g: &mut Generic) {
+        self.fwd.export(&mut g.forward);
+        self.rev.export(&mut g.reverse);
+        self.mods.export(&mut g.modules, &mut g.partial);
+    }
+
+    /// Words lost to link faults in both networks.
+    pub(super) fn words_dropped(&self) -> u64 {
+        self.fwd.words_dropped + self.rev.words_dropped
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fabric-side driver.
 // ---------------------------------------------------------------------------
 
@@ -1959,14 +2235,20 @@ impl RoundTripFabric {
         if net.queue_words > 64 {
             return Some("switch queues deeper than 64 words");
         }
-        if self.forward.cfg.exit_fifo_words > 65_536 || self.reverse.cfg.exit_fifo_words > 65_536 {
+        // The reverse network's exit FIFOs hold 512 words.
+        if net.exit_fifo_words > 65_536 {
             return Some("exit FIFOs deeper than 65536 words");
         }
         if self.cfg.module_buffer_requests > 64 {
             return Some("module buffers deeper than 64 requests");
         }
-        if !self.forward.delivered.is_empty() || !self.reverse.delivered.is_empty() {
-            return Some("undrained delivery log");
+        if let Form::Generic(g) = &self.form {
+            if !g.forward.delivered.is_empty() || !g.reverse.delivered.is_empty() {
+                return Some("undrained delivery log");
+            }
+            if !g.is_canonical(&self.cfg, self.faults.as_ref()) {
+                return Some("networks differ from the fabric's configuration");
+            }
         }
         // A retry re-aimed past the network would index the unchecked
         // lanes out of bounds; the generic engine rejects it outright.
@@ -1981,10 +2263,11 @@ impl RoundTripFabric {
     }
 
     /// Runs the experiment on the specialized engine until it stops
-    /// running or `stop_at` net cycles is reached. The networks and
-    /// modules are compiled in on entry and written back on every exit
-    /// path, so the fabric is always in canonical generic form
-    /// afterwards.
+    /// running or `stop_at` net cycles is reached. The drive takes the
+    /// fabric's lanes (its resident ones, the thread's spare reset for a
+    /// fresh fabric, or an import of its generic form) and leaves them
+    /// resident on every exit but a panic: nothing is written back, and
+    /// the generic form is built only when something generic asks.
     pub(crate) fn drive_specialized(
         &mut self,
         exp: &mut FabricExperiment,
@@ -2032,82 +2315,73 @@ impl RoundTripFabric {
     ) -> Result<(), CedarError> {
         let lap_cost = if L { timer_cost_ns() } else { 0 };
         let started = L.then(Instant::now);
-        let mut fwd = SpecNet::import(&self.forward);
-        let mut rev = SpecNet::import(&self.reverse);
-        let mut mods = SpecModules::import(self);
-        // Pre-size the per-CE result vectors to their final lengths so
-        // the hot loop never reallocates (capacity is not semantic).
-        for src in exp.sources.iter_mut() {
-            let total = src.traffic.blocks as usize * src.traffic.block_len as usize;
-            src.records.reserve(total.saturating_sub(src.records.len()));
-            src.issued_at
-                .reserve(total.saturating_sub(src.issued_at.len()));
-        }
+        let plan = self.faults.as_ref();
+        let mut lanes = match std::mem::replace(&mut self.form, Form::Fresh) {
+            Form::Lanes(lanes) => lanes,
+            Form::Fresh => Lanes::take(&self.cfg, plan),
+            Form::Generic(g) => Lanes::import(&self.cfg, plan, &g, self.module_discards, self.now),
+        };
+        let n_mod = self.cfg.mem_modules;
+        lanes.issuable.clear();
+        lanes
+            .issuable
+            .resize(exp.sources.len().div_ceil(64).max(1), !0);
+        lanes.cursors.clear();
+        lanes
+            .cursors
+            .extend(exp.sources.iter().map(|src| IssueCursor::at(src, n_mod)));
+        Buffers::size(&mut exp.sources);
         let sampled = ledger.sampled_cycles;
-        let imported = L.then(Instant::now);
+        let set_up = L.then(Instant::now);
         let skipped = self.ff_cycles;
         let result = if self.faults.is_some() || exp.recovery.is_some() {
-            self.spec_stages::<true, L>(
-                &mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at, ledger,
-            )
+            self.spec_stages::<true, L>(&mut lanes, exp, watchdog, stop_at, ledger)
         } else {
-            self.spec_stages::<false, L>(
-                &mut fwd, &mut rev, &mut mods, exp, watchdog, stop_at, ledger,
-            )
+            self.spec_stages::<false, L>(&mut lanes, exp, watchdog, stop_at, ledger)
         };
-        let stepped = L.then(Instant::now);
-        fwd.export(&mut self.forward);
-        rev.export(&mut self.reverse);
-        mods.export(self);
-        if let (Some(started), Some(imported), Some(stepped)) = (started, imported, stepped) {
+        self.module_discards = lanes.mods.discards;
+        if let (Some(started), Some(set_up)) = (started, set_up) {
             let done = Instant::now();
             ledger.drives += 1;
             ledger.skipped_cycles += self.ff_cycles - skipped;
             ledger.timer_ns += lap_cost * (ledger.sampled_cycles - sampled);
-            ledger.import_ns += nanos(imported - started) + nanos(done - stepped);
+            ledger.setup_ns += nanos(set_up - started);
             ledger.drive_ns += nanos(done - started);
-            for (phase, net) in [(Phase::Forward, &fwd), (Phase::Return, &rev)] {
-                ledger.attempts[phase as usize] += net.census[0];
-                ledger.useful[phase as usize] += net.census[1];
-                ledger.attempts[Phase::Inject as usize] += net.census[2];
-                ledger.useful[Phase::Inject as usize] += net.census[3];
+            for (phase, net) in [
+                (Phase::Forward, &mut lanes.fwd),
+                (Phase::Return, &mut lanes.rev),
+            ] {
+                let census = std::mem::take(&mut net.census);
+                ledger.attempts[phase as usize] += census[0];
+                ledger.useful[phase as usize] += census[1];
+                ledger.attempts[Phase::Inject as usize] += census[2];
+                ledger.useful[Phase::Inject as usize] += census[3];
             }
-            ledger.attempts[Phase::Module as usize] += mods.census[0];
-            ledger.useful[Phase::Module as usize] += mods.census[1];
+            let census = std::mem::take(&mut lanes.mods.census);
+            ledger.attempts[Phase::Module as usize] += census[0];
+            ledger.useful[Phase::Module as usize] += census[1];
         }
+        self.form = Form::Lanes(lanes);
         result
     }
 
     /// Picks the stage-count instantiation of [`spec_loop`](Self::spec_loop).
-    #[allow(clippy::too_many_arguments)]
     fn spec_stages<const F: bool, const L: bool>(
         &mut self,
-        fwd: &mut SpecNet,
-        rev: &mut SpecNet,
-        mods: &mut SpecModules,
+        lanes: &mut Lanes,
         exp: &mut FabricExperiment,
         watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
         ledger: &mut PhaseLedger,
     ) -> Result<(), CedarError> {
         // Both networks share the configured switch shape.
-        let cedar = fwd.d == CEDAR_DIMS;
+        let cedar = lanes.fwd.d == CEDAR_DIMS;
         match (self.cfg.net.stages, cedar) {
-            (1, _) => {
-                self.spec_loop::<1, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
-            }
-            (2, true) => {
-                self.spec_loop::<2, true, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
-            }
-            (2, false) => {
-                self.spec_loop::<2, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
-            }
-            (3, _) => {
-                self.spec_loop::<3, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
-            }
-            (4, _) => {
-                self.spec_loop::<4, false, F, L>(fwd, rev, mods, exp, watchdog, stop_at, ledger)
-            }
+            (1, _) => self.spec_loop::<1, false, F, L>(lanes, exp, watchdog, stop_at, ledger),
+            (2, true) => self.spec_loop::<2, true, F, L>(lanes, exp, watchdog, stop_at, ledger),
+            (2, false) => self.spec_loop::<2, false, F, L>(lanes, exp, watchdog, stop_at, ledger),
+            (3, _) => self.spec_loop::<3, false, F, L>(lanes, exp, watchdog, stop_at, ledger),
+            (4, _) => self.spec_loop::<4, false, F, L>(lanes, exp, watchdog, stop_at, ledger),
             _ => unreachable!("specialization_blocker admits only 1..=4 stages"),
         }
     }
@@ -2125,29 +2399,27 @@ impl RoundTripFabric {
     /// so this is the generic `forward.step(); reverse.step()` order
     /// up to commuting independent work, and it lets the ledger time
     /// injection apart from switching.
-    #[allow(clippy::too_many_arguments)]
     fn spec_loop<const S: usize, const C: bool, const F: bool, const L: bool>(
         &mut self,
-        fwd: &mut SpecNet,
-        rev: &mut SpecNet,
-        mods: &mut SpecModules,
+        lanes: &mut Lanes,
         exp: &mut FabricExperiment,
         mut watchdog: Option<&mut Watchdog>,
         stop_at: Option<u64>,
         ledger: &mut PhaseLedger,
     ) -> Result<(), CedarError> {
-        // Sources that might issue this boundary: a bit is cleared when
-        // only an ejected reply, an abandonment or a pop from the
-        // source's injection FIFO can unblock the source (window full,
-        // block flow-window closed, stream finished, no room in the
-        // FIFO) and re-armed by the next one that reaches it.
-        let mut issuable = vec![!0u64; exp.sources.len().div_ceil(64).max(1)];
-        let n_mod = self.cfg.mem_modules;
-        let mut cursors: Vec<IssueCursor> = exp
-            .sources
-            .iter()
-            .map(|src| IssueCursor::at(src, n_mod))
-            .collect();
+        // `issuable` holds the sources that might issue this boundary: a
+        // bit is cleared when only an ejected reply, an abandonment or a
+        // pop from the source's injection FIFO can unblock the source
+        // (window full, block flow-window closed, stream finished, no
+        // room in the FIFO) and re-armed by the next one that reaches it.
+        let Lanes {
+            fwd,
+            rev,
+            mods,
+            issuable,
+            cursors,
+            ..
+        } = lanes;
         let clock = CeClock::new(exp.ratio);
         let mut sample_in = LEDGER_SAMPLE_PERIOD;
         while self.experiment_running(exp) && stop_at.is_none_or(|c| self.now < c) {
@@ -2183,7 +2455,7 @@ impl RoundTripFabric {
                 rev,
                 &mut exp.sources,
                 exp.recovery.as_mut(),
-                &mut issuable,
+                issuable,
                 ledger,
             );
             lap(&mut timer, &mut ledger.sampled_ns[Phase::Eject as usize]);
@@ -2210,10 +2482,10 @@ impl RoundTripFabric {
                 self.spec_issue_requests::<F, L>(
                     fwd,
                     &mut exp.sources,
-                    &mut cursors,
+                    cursors,
                     exp.recovery.as_mut(),
                     clock.ce_cycle(self.now),
-                    &mut issuable,
+                    issuable,
                     ledger,
                 );
             }
@@ -2577,8 +2849,8 @@ const LEDGER_SAMPLE_PERIOD: u32 = 31;
 
 /// Where a specialized drive's live cycles go: per [`Phase`], a
 /// deterministic census (attempts against useful outcomes) and host
-/// time sampled on one live cycle in 31, plus the import/export cost
-/// and the whole drive's wall time. Filled by
+/// time sampled on one live cycle in 31, plus the set-up before the
+/// first live cycle and the whole drive's wall time. Filled by
 /// [`RoundTripFabric::drive_with_ledger`]; the census is a pure
 /// function of the run, the times are host measurements.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -2604,10 +2876,12 @@ pub struct PhaseLedger {
     /// The clock reads' own cost inside each phase's `sampled_ns`: one
     /// read per lap, calibrated at the start of each drive.
     pub timer_ns: u64,
-    /// Host nanoseconds spent importing and exporting the lanes.
-    pub import_ns: u64,
-    /// Host nanoseconds of the whole drives, import and export
-    /// included.
+    /// Host nanoseconds the drives spent before their first live
+    /// cycle: taking the lanes (a reset of the thread's spare for a
+    /// fresh fabric, an import from a generic form, nothing for resident
+    /// lanes) and sizing the per-CE scratch. A drive exports nothing.
+    pub setup_ns: u64,
+    /// Host nanoseconds of the whole drives, set-up included.
     pub drive_ns: u64,
 }
 
@@ -2620,7 +2894,7 @@ impl PhaseLedger {
             sampled_ns: [0; 6],
             sampled_total_ns: 0,
             timer_ns: 0,
-            import_ns: 0,
+            setup_ns: 0,
             drive_ns: 0,
             ..self.clone()
         }
@@ -2643,14 +2917,14 @@ impl PhaseLedger {
         self.phase_ns().map(|ns| ns as f64 / total as f64)
     }
 
-    /// The import-and-export share of the drive time; the live loop
-    /// takes the rest.
+    /// The set-up's share of the drive time; the live loop takes the
+    /// rest.
     #[must_use]
-    pub fn import_share(&self) -> f64 {
+    pub fn setup_share(&self) -> f64 {
         if self.drive_ns == 0 {
             0.0
         } else {
-            self.import_ns as f64 / self.drive_ns as f64
+            self.setup_ns as f64 / self.drive_ns as f64
         }
     }
 
@@ -2659,7 +2933,7 @@ impl PhaseLedger {
     /// as a fraction (0 when nothing was sampled).
     #[must_use]
     pub fn probe_excess(&self) -> f64 {
-        let live = self.drive_ns.saturating_sub(self.import_ns);
+        let live = self.drive_ns.saturating_sub(self.setup_ns);
         if self.sampled_cycles == 0 || live == 0 {
             return 0.0;
         }

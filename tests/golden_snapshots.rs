@@ -16,10 +16,10 @@
 //!
 //! The goldens run on the default engine. The `*_agree_across_engines`
 //! tests re-run every fabric experiment behind `table2.snap` and
-//! `degraded.snap` on both engines, each on a fabric built by its
-//! point's `JobSpec::recipe`: the default run must specialize, must
-//! reproduce the harness's own numbers, and must equal the generic
-//! engine's report.
+//! `degraded.snap`, and every hot-spot study point, on both engines,
+//! each on a fabric built by its point's `JobSpec::recipe`: the default
+//! run must specialize, must reproduce the harness's own numbers, and
+//! must equal the generic engine's report.
 
 use std::fs;
 use std::path::PathBuf;
@@ -30,7 +30,7 @@ use cedar::exec::{run_sweep_on, threads};
 use cedar::net::fabric::{AddressPattern, FabricReport, PrefetchTraffic};
 use cedar::net::EngineKind;
 use cedar::serve::job::{JobOutcome, JobSpec, Recipe, MAX_NET_CYCLES};
-use cedar_bench::{degraded, table2};
+use cedar_bench::{degraded, hotspot, table2};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -167,4 +167,14 @@ fn degraded_runs_agree_across_engines() {
         JobOutcome::from_report(&on_both_engines(&spec, run_recipe))
     });
     assert_eq!(points, degraded::run(), "the recipe left degraded's");
+}
+
+/// Every hot-spot study point on both engines: the job family the
+/// `serve` workload's execute phase runs.
+#[test]
+fn hotspot_runs_agree_across_engines() {
+    let points = run_sweep_on(threads(), hotspot::specs(), |spec| {
+        JobOutcome::from_report(&on_both_engines(&spec, run_recipe))
+    });
+    assert_eq!(points, hotspot::run(), "the recipe left hotspot's");
 }
